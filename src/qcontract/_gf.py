@@ -219,16 +219,6 @@ class GF:
             out.append(tuple(row))
         return tuple(out)
 
-    def mat_vec(self, A: Mat, v: Sequence[int]) -> tuple[int, ...]:
-        add, mul = self.add, self.mul
-        out = []
-        for row in A:
-            s = 0
-            for a, x in zip(row, v):
-                s = add(s, mul(a, x))
-            out.append(s)
-        return tuple(out)
-
     def mat_id(self, n: int) -> Mat:
         return tuple(tuple(1 if a == b else 0 for b in range(n)) for a in range(n))
 
@@ -292,38 +282,6 @@ class GF:
 
     def frobenius_mat(self, A: Mat, base: int | None = None) -> Mat:
         return tuple(tuple(self.frobenius(x, base) for x in row) for row in A)
-
-    def subspaces(self, n: int, k: int) -> list[Mat]:
-        """All k-dimensional subspaces of F_q^n as reduced-echelon row bases."""
-        if not 0 <= k <= n:
-            return []
-        if k == 0:
-            return [()]
-        seen = set()
-        for m in self.all_matrices(k, n):
-            if self.mat_rank(m) != k:
-                continue
-            seen.add(self._echelon(m))
-        return sorted(seen)
-
-    def _echelon(self, A: Mat) -> Mat:
-        m = [list(r) for r in A]
-        nrows, ncols = len(m), len(m[0])
-        rk = 0
-        for c in range(ncols):
-            pr = next((i for i in range(rk, nrows) if m[i][c]), None)
-            if pr is None:
-                continue
-            m[rk], m[pr] = m[pr], m[rk]
-            inv = self.inv(m[rk][c])
-            m[rk] = [self.mul(inv, x) for x in m[rk]]
-            for i in range(nrows):
-                if i != rk and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [self.sub(x, self.mul(f, y)) for x, y in zip(m[i], m[rk])]
-            rk += 1
-        return tuple(tuple(r) for r in m[:rk])
-
 
 @lru_cache(maxsize=None)
 def gf(q: int) -> GF:

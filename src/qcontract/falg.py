@@ -11,7 +11,6 @@ in the Cartan datum's index symbols.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -35,6 +34,52 @@ def _add_into(acc: dict, key, c: QVScalar) -> None:
         acc[key] = s
     else:
         acc.pop(key, None)
+
+
+class LinearCombination:
+    """Sparse combination of basis keys with nonzero Q(v) coefficients, tied
+    to one algebra.  Subclasses add their products, bar and rendering;
+    ``_like`` builds a sibling of the same type on new coordinates."""
+
+    __slots__ = ("algebra", "coords")
+
+    def __init__(self, algebra, coords: Mapping):
+        self.algebra = algebra
+        self.coords = {k: c for k, c in coords.items() if c}
+
+    def _like(self, coords: Mapping):
+        return type(self)(self.algebra, coords)
+
+    def __add__(self, other):
+        if self.algebra is not other.algebra:
+            raise ValueError("elements of different algebras")
+        out = dict(self.coords)
+        for k, c in other.coords.items():
+            _add_into(out, k, c)
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.coords.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = qv(c)
+        return self._like({k: c * x for k, x in self.coords.items()})
+
+    def is_zero(self) -> bool:
+        return not self.coords
+
+    def __bool__(self) -> bool:
+        return bool(self.coords)
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self.algebra is other.algebra
+                and self.coords == other.coords)
+
+    def __hash__(self):
+        return hash(tuple(sorted(self.coords.items())))
 
 
 @dataclass(frozen=True)
@@ -79,7 +124,7 @@ class FAlgebra:
         self._components: dict[Degree, GradedComponent] = {}
         self._gt_memo: dict[tuple[PlainWord, PlainWord], LaurentPoly] = {}
         self._proj: dict = {}
-        self._lock = threading.RLock()
+        self._pbw: tuple | None = None
 
     # --- degrees and words ---------------------------------------------
     def position(self, symbol) -> int:
@@ -175,13 +220,12 @@ class FAlgebra:
         if sum(nu) > self.degree_bound:
             raise ValueError(
                 f"degree bound exceeded: |nu| = {sum(nu)} > {self.degree_bound}")
-        with self._lock:
-            comp = self._components.get(nu)
-            if comp is not None and not (check_form and comp.gram_kernel_dim is None):
-                return comp
-            comp = self._build_component(nu, check_form)
-            self._components[nu] = comp
+        comp = self._components.get(nu)
+        if comp is not None and not (check_form and comp.gram_kernel_dim is None):
             return comp
+        comp = self._build_component(nu, check_form)
+        self._components[nu] = comp
+        return comp
 
     def _build_component(self, nu: Degree, check_form: bool) -> GradedComponent:
         words = sorted(self.plain_words(nu))
@@ -274,42 +318,28 @@ def _subdegrees(limit: Degree) -> Iterable[Degree]:
             yield (head,) + tail
 
 
-class FElement:
-    """Reduced coordinates on the basis words of one graded piece."""
+class FElement(LinearCombination):
+    """Reduced coordinates on the basis words of one graded piece.  A zero
+    of one degree adds to an element of another; two nonzero elements of
+    different degrees do not add."""
 
-    __slots__ = ("algebra", "nu", "coords")
+    __slots__ = ("nu",)
 
     def __init__(self, algebra: FAlgebra, nu, coords: Mapping[PlainWord, QVScalar]):
-        self.algebra = algebra
+        super().__init__(algebra, coords)
         self.nu = algebra.degree(nu)
-        self.coords = {w: c for w, c in coords.items() if c}
 
-    # --- ring structure --------------------------------------------------
+    def _like(self, coords) -> "FElement":
+        return FElement(self.algebra, self.nu, coords)
+
     def __add__(self, other: "FElement") -> "FElement":
-        if self.algebra is not other.algebra:
-            raise ValueError("elements of different algebras")
-        if self.nu != other.nu:
+        if self.algebra is other.algebra and self.nu != other.nu:
             if not self.coords:
                 return other
             if not other.coords:
                 return self
             raise ValueError("sum of distinct degrees")
-        out = dict(self.coords)
-        for w, c in other.coords.items():
-            _add_into(out, w, c)
-        return FElement(self.algebra, self.nu, out)
-
-    def __neg__(self) -> "FElement":
-        return FElement(self.algebra, self.nu,
-                        {w: -c for w, c in self.coords.items()})
-
-    def __sub__(self, other: "FElement") -> "FElement":
-        return self + (-other)
-
-    def scale(self, c) -> "FElement":
-        c = qv(c)
-        return FElement(self.algebra, self.nu,
-                        {w: c * x for w, x in self.coords.items()})
+        return super().__add__(other)
 
     def __mul__(self, other: "FElement") -> "FElement":
         if self.algebra is not other.algebra:
@@ -323,23 +353,7 @@ class FElement:
         return FElement(alg, nu, alg.component(nu).reduce(prod))
 
     def bar(self) -> "FElement":
-        return FElement(self.algebra, self.nu,
-                        {w: scalar_bar(c) for w, c in self.coords.items()})
-
-    # --- comparisons ------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def __bool__(self) -> bool:
-        return bool(self.coords)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FElement) and self.algebra is other.algebra
-                and (self.coords == other.coords if self.coords and other.coords
-                     else not self.coords and not other.coords))
-
-    def __hash__(self):
-        return hash((self.nu, tuple(sorted(self.coords.items()))))
+        return self._like({w: scalar_bar(c) for w, c in self.coords.items()})
 
     def __repr__(self):
         return f"FElement({render_felement(self)})"
@@ -396,10 +410,6 @@ def graded_basis(algebra: FAlgebra, nu) -> GradedComponent:
     return algebra.component(nu, check_form=True)
 
 
-def multiply(x: FElement, y: FElement) -> FElement:
-    return x * y
-
-
 def bar(x: FElement) -> FElement:
     return x.bar()
 
@@ -417,30 +427,11 @@ def brace_form(x: FElement, y: FElement) -> QVScalar:
 
 # --- the coproduct ----------------------------------------------------------
 
-class TensorElement:
+class TensorElement(LinearCombination):
     """Combination of basis-word pairs; multiplication twists by
     v^(|y| . |x'|) when (x (x) y)(x' (x) y') is formed."""
 
-    __slots__ = ("algebra", "coords")
-
-    def __init__(self, algebra: FAlgebra,
-                 coords: Mapping[tuple[PlainWord, PlainWord], QVScalar]):
-        self.algebra = algebra
-        self.coords = {k: c for k, c in coords.items() if c}
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        out = dict(self.coords)
-        for k, c in other.coords.items():
-            _add_into(out, k, c)
-        return TensorElement(self.algebra, out)
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "TensorElement":
-        c = qv(c)
-        return TensorElement(self.algebra,
-                             {k: c * x for k, x in self.coords.items()})
+    __slots__ = ()
 
     def __mul__(self, other: "TensorElement") -> "TensorElement":
         alg = self.algebra
@@ -459,26 +450,14 @@ class TensorElement:
         return TensorElement(alg, out)
 
     def bar(self) -> "TensorElement":
-        return TensorElement(self.algebra,
-                             {k: scalar_bar(c) for k, c in self.coords.items()})
+        return self._like({k: scalar_bar(c) for k, c in self.coords.items()})
 
     def component(self, tau, omega) -> "TensorElement":
         alg = self.algebra
         tau, omega = alg.degree(tau), alg.degree(omega)
-        return TensorElement(alg, {
+        return self._like({
             (wl, wr): c for (wl, wr), c in self.coords.items()
             if alg.word_degree(wl) == tau and alg.word_degree(wr) == omega})
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TensorElement)
-                and self.algebra is other.algebra
-                and self.coords == other.coords)
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.coords.items())))
-
-    def __bool__(self):
-        return bool(self.coords)
 
 
 def tensor(x: FElement, y: FElement) -> TensorElement:
@@ -586,10 +565,9 @@ def _projector(alg: FAlgebra, i, nu: Degree, side: str):
     generator multiples."""
     p = alg.position(i)
     key = (p, nu, side)
-    with alg._lock:
-        got = alg._proj.get(key)
-        if got is not None:
-            return got
+    got = alg._proj.get(key)
+    if got is not None:
+        return got
     comp = alg.component(nu)
     dim = comp.dim
     if nu[p] == 0:
@@ -617,8 +595,7 @@ def _projector(alg: FAlgebra, i, nu: Degree, side: str):
             raise AssertionError(
                 f"kernel and generator multiples do not split the piece at {nu}")
     data = (kernel, mult_vecs)
-    with alg._lock:
-        alg._proj[key] = data
+    alg._proj[key] = data
     return data
 
 
@@ -1137,9 +1114,6 @@ def _apply_quotient(src: FAlgebra, nu_hat, vecs, imgs, x: FElement):
 
 # --- canonical bases (finite type) -------------------------------------------
 
-_PBW_MEMO: dict[int, tuple] = {}
-
-
 def _longest_positions(cartan: CartanDatum) -> tuple[int, ...]:
     """Reduced word for the longest Weyl element, as generator positions,
     found by reflecting a strictly dominant weight until it is antidominant."""
@@ -1163,9 +1137,8 @@ def _longest_positions(cartan: CartanDatum) -> tuple[int, ...]:
 def _pbw_data(algebra: FAlgebra) -> tuple:
     """Positive roots in the convex order of one reduced word, with their
     root vectors built by the raising-part braid operators; memoized."""
-    hit = _PBW_MEMO.get(id(algebra))
-    if hit is not None:
-        return hit
+    if algebra._pbw is not None:
+        return algebra._pbw
     from .cartan import simply_connected_datum
     from .uq import UAlgebra, braid_basic, e_gen
 
@@ -1195,15 +1168,14 @@ def _pbw_data(algebra: FAlgebra) -> tuple:
         for t in reversed(word[:k]):
             x = ops[t].apply(x)
         coords: dict[PlainWord, QVScalar] = {}
-        for (ew, mu, fw), c in x.terms.items():
+        for (ew, mu, fw), c in x.coords.items():
             if fw or any(mu):
                 raise AssertionError("root vector left the raising part")
             coords[ew] = c
         vectors.append(felement(algebra, betas[k], coords))
     d_half = tuple(algebra.degree_dot(b, b) // 2 for b in betas)
-    data = (word, tuple(betas), tuple(vectors), d_half)
-    _PBW_MEMO[id(algebra)] = data
-    return data
+    algebra._pbw = (word, tuple(betas), tuple(vectors), d_half)
+    return algebra._pbw
 
 
 def pbw_monomials(algebra: FAlgebra, nu) -> list[tuple[tuple[int, ...], FElement]]:

@@ -264,33 +264,11 @@ def contract_quiver(quiver: Quiver, auto: AdmissibleAutomorphism,
 
 # --- graded spaces and representation points -------------------------------
 
-@dataclass(frozen=True)
-class GradedSpace:
-    """Vertex-indexed dimensions, constant along automorphism orbits."""
-
-    dims: tuple[tuple[Symbol, int], ...]
-
-    @staticmethod
-    def make(dims: Dims) -> GradedSpace:
-        return GradedSpace(tuple(dims.items()))
-
-    def as_dict(self) -> dict[Symbol, int]:
-        return dict(self.dims)
-
-
 def validate_graded(auto: AdmissibleAutomorphism, dims: Dims) -> None:
     for orb in auto.vertex_orbits():
         vals = {dims[v] for v in orb}
         if len(vals) != 1:
             raise ValueError(f"dimensions not constant on orbit {orb}: {vals}")
-
-
-def dims_from_orbit_vector(auto: AdmissibleAutomorphism,
-                           nu: Mapping[Symbol, int]) -> dict[Symbol, int]:
-    out = {}
-    for orb in auto.vertex_orbits():
-        out.update({v: nu[orbit_symbol(orb)] for v in orb})
-    return out
 
 
 def zero_mat(rows: int, cols: int) -> Mat:

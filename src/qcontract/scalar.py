@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 Rat = Union[int, Fraction]
 
@@ -147,10 +147,6 @@ class LaurentPoly:
             n >>= 1
         return out
 
-    def subs_v_power(self, k: int) -> LaurentPoly:
-        """Substitute v -> v^k."""
-        return LaurentPoly({e * k: c for e, c in self.coeffs.items()})
-
     def bar(self) -> LaurentPoly:
         """v -> v^-1."""
         return LaurentPoly({-e: c for e, c in self.coeffs.items()})
@@ -250,9 +246,6 @@ class QVScalar:
 
     def __bool__(self) -> bool:
         return bool(self.num.coeffs)
-
-    def is_one(self) -> bool:
-        return self.num.coeffs == {0: 1} and self.den.coeffs == {0: 1}
 
     def is_laurent(self) -> bool:
         return self.den.coeffs == {0: 1}
@@ -403,13 +396,6 @@ def quantum_integer_poly(a: int, k: int = 1) -> LaurentPoly:
 def quantum_integer(a: int, k: int = 1) -> QVScalar:
     """(v^(ka) - v^(-ka)) / (v^k - v^(-k)) as an exact Laurent polynomial."""
     return QVScalar(quantum_integer_poly(a, k))
-
-
-def quantum_integer_signed(a: int, k: int = 1) -> QVScalar:
-    """Quantum integer extended to negative arguments (odd in a)."""
-    if a >= 0:
-        return quantum_integer(a, k)
-    return -quantum_integer(-a, k)
 
 
 def quantum_factorial(a: int, k: int = 1) -> QVScalar:
@@ -583,15 +569,6 @@ class SqrtQScalar:
 
     def __repr__(self):
         return f"SqrtQScalar({render_sqrtq(self)!r})"
-
-
-def sqrt_q_power(e: int, q: int) -> SqrtQScalar:
-    """(sqrt q)^e for any integer e, exact."""
-    half, odd = divmod(e, 2)
-    base = Fraction(q) ** half
-    if odd:
-        return SqrtQScalar(0, base, q)
-    return SqrtQScalar(base, 0, q)
 
 
 def evaluate_laurent_at_sqrt_q(p: LaurentPoly, q: int) -> SqrtQScalar:

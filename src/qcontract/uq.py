@@ -14,15 +14,15 @@ factorization of contraction embeddings along linear chains of vertices.
 """
 from __future__ import annotations
 
-import threading
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ._budget import charge
 from ._linalg import rank as _mat_rank, rref as _rref, solve as _solve
 from .cartan import (CartanDatum, ContractiblePair, RootDatum,
                      contract_root_datum)
-from .falg import (FAlgebra, FElement, _add_into, felement,
-                   psi_dagger_epsilon, psi_epsilon, theta)
+from .falg import (FAlgebra, FElement, LinearCombination, _add_into,
+                   _degrees_up_to, felement, psi_dagger_epsilon, psi_epsilon,
+                   theta)
 from .scalar import (QV_ONE, QV_ZERO, QVScalar, bar as scalar_bar, qv,
                      quantum_factorial, quantum_integer, render_scalar,
                      v_power)
@@ -70,7 +70,8 @@ class UAlgebra:
                          for p in range(self.rank))
         self._cross_one_memo: dict = {}
         self._cross_memo: dict = {}
-        self._lock = threading.RLock()
+        self._gated: set = set()          # pairs whose braid formula gate passed
+        self._modules: dict = {}          # highest weight -> HWModule
 
     def position(self, symbol) -> int:
         return self.f.position(symbol)
@@ -110,8 +111,7 @@ class UAlgebra:
     # --- crossing a lowering letter through a raising word ----------------
     def _cross_one(self, i: int, ew: PlainWord) -> dict[Triple, QVScalar]:
         key = (i, ew)
-        with self._lock:
-            hit = self._cross_one_memo.get(key)
+        hit = self._cross_one_memo.get(key)
         if hit is not None:
             return hit
         charge(len(ew) + 1)
@@ -130,8 +130,7 @@ class UAlgebra:
                 _add_into(out, (rest, kt, ()), -v_power(w) * den)
                 _add_into(out, (rest, _neg(kt), ()), v_power(-w) * den)
             out = {k: c for k, c in out.items() if c}
-        with self._lock:
-            self._cross_one_memo[key] = out
+        self._cross_one_memo[key] = out
         return out
 
     def _cross(self, fw: PlainWord, ew: PlainWord) -> dict[Triple, QVScalar]:
@@ -139,8 +138,7 @@ class UAlgebra:
         if not fw or not ew:
             return {(ew, self.y_zero, fw): QV_ONE}
         key = (fw, ew)
-        with self._lock:
-            hit = self._cross_memo.get(key)
+        hit = self._cross_memo.get(key)
         if hit is not None:
             return hit
         i, prefix = fw[-1], fw[:-1]
@@ -152,8 +150,7 @@ class UAlgebra:
                 _add_into(out, (a2, _vadd(k1, k2), f2 + f1),
                           c1 * c2 * v_power(w))
         out = {k: c for k, c in out.items() if c}
-        with self._lock:
-            self._cross_memo[key] = out
+        self._cross_memo[key] = out
         return out
 
     def _reduce_word(self, w: PlainWord) -> Mapping[PlainWord, QVScalar]:
@@ -162,6 +159,8 @@ class UAlgebra:
         return self.f.component(self.f.word_degree(w)).reduce({w: QV_ONE})
 
     def reduce_triples(self, raw: Mapping[Triple, QVScalar]) -> dict[Triple, QVScalar]:
+        """Reduce both outer words; the middle entry (a torus exponent, or a
+        weight in the idempotented form) passes through."""
         out: dict[Triple, QVScalar] = {}
         for (ew, mu, fw), c in raw.items():
             if not c:
@@ -172,58 +171,16 @@ class UAlgebra:
         return {k: c for k, c in out.items() if c}
 
 
-class UElement:
+class UElement(LinearCombination):
     """Combination of reduced normal-ordered triples with exact coefficients."""
 
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: UAlgebra, terms: Mapping[Triple, QVScalar]):
-        self.algebra = algebra
-        self.terms = {t: c for t, c in terms.items() if c}
-
-    def __add__(self, other: "UElement") -> "UElement":
-        if self.algebra is not other.algebra:
-            raise ValueError("elements of different algebras")
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            _add_into(out, t, c)
-        return UElement(self.algebra, out)
-
-    def __neg__(self) -> "UElement":
-        return UElement(self.algebra, {t: -c for t, c in self.terms.items()})
-
-    def __sub__(self, other: "UElement") -> "UElement":
-        return self + (-other)
-
-    def scale(self, c) -> "UElement":
-        c = qv(c)
-        return UElement(self.algebra, {t: c * x for t, x in self.terms.items()})
+    __slots__ = ()
 
     def __mul__(self, other: "UElement") -> "UElement":
         return u_multiply(self, other)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, UElement) and self.algebra is other.algebra
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
     def __repr__(self):
         return f"UElement({render_uelement(self)})"
-
-    def norm_degree(self, triple: Triple) -> Degree:
-        """Raising degree minus lowering degree of one summand."""
-        ew, _, fw = triple
-        de = self.algebra.f.word_degree(ew)
-        df = self.algebra.f.word_degree(fw)
-        return _vsub(de, df)
 
 
 def u_element(algebra: UAlgebra, terms: Mapping[Triple, QVScalar]) -> UElement:
@@ -256,20 +213,6 @@ def k_gen(algebra: UAlgebra, mu) -> UElement:
 
 def k_tilde_gen(algebra: UAlgebra, i, n: int = 1) -> UElement:
     return k_gen(algebra, algebra.k_tilde_vector(i, n))
-
-
-def e_part(algebra: UAlgebra, x: FElement) -> UElement:
-    if x.algebra is not algebra.f:
-        raise ValueError("element does not live in this algebra's Serre part")
-    return UElement(algebra, {(w, algebra.y_zero, ()): c
-                              for w, c in x.coords.items()})
-
-
-def f_part(algebra: UAlgebra, x: FElement) -> UElement:
-    if x.algebra is not algebra.f:
-        raise ValueError("element does not live in this algebra's Serre part")
-    return UElement(algebra, {((), algebra.y_zero, w): c
-                              for w, c in x.coords.items()})
 
 
 def e_merged(algebra: UAlgebra, pair: ContractiblePair, epsilon: int) -> UElement:
@@ -308,8 +251,8 @@ def u_multiply(x: UElement, y: UElement) -> UElement:
     alg = x.algebra
     wd = alg.f.word_degree
     raw: dict[Triple, QVScalar] = {}
-    for (e1, m1, f1), c1 in x.terms.items():
-        for (e2, m2, f2), c2 in y.terms.items():
+    for (e1, m1, f1), c1 in x.coords.items():
+        for (e2, m2, f2), c2 in y.coords.items():
             charge()
             base = c1 * c2
             for (a, t, b), g in alg._cross(f1, e2).items():
@@ -323,14 +266,14 @@ def bar_U(x: UElement) -> UElement:
     """Bar involution: fixes raising and lowering letters, negates the torus
     exponent, conjugates coefficients."""
     return UElement(x.algebra, {(ew, _neg(mu), fw): scalar_bar(c)
-                                for (ew, mu, fw), c in x.terms.items()})
+                                for (ew, mu, fw), c in x.coords.items()})
 
 
 def omega(x: UElement) -> UElement:
     """Swap raising and lowering letters and invert the torus."""
     alg = x.algebra
     out = UElement(alg, {})
-    for (ew, mu, fw), c in x.terms.items():
+    for (ew, mu, fw), c in x.coords.items():
         t = UElement(alg, {((), alg.y_zero, ew): QV_ONE})
         t = u_multiply(t, k_gen(alg, _neg(mu)))
         t = u_multiply(t, UElement(alg, {(fw, alg.y_zero, ()): QV_ONE}))
@@ -343,7 +286,7 @@ def rho(x: UElement) -> UElement:
     torus-twisted lowering letter and conversely."""
     alg = x.algebra
     out = UElement(alg, {})
-    for (ew, mu, fw), c in x.terms.items():
+    for (ew, mu, fw), c in x.coords.items():
         acc = u_one(alg)
         for p in reversed(fw):
             d = alg._d[p]
@@ -359,13 +302,13 @@ def rho(x: UElement) -> UElement:
 
 
 def render_uelement(x: UElement) -> str:
-    if not x.terms:
+    if not x.coords:
         return "0"
     alg = x.algebra
     syms = alg.cartan.indices
     chunks = []
-    for (ew, mu, fw) in sorted(x.terms):
-        c = x.terms[(ew, mu, fw)]
+    for (ew, mu, fw) in sorted(x.coords):
+        c = x.coords[(ew, mu, fw)]
         parts = []
         if ew:
             parts.append("".join(f"E[{syms[p]}]" for p in ew))
@@ -411,7 +354,7 @@ class UEmbedding:
         if x.algebra is not self.source:
             raise ValueError("element does not live in the source algebra")
         raw: dict[Triple, QVScalar] = {}
-        for (ew, mu, fw), c in x.terms.items():
+        for (ew, mu, fw), c in x.coords.items():
             eimg = self.plus_map.apply_plain({ew: QV_ONE})
             fimg = self.minus_map.apply_plain({fw: QV_ONE})
             for a, ca in eimg.items():
@@ -421,10 +364,6 @@ class UEmbedding:
 
     def degree_map(self, nu: Degree) -> Degree:
         return self.plus_map.degree_map(nu)
-
-
-def psi_U(emb: UEmbedding, x: UElement) -> UElement:
-    return emb.apply(x)
 
 
 def _e_images_of(emb: UEmbedding) -> dict:
@@ -450,6 +389,25 @@ def _f_images_of(emb: UEmbedding) -> dict:
 def _y_basis(algebra: UAlgebra) -> list[YVec]:
     n = algebra.rank_y
     return [tuple(1 if a == b else 0 for b in range(n)) for a in range(n)]
+
+
+def _named_generators(algebra: UAlgebra) -> list[tuple[str, UElement]]:
+    """E[i] and F[i] for each index in order, then K at each basis exponent."""
+    gens = []
+    for i in algebra.cartan.indices:
+        gens.append((f"E[{i}]", e_gen(algebra, i)))
+        gens.append((f"F[{i}]", f_gen(algebra, i)))
+    return gens + [(f"K{mu}", k_gen(algebra, mu)) for mu in _y_basis(algebra)]
+
+
+def _generators_with_images(emb: UEmbedding) -> list[tuple[str, UElement, UElement]]:
+    """The source's named generators, each with its assigned target image."""
+    e_imgs, f_imgs = _e_images_of(emb), _f_images_of(emb)
+    images = [img for i in emb.source.cartan.indices
+              for img in (e_imgs[i], f_imgs[i])]
+    images += [k_gen(emb.target, mu) for mu in _y_basis(emb.source)]
+    return [(name, g, img)
+            for (name, g), img in zip(_named_generators(emb.source), images)]
 
 
 def check_relations(source: UAlgebra, target: UAlgebra,
@@ -559,7 +517,7 @@ def psi_preimage(emb: UEmbedding, y: UElement) -> UElement | None:
     tgt, src = emb.target, emb.source
     pp, pm = tgt.position(emb.pair.plus), tgt.position(emb.pair.minus)
     blocks: dict[tuple[Degree, YVec, Degree], dict[Triple, QVScalar]] = {}
-    for (ew, mu, fw), c in y.terms.items():
+    for (ew, mu, fw), c in y.coords.items():
         key = (tgt.f.word_degree(ew), mu, tgt.f.word_degree(fw))
         blocks.setdefault(key, {})[(ew, mu, fw)] = c
     out: dict[Triple, QVScalar] = {}
@@ -610,8 +568,8 @@ def u_injectivity_report(emb: UEmbedding, max_total: int) -> dict:
     src = emb.source
     blocks = {}
     ok = True
-    for nu_e in _degrees_upto(src.rank, max_total):
-        for nu_f in _degrees_upto(src.rank, max_total - sum(nu_e)):
+    for nu_e in _degrees_up_to(src.rank, max_total):
+        for nu_f in _degrees_up_to(src.rank, max_total - sum(nu_e)):
             basis_e = src.f.component(nu_e).basis
             basis_f = src.f.component(nu_f).basis
             pairs = [(a, b) for a in basis_e for b in basis_f]
@@ -620,7 +578,7 @@ def u_injectivity_report(emb: UEmbedding, max_total: int) -> dict:
             images = []
             for a, b in pairs:
                 x = UElement(src, {(a, src.y_zero, b): QV_ONE})
-                images.append(emb.apply(x).terms)
+                images.append(emb.apply(x).coords)
             keys = sorted(set().union(*images))
             rows = [[img.get(k, QV_ZERO) for k in keys] for img in images]
             rk = _mat_rank(rows)
@@ -630,55 +588,18 @@ def u_injectivity_report(emb: UEmbedding, max_total: int) -> dict:
     return {"blocks": blocks, "injective": ok}
 
 
-def _degrees_upto(rank: int, total: int) -> Iterable[Degree]:
-    if total < 0:
-        return
-    if rank == 0:
-        yield ()
-        return
-    for head in range(total + 1):
-        for tail in _degrees_upto(rank - 1, total - head):
-            yield (head,) + tail
-
-
 # --- coproduct ---------------------------------------------------------------
 
-class UTensor:
+class UTensor(LinearCombination):
     """Sum of two-fold tensors of normal-ordered triples."""
 
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: UAlgebra, terms: Mapping[tuple[Triple, Triple], QVScalar]):
-        self.algebra = algebra
-        self.terms = {t: c for t, c in terms.items() if c}
-
-    def __add__(self, other: "UTensor") -> "UTensor":
-        if self.algebra is not other.algebra:
-            raise ValueError("tensors of different algebras")
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            _add_into(out, t, c)
-        return UTensor(self.algebra, out)
-
-    def __sub__(self, other: "UTensor") -> "UTensor":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "UTensor":
-        c = qv(c)
-        return UTensor(self.algebra, {t: c * x for t, x in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, UTensor) and self.algebra is other.algebra
-                and self.terms == other.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    __slots__ = ()
 
     def __repr__(self):
         alg = self.algebra
         bits = []
-        for (s, t) in sorted(self.terms):
-            c = self.terms[(s, t)]
+        for (s, t) in sorted(self.coords):
+            c = self.coords[(s, t)]
             left = render_uelement(UElement(alg, {s: QV_ONE}))
             right = render_uelement(UElement(alg, {t: QV_ONE}))
             bits.append(f"({render_scalar(c)})*[{left}]⊗[{right}]")
@@ -689,8 +610,8 @@ def tensor_of(x: UElement, y: UElement) -> UTensor:
     if x.algebra is not y.algebra:
         raise ValueError("tensor factors over different algebras")
     out: dict[tuple[Triple, Triple], QVScalar] = {}
-    for s, cs in x.terms.items():
-        for t, ct in y.terms.items():
+    for s, cs in x.coords.items():
+        for t, ct in y.coords.items():
             _add_into(out, (s, t), cs * ct)
     return UTensor(x.algebra, out)
 
@@ -698,15 +619,15 @@ def tensor_of(x: UElement, y: UElement) -> UTensor:
 def _tensor_mul(t1: UTensor, t2: UTensor) -> UTensor:
     alg = t1.algebra
     out: dict[tuple[Triple, Triple], QVScalar] = {}
-    for (s1, s2), c in t1.terms.items():
-        for (u1, u2), d in t2.terms.items():
+    for (s1, s2), c in t1.coords.items():
+        for (u1, u2), d in t2.coords.items():
             charge()
             left = u_multiply(UElement(alg, {s1: QV_ONE}),
                               UElement(alg, {u1: QV_ONE}))
             right = u_multiply(UElement(alg, {s2: QV_ONE}),
                                UElement(alg, {u2: QV_ONE}))
-            for a, ca in left.terms.items():
-                for b, cb in right.terms.items():
+            for a, ca in left.coords.items():
+                for b, cb in right.coords.items():
                     _add_into(out, (a, b), c * d * ca * cb)
     return UTensor(alg, out)
 
@@ -717,7 +638,7 @@ def delta(x: UElement) -> UTensor:
     y0 = alg.y_zero
     unit_triple = ((), y0, ())
     total: dict[tuple[Triple, Triple], QVScalar] = {}
-    for (ew, mu, fw), c in x.terms.items():
+    for (ew, mu, fw), c in x.coords.items():
         acc = UTensor(alg, {(unit_triple, unit_triple): QV_ONE})
         for p in ew:
             step = UTensor(alg, {
@@ -733,7 +654,7 @@ def delta(x: UElement) -> UTensor:
                 (unit_triple, ((), y0, (p,))): QV_ONE})
             acc = _tensor_mul(acc, step)
         total_acc = acc.scale(c)
-        for t, cc in total_acc.terms.items():
+        for t, cc in total_acc.coords.items():
             _add_into(total, t, cc)
     return UTensor(alg, total)
 
@@ -746,7 +667,7 @@ def _triple_norm(alg: UAlgebra, t: Triple) -> Degree:
 def delta_component(t: UTensor, left_norm: Degree, right_norm: Degree) -> UTensor:
     alg = t.algebra
     left_norm, right_norm = tuple(left_norm), tuple(right_norm)
-    out = {pair: c for pair, c in t.terms.items()
+    out = {pair: c for pair, c in t.coords.items()
            if _triple_norm(alg, pair[0]) == left_norm
            and _triple_norm(alg, pair[1]) == right_norm}
     return UTensor(alg, out)
@@ -755,11 +676,11 @@ def delta_component(t: UTensor, left_norm: Degree, right_norm: Degree) -> UTenso
 def tensor_psi(emb: UEmbedding, t: UTensor) -> UTensor:
     """Apply the embedding to both tensor factors."""
     out: dict[tuple[Triple, Triple], QVScalar] = {}
-    for (s1, s2), c in t.terms.items():
+    for (s1, s2), c in t.coords.items():
         a = emb.apply(UElement(emb.source, {s1: QV_ONE}))
         b = emb.apply(UElement(emb.source, {s2: QV_ONE}))
-        for u, cu in a.terms.items():
-            for w, cw in b.terms.items():
+        for u, cu in a.coords.items():
+            for w, cw in b.coords.items():
                 _add_into(out, (u, w), c * cu * cw)
     return UTensor(emb.target, out)
 
@@ -791,54 +712,23 @@ def emb_co_check(emb: UEmbedding, nu_e: Degree, nu_f: Degree,
 
 # --- the modified form -------------------------------------------------------
 
-class UdotElement:
+class UdotElement(LinearCombination):
     """Combination of (raising word, middle weight, lowering word) triples in
     the idempotented form; the middle weight sits between the outer words."""
 
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: UAlgebra, terms: Mapping[tuple[PlainWord, XVec, PlainWord], QVScalar]):
-        self.algebra = algebra
-        self.terms = {t: c for t, c in terms.items() if c}
-
-    def __add__(self, other: "UdotElement") -> "UdotElement":
-        if self.algebra is not other.algebra:
-            raise ValueError("elements of different algebras")
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            _add_into(out, t, c)
-        return UdotElement(self.algebra, out)
-
-    def __neg__(self) -> "UdotElement":
-        return UdotElement(self.algebra, {t: -c for t, c in self.terms.items()})
-
-    def __sub__(self, other: "UdotElement") -> "UdotElement":
-        return self + (-other)
-
-    def scale(self, c) -> "UdotElement":
-        c = qv(c)
-        return UdotElement(self.algebra,
-                           {t: c * x for t, x in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, UdotElement)
-                and self.algebra is other.algebra
-                and self.terms == other.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    __slots__ = ()
 
     def __repr__(self):
         return f"UdotElement({render_udot(self)})"
 
 
 def render_udot(x: UdotElement) -> str:
-    if not x.terms:
+    if not x.coords:
         return "0"
     syms = x.algebra.cartan.indices
     chunks = []
-    for (ew, lam, fw) in sorted(x.terms):
-        c = x.terms[(ew, lam, fw)]
+    for (ew, lam, fw) in sorted(x.coords):
+        c = x.coords[(ew, lam, fw)]
         parts = []
         if ew:
             parts.append("".join(f"E[{syms[p]}]" for p in ew))
@@ -853,17 +743,6 @@ def udot_idempotent(algebra: UAlgebra, lam) -> UdotElement:
     return UdotElement(algebra, {((), algebra.x_vector(lam), ()): QV_ONE})
 
 
-def _udot_reduce(alg: UAlgebra, raw: Mapping) -> dict:
-    out: dict = {}
-    for (ew, lam, fw), c in raw.items():
-        if not c:
-            continue
-        for a, ca in alg._reduce_word(ew).items():
-            for b, cb in alg._reduce_word(fw).items():
-                _add_into(out, (a, lam, b), c * ca * cb)
-    return {k: c for k, c in out.items() if c}
-
-
 def udot_multiply(x: UdotElement, y: UdotElement) -> UdotElement:
     """Product in the idempotented form; mismatched middle weights vanish."""
     if x.algebra is not y.algebra:
@@ -871,8 +750,8 @@ def udot_multiply(x: UdotElement, y: UdotElement) -> UdotElement:
     alg = x.algebra
     wd = alg.f.word_degree
     raw: dict = {}
-    for (a, lam, b), c1 in x.terms.items():
-        for (p, sig, q), c2 in y.terms.items():
+    for (a, lam, b), c1 in x.coords.items():
+        for (p, sig, q), c2 in y.coords.items():
             charge()
             for (xe, tau, xf), g in alg._cross(b, p).items():
                 m = _vsub(sig, alg.degree_in_x(wd(xf)))
@@ -880,7 +759,7 @@ def udot_multiply(x: UdotElement, y: UdotElement) -> UdotElement:
                     continue
                 w = alg.datum.pair(tau, m)
                 _add_into(raw, (a + xe, m, xf + q), c1 * c2 * g * v_power(w))
-    return UdotElement(alg, _udot_reduce(alg, raw))
+    return UdotElement(alg, alg.reduce_triples(raw))
 
 
 def u_act_udot(u: UElement, x: UdotElement) -> UdotElement:
@@ -889,15 +768,15 @@ def u_act_udot(u: UElement, x: UdotElement) -> UdotElement:
         raise ValueError("elements of different algebras")
     wd = alg.f.word_degree
     raw: dict = {}
-    for (e, mu, f), c1 in u.terms.items():
-        for (p, sig, q), c2 in x.terms.items():
+    for (e, mu, f), c1 in u.coords.items():
+        for (p, sig, q), c2 in x.coords.items():
             charge()
             for (xe, tau, xf), g in alg._cross(f, p).items():
                 m = _vsub(sig, alg.degree_in_x(wd(xf)))
                 w = alg.weight_pairing(mu, wd(xe)) \
                     + alg.datum.pair(_vadd(mu, tau), m)
                 _add_into(raw, (e + xe, m, xf + q), c1 * c2 * g * v_power(w))
-    return UdotElement(alg, _udot_reduce(alg, raw))
+    return UdotElement(alg, alg.reduce_triples(raw))
 
 
 def udot_act_u(x: UdotElement, u: UElement) -> UdotElement:
@@ -906,15 +785,15 @@ def udot_act_u(x: UdotElement, u: UElement) -> UdotElement:
         raise ValueError("elements of different algebras")
     wd = alg.f.word_degree
     raw: dict = {}
-    for (a, lam, b), c1 in x.terms.items():
-        for (p, mu, q), c2 in u.terms.items():
+    for (a, lam, b), c1 in x.coords.items():
+        for (p, mu, q), c2 in u.coords.items():
             charge()
             for (xe, tau, xf), g in alg._cross(b, p).items():
                 m = _vsub(lam, alg.degree_in_x(wd(xe)))
                 w = alg.datum.pair(tau, m) \
                     + alg.datum.pair(mu, _vadd(m, alg.degree_in_x(wd(xf))))
                 _add_into(raw, (a + xe, m, xf + q), c1 * c2 * g * v_power(w))
-    return UdotElement(alg, _udot_reduce(alg, raw))
+    return UdotElement(alg, alg.reduce_triples(raw))
 
 
 def pi_weight(x: UElement, lam_left, lam_right) -> UdotElement:
@@ -924,7 +803,7 @@ def pi_weight(x: UElement, lam_left, lam_right) -> UdotElement:
     lam_right = alg.x_vector(lam_right)
     wd = alg.f.word_degree
     raw: dict = {}
-    for (ew, mu, fw), c in x.terms.items():
+    for (ew, mu, fw), c in x.coords.items():
         de = alg.degree_in_x(wd(ew))
         df = alg.degree_in_x(wd(fw))
         if _vsub(lam_left, lam_right) != _vsub(de, df):
@@ -939,26 +818,20 @@ def psi_udot(emb: UEmbedding, x: UdotElement) -> UdotElement:
     if x.algebra is not emb.source:
         raise ValueError("element does not live in the source algebra")
     raw: dict = {}
-    for (ew, lam, fw), c in x.terms.items():
+    for (ew, lam, fw), c in x.coords.items():
         eimg = emb.plus_map.apply_plain({ew: QV_ONE})
         fimg = emb.minus_map.apply_plain({fw: QV_ONE})
         for a, ca in eimg.items():
             for b, cb in fimg.items():
                 _add_into(raw, (a, lam, b), c * ca * cb)
-    return UdotElement(emb.target, _udot_reduce(emb.target, raw))
+    return UdotElement(emb.target, emb.target.reduce_triples(raw))
 
 
 def psi_dot_check(emb: UEmbedding, weights: Sequence, max_letters: int = 2) -> dict:
     """Bimodule compatibility of the idempotented embedding at the given
     middle weights, on generator words up to a letter bound."""
     src, tgt = emb.source, emb.target
-    e_imgs, f_imgs = _e_images_of(emb), _f_images_of(emb)
-    gens: list[tuple[str, UElement, UElement]] = []
-    for i in src.cartan.indices:
-        gens.append((f"E[{i}]", e_gen(src, i), e_imgs[i]))
-        gens.append((f"F[{i}]", f_gen(src, i), f_imgs[i]))
-    for mu in _y_basis(src):
-        gens.append((f"K{mu}", k_gen(src, mu), k_gen(tgt, mu)))
+    gens = _generators_with_images(emb)
     failures = []
     checked = 0
     for lam in weights:
@@ -1066,7 +939,7 @@ class BraidOperator:
         if x.algebra is not self.algebra:
             raise ValueError("element does not live in this algebra")
         out = UElement(self.algebra, {})
-        for (ew, mu, fw), c in x.terms.items():
+        for (ew, mu, fw), c in x.coords.items():
             charge()
             t = self._word_image(ew, False)
             t = u_multiply(t, k_gen(self.algebra,
@@ -1144,20 +1017,14 @@ def braid_formula_gate(algebra: UAlgebra, pair: ContractiblePair) -> dict:
     return {"holds": not failures, "failures": failures}
 
 
-_GATED: set = set()
-_GATE_LOCK = threading.Lock()
-
-
 def _ensure_gate(algebra: UAlgebra, pair: ContractiblePair) -> None:
-    key = (id(algebra), pair.plus, pair.minus)
-    with _GATE_LOCK:
-        if key in _GATED:
-            return
+    key = (pair.plus, pair.minus)
+    if key in algebra._gated:
+        return
     report = braid_formula_gate(algebra, pair)
     if not report["holds"]:
         raise AssertionError(f"braid formula gate failed: {report['failures']}")
-    with _GATE_LOCK:
-        _GATED.add(key)
+    algebra._gated.add(key)
 
 
 def tilde_braid_i0(algebra: UAlgebra, pair: ContractiblePair, e: int,
@@ -1212,6 +1079,24 @@ def braid_props_check(algebra: UAlgebra, pair: ContractiblePair) -> dict:
 
     others = [j for j in algebra.cartan.indices
               if j not in (pair.plus, pair.minus)]
+
+    def chain_sum(gen: UElement, nj: int, eps: int, lowering: bool,
+                  r_first: bool, twist: int, signed: bool) -> UElement:
+        """sum_r (-1)^r v^(twist r) M^(a) gen M^(b) over r + s = nj, with M
+        the merged(eps) generator in divided powers, (a, b) = (r, s) when
+        r_first and (s, r) otherwise, times (-v^twist)^nj when signed."""
+        extra = _sign_power(twist, nj) if signed else QV_ONE
+        acc = UElement(algebra, {})
+        for r in range(nj + 1):
+            s = nj - r
+            a, b = (r, s) if r_first else (s, r)
+            sign = QV_ONE if r % 2 == 0 else -QV_ONE
+            acc = acc + u_multiply(
+                u_multiply(_merged_divided(algebra, pair, eps, a, lowering), gen),
+                _merged_divided(algebra, pair, eps, b, lowering)) \
+                .scale(sign * v_power(twist * r) * extra)
+        return acc
+
     for e in (1, -1):
         tp = tilde_braid_i0(algebra, pair, e, primed=True)
         td = tilde_braid_i0(algebra, pair, e, primed=False)
@@ -1237,82 +1122,24 @@ def braid_props_check(algebra: UAlgebra, pair: ContractiblePair) -> dict:
         for j in others:
             nj = -(algebra.cartan.cartan_entry(pair.plus, j)
                    + algebra.cartan.cartan_entry(pair.minus, j))
-            if algebra.cartan.dot(j, pair.minus) == 0:
-                acc_e = UElement(algebra, {})
-                acc_f = UElement(algebra, {})
-                acc_e2 = UElement(algebra, {})
-                acc_f2 = UElement(algebra, {})
-                for r in range(nj + 1):
-                    s = nj - r
-                    sign = QV_ONE if r % 2 == 0 else -QV_ONE
-                    acc_e = acc_e + u_multiply(
-                        u_multiply(_merged_divided(algebra, pair, -e, r, False),
-                                   e_gen(algebra, j)),
-                        _merged_divided(algebra, pair, -e, s, False)) \
-                        .scale(sign * v_power(e * d0 * r))
-                    acc_f = acc_f + u_multiply(
-                        u_multiply(_merged_divided(algebra, pair, -e, s, True),
-                                   f_gen(algebra, j)),
-                        _merged_divided(algebra, pair, -e, r, True)) \
-                        .scale(sign * v_power(-e * d0 * r))
-                    acc_e2 = acc_e2 + u_multiply(
-                        u_multiply(_merged_divided(algebra, pair, -e, s, False),
-                                   e_gen(algebra, j)),
-                        _merged_divided(algebra, pair, -e, r, False)) \
-                        .scale(sign * v_power(-e * d0 * r)
-                               * _sign_power(-e * d0, nj))
-                    acc_f2 = acc_f2 + u_multiply(
-                        u_multiply(_merged_divided(algebra, pair, -e, r, True),
-                                   f_gen(algebra, j)),
-                        _merged_divided(algebra, pair, -e, s, True)) \
-                        .scale(sign * v_power(e * d0 * r)
-                               * _sign_power(e * d0, nj))
-                expect(f"primed list 3 (e={e}, j={j})",
-                       tp.apply(e_gen(algebra, j)), acc_e)
-                expect(f"primed list 4 (e={e}, j={j})",
-                       tp.apply(f_gen(algebra, j)), acc_f)
-                expect(f"doubleprime list 3 (e={e}, j={j})",
-                       td.apply(e_gen(algebra, j)), acc_e2)
-                expect(f"doubleprime list 4 (e={e}, j={j})",
-                       td.apply(f_gen(algebra, j)), acc_f2)
-            if algebra.cartan.dot(j, pair.plus) == 0:
-                acc_e = UElement(algebra, {})
-                acc_f = UElement(algebra, {})
-                acc_e2 = UElement(algebra, {})
-                acc_f2 = UElement(algebra, {})
-                for r in range(nj + 1):
-                    s = nj - r
-                    sign = QV_ONE if r % 2 == 0 else -QV_ONE
-                    acc_e = acc_e + u_multiply(
-                        u_multiply(_merged_divided(algebra, pair, e, r, False),
-                                   e_gen(algebra, j)),
-                        _merged_divided(algebra, pair, e, s, False)) \
-                        .scale(sign * v_power(e * d0 * r)
-                               * _sign_power(e * d0, nj))
-                    acc_f = acc_f + u_multiply(
-                        u_multiply(_merged_divided(algebra, pair, e, s, True),
-                                   f_gen(algebra, j)),
-                        _merged_divided(algebra, pair, e, r, True)) \
-                        .scale(sign * v_power(-e * d0 * r)
-                               * _sign_power(-e * d0, nj))
-                    acc_e2 = acc_e2 + u_multiply(
-                        u_multiply(_merged_divided(algebra, pair, e, s, False),
-                                   e_gen(algebra, j)),
-                        _merged_divided(algebra, pair, e, r, False)) \
-                        .scale(sign * v_power(-e * d0 * r))
-                    acc_f2 = acc_f2 + u_multiply(
-                        u_multiply(_merged_divided(algebra, pair, e, r, True),
-                                   f_gen(algebra, j)),
-                        _merged_divided(algebra, pair, e, s, True)) \
-                        .scale(sign * v_power(e * d0 * r))
-                expect(f"primed list 5 (e={e}, k={j})",
-                       tp.apply(e_gen(algebra, j)), acc_e)
-                expect(f"primed list 6 (e={e}, k={j})",
-                       tp.apply(f_gen(algebra, j)), acc_f)
-                expect(f"doubleprime list 5 (e={e}, k={j})",
-                       td.apply(e_gen(algebra, j)), acc_e2)
-                expect(f"doubleprime list 6 (e={e}, k={j})",
-                       td.apply(f_gen(algebra, j)), acc_f2)
+            # lists 3-4: j away from the minus end, merged(-e), the double
+            # prime side carries the sign; lists 5-6 (written k): j away from
+            # the plus end, merged(e), the primed side carries it
+            for apart, tag, first, eps, signed_primed in (
+                    (pair.minus, "j", 3, -e, False),
+                    (pair.plus, "k", 5, e, True)):
+                if algebra.cartan.dot(j, apart) != 0:
+                    continue
+                for op, primed in ((tp, True), (td, False)):
+                    kind = "primed" if primed else "doubleprime"
+                    for lowering in (False, True):
+                        r_first = primed != lowering
+                        twist = e * d0 if r_first else -e * d0
+                        gen = (f_gen if lowering else e_gen)(algebra, j)
+                        expect(f"{kind} list {first + lowering} (e={e}, {tag}={j})",
+                               op.apply(gen),
+                               chain_sum(gen, nj, eps, lowering, r_first, twist,
+                                         primed == signed_primed))
     return {"assumption": True, "checked": checked,
             "holds": not failures, "failures": failures}
 
@@ -1353,7 +1180,7 @@ def chi_maps(emb: UEmbedding, sign: int) -> Callable[[UElement], UElement]:
         if x.algebra is not src:
             raise ValueError("element does not live in the source algebra")
         out = {}
-        for (ew, mu, fw), c in x.terms.items():
+        for (ew, mu, fw), c in x.coords.items():
             out[(ew, mu, fw)] = c * factor(ew, False) * factor(fw, True)
         return UElement(src, out)
 
@@ -1392,12 +1219,7 @@ def braid_on_V_check(emb: UEmbedding, e: int) -> dict:
                 "got": "no preimage" if got is None else render_uelement(got),
                 "want": render_uelement(want)})
 
-    gens: list[tuple[str, UElement]] = []
-    for i in src.cartan.indices:
-        gens.append((f"E[{i}]", e_gen(src, i)))
-        gens.append((f"F[{i}]", f_gen(src, i)))
-    for mu in _y_basis(src):
-        gens.append((f"K{mu}", k_gen(src, mu)))
+    gens = _named_generators(src)
     for primed in (True, False):
         tilde = tilde_braid_i0(tgt, pair, e, primed)
         chi = chi_maps(emb, e * eps if primed else -e * eps)
@@ -1552,8 +1374,8 @@ def subquotient_phi_probe(target: UAlgebra, pair: ContractiblePair,
     sub_rows = []
     mus: set[YVec] = set()
     for x, deg in _products_upto(amb, letters, max_total):
-        sub_rows.append(x.terms)
-        for (_, mu, _f) in x.terms:
+        sub_rows.append(x.coords)
+        for (_, mu, _f) in x.coords:
             mus.add(mu)
     ideal_base = []
     for gname in ("E-E+", "F+F-"):
@@ -1564,8 +1386,8 @@ def subquotient_phi_probe(target: UAlgebra, pair: ContractiblePair,
                 charge()
                 y = u_multiply(left, x2)
                 if not y.is_zero():
-                    ideal_base.append(y.terms)
-                    for (_, mu, _f) in y.terms:
+                    ideal_base.append(y.coords)
+                    for (_, mu, _f) in y.coords:
                         mus.add(mu)
     shifts: set[YVec] = {amb.y_zero}
     for row in ideal_base:
@@ -1578,11 +1400,11 @@ def subquotient_phi_probe(target: UAlgebra, pair: ContractiblePair,
             if any(sh):
                 ideal_rows.append(_k_shift(amb, sh, row))
     psi_rows = []
-    for nu_e in _degrees_upto(hat.rank, max_total):
+    for nu_e in _degrees_up_to(hat.rank, max_total):
         deg_e = sum(emb.degree_map(nu_e))
         if deg_e > max_total:
             continue
-        for nu_f in _degrees_upto(hat.rank, max_total):
+        for nu_f in _degrees_up_to(hat.rank, max_total):
             deg_f = sum(emb.degree_map(nu_f))
             if deg_e + deg_f > max_total:
                 continue
@@ -1590,7 +1412,7 @@ def subquotient_phi_probe(target: UAlgebra, pair: ContractiblePair,
                 for b in hat.f.component(nu_f).basis:
                     for mu in sorted(mus):
                         x = UElement(hat, {(a, mu, b): QV_ONE})
-                        psi_rows.append(emb.apply(x).terms)
+                        psi_rows.append(emb.apply(x).coords)
     norms = sorted({_norm_key(amb, t)
                     for rows in (sub_rows, ideal_rows, psi_rows)
                     for t in rows if t})
@@ -1695,7 +1517,7 @@ def _quotient_braid_agreement(emb: UEmbedding, max_total: int) -> dict:
             for x2, d2 in _products_upto(tgt, letters, max_total - 2 - d1):
                 y = u_multiply(left, x2)
                 if not y.is_zero():
-                    ideal_base.append(y.terms)
+                    ideal_base.append(y.coords)
     adjacency = {}
     j_case = {}
     k_case = {}
@@ -1707,7 +1529,7 @@ def _quotient_braid_agreement(emb: UEmbedding, max_total: int) -> dict:
 
     def rescale(x: UElement, primed: bool, e: int) -> UElement:
         out = {}
-        for (ew, mu, fw), c in x.terms.items():
+        for (ew, mu, fw), c in x.coords.items():
             for p in ew:
                 if p == p0:
                     c = c * (-v_power((-e if primed else e) * d0))
@@ -1723,12 +1545,7 @@ def _quotient_braid_agreement(emb: UEmbedding, max_total: int) -> dict:
             out[(ew, mu, fw)] = c
         return UElement(src, out)
 
-    gens: list[tuple[str, UElement]] = []
-    for i in src.cartan.indices:
-        gens.append((f"E[{i}]", e_gen(src, i)))
-        gens.append((f"F[{i}]", f_gen(src, i)))
-    for mu in _y_basis(src):
-        gens.append((f"K{mu}", k_gen(src, mu)))
+    gens = _named_generators(src)
     failures = []
     checked = 0
     ambiguous = []
@@ -1763,17 +1580,17 @@ def _solve_mod_ideal(emb: UEmbedding, y: UElement,
     """Express y as an embedded element plus ideal terms; the embedded part
     is returned, flagged unique when the two spans meet trivially."""
     tgt, src = emb.target, emb.source
-    keys_y = set(y.terms)
+    keys_y = set(y.coords)
     mus = {mu for (_, mu, _f) in keys_y}
     for row in ideal_base:
         mus.update(mu for (_, mu, _f) in row)
     norm = None
-    if y.terms:
-        norm = _norm_key(tgt, y.terms)
+    if y.coords:
+        norm = _norm_key(tgt, y.coords)
     cand_pairs = []
     imgs = []
-    for nu_e in _degrees_upto(src.rank, 4):
-        for nu_f in _degrees_upto(src.rank, 4):
+    for nu_e in _degrees_up_to(src.rank, 4):
+        for nu_f in _degrees_up_to(src.rank, 4):
             if norm is not None:
                 delta_norm = _vsub(emb.degree_map(nu_e), emb.degree_map(nu_f))
                 if delta_norm != norm:
@@ -1784,7 +1601,7 @@ def _solve_mod_ideal(emb: UEmbedding, y: UElement,
                         x = UElement(src, {(a, mu, b): QV_ONE})
                         img = emb.apply(x)
                         cand_pairs.append((a, mu, b))
-                        imgs.append(img.terms)
+                        imgs.append(img.coords)
     ideal_cands = []
     for row in ideal_base:
         if not row:
@@ -1800,11 +1617,11 @@ def _solve_mod_ideal(emb: UEmbedding, y: UElement,
             ideal_cands.append(_k_shift(tgt, sh, row))
     cols = imgs + ideal_cands
     live = [c for c in cols if c]
-    if not live and not y.terms:
+    if not live and not y.coords:
         return UElement(src, {}), True
     keys = sorted(set().union(keys_y, *[set(c) for c in cols]))
     rows = [[cols[j].get(k, QV_ZERO) for j in range(len(cols))] for k in keys]
-    rhs = [y.terms.get(k, QV_ZERO) for k in keys]
+    rhs = [y.coords.get(k, QV_ZERO) for k in keys]
     sol = _solve(rows, rhs)
     if sol is None:
         return None
@@ -1839,7 +1656,6 @@ class HWModule:
         self.reps: dict[Degree, list[int]] = {}
         self.index: dict[tuple[Degree, int], int] = {}
         self.basis: list[tuple[Degree, int]] = []
-        self._lock = threading.RLock()
         self._build()
         self.dim = len(self.basis)
         self.weights = [
@@ -1853,7 +1669,9 @@ class HWModule:
         level = 0
         while True:
             level_dim = 0
-            for nu in _degrees_of_total(alg.rank, level):
+            for nu in _degrees_up_to(alg.rank, level):
+                if sum(nu) != level:
+                    continue
                 comp = f.component(nu)
                 if not comp.basis:
                     continue
@@ -1917,8 +1735,7 @@ class HWModule:
         out: dict[int, QVScalar] = {}
         for idx, c in coords.items():
             key = (p, idx)
-            with self._lock:
-                col = self._f_col_memo.get(key)
+            col = self._f_col_memo.get(key)
             if col is None:
                 x = self.rep_element(idx)
                 th = FElement(self.algebra.f,
@@ -1926,16 +1743,14 @@ class HWModule:
                                     for q in range(self.algebra.rank)),
                               {(p,): QV_ONE})
                 col = self.project(th * x)
-                with self._lock:
-                    self._f_col_memo[key] = col
+                self._f_col_memo[key] = col
             for tgt, val in col.items():
                 _add_into(out, tgt, c * val)
         return out
 
     def _e_word(self, p: int, w: PlainWord) -> dict[int, QVScalar]:
         key = (p, w)
-        with self._lock:
-            hit = self._e_word_memo.get(key)
+        hit = self._e_word_memo.get(key)
         if hit is not None:
             return hit
         alg = self.algebra
@@ -1956,8 +1771,7 @@ class HWModule:
                     for tgt, val in cls.items():
                         _add_into(out, tgt, c * val)
         out = {k: c for k, c in out.items() if c}
-        with self._lock:
-            self._e_word_memo[key] = out
+        self._e_word_memo[key] = out
         return out
 
     def e_action(self, i, coords: Mapping[int, QVScalar]) -> dict[int, QVScalar]:
@@ -1976,20 +1790,11 @@ class HWModule:
                 for idx, c in coords.items()}
 
 
-_MODULE_MEMO: dict = {}
-_MODULE_LOCK = threading.Lock()
-
-
 def build_module(algebra: UAlgebra, lam) -> HWModule:
     lam = algebra.x_vector(lam)
-    key = (id(algebra), lam)
-    with _MODULE_LOCK:
-        hit = _MODULE_MEMO.get(key)
-        if hit is not None:
-            return hit
-    mod = HWModule(algebra, lam)
-    with _MODULE_LOCK:
-        _MODULE_MEMO.setdefault(key, mod)
+    mod = algebra._modules.get(lam)
+    if mod is None:
+        mod = algebra._modules[lam] = HWModule(algebra, lam)
     return mod
 
 
@@ -1997,7 +1802,7 @@ def action_matrix(mod: HWModule, x: UElement) -> list[dict[int, QVScalar]]:
     """Columns of the action of a normal-ordered element."""
     alg = mod.algebra
     cols: list[dict[int, QVScalar]] = [{} for _ in range(mod.dim)]
-    for (ew, mu, fw), c in x.terms.items():
+    for (ew, mu, fw), c in x.coords.items():
         for idx in range(mod.dim):
             vec: dict[int, QVScalar] = {idx: QV_ONE}
             for p in reversed(fw):
@@ -2160,15 +1965,7 @@ def module_hom_check(emb: UEmbedding, lam, check_canonical: bool = False) -> dic
             img = fmap.apply(src_mod.rep_element(idx))
             phi.append(tgt_mod.project(img))
         inter = True
-        e_imgs, f_imgs = _e_images_of(emb), _f_images_of(emb)
-        gen_list: list[tuple[str, UElement, UElement]] = []
-        for i in emb.source.cartan.indices:
-            gen_list.append((f"E[{i}]", e_gen(emb.source, i), e_imgs[i]))
-            gen_list.append((f"F[{i}]", f_gen(emb.source, i), f_imgs[i]))
-        for mu in _y_basis(emb.source):
-            gen_list.append((f"K{mu}", k_gen(emb.source, mu),
-                             k_gen(emb.target, mu)))
-        for name, g, gi in gen_list:
+        for name, g, gi in _generators_with_images(emb):
             if twisted:
                 src_cols = action_matrix_twisted(src_mod, g)
                 tgt_cols = action_matrix_twisted(tgt_mod, gi)
@@ -2263,7 +2060,7 @@ class TensorModule:
     def action(self, x: UElement) -> list[dict[int, QVScalar]]:
         alg = self.algebra
         cols: list[dict[int, QVScalar]] = [{} for _ in range(self.dim)]
-        for (s, t), c in delta(x).terms.items():
+        for (s, t), c in delta(x).coords.items():
             left_cols = action_matrix_twisted(
                 self.left, UElement(alg, {s: QV_ONE}))
             right_cols = action_matrix(
@@ -2418,7 +2215,7 @@ class GeneratorRelabel:
         if x.algebra is not self.source:
             raise ValueError("element does not live in the source algebra")
         raw: dict[Triple, QVScalar] = {}
-        for (ew, mu, fw), c in x.terms.items():
+        for (ew, mu, fw), c in x.coords.items():
             new = (tuple(self._letters[p] for p in ew),
                    self.target.y_vector(self.y_map(mu)),
                    tuple(self._letters[p] for p in fw))
@@ -2507,14 +2304,7 @@ def linear_tree_factorization_check(target: UAlgebra, chain: Sequence,
 
     failures = []
     checked = 0
-    src = emb.source
-    gens: list[tuple[str, UElement]] = []
-    for i in src.cartan.indices:
-        gens.append((f"E[{i}]", e_gen(src, i)))
-        gens.append((f"F[{i}]", f_gen(src, i)))
-    for mu in _y_basis(src):
-        gens.append((f"K{mu}", k_gen(src, mu)))
-    for name, g in gens:
+    for name, g in _named_generators(emb.source):
         checked += 1
         lhs = emb.apply(g)
         got = rhs(g)
@@ -2533,7 +2323,7 @@ def _upsilon_apply(sub: UAlgebra, full: UAlgebra, x: UElement) -> UElement:
     letters = {sub.position(s): full.position(s)
                for s in sub.cartan.indices}
     raw: dict[Triple, QVScalar] = {}
-    for (ew, mu, fw), c in x.terms.items():
+    for (ew, mu, fw), c in x.coords.items():
         _add_into(raw, (tuple(letters[p] for p in ew), mu,
                         tuple(letters[p] for p in fw)), c)
     return UElement(full, full.reduce_triples(raw))
@@ -2560,14 +2350,7 @@ def naive_square_check(target: UAlgebra, i1, i2, i3, epsilon: int) -> dict:
     braid = braid_basic(target, i2, -epsilon, True)
     failures = []
     checked = 0
-    src = emb_23.source
-    gens: list[tuple[str, UElement]] = []
-    for i in src.cartan.indices:
-        gens.append((f"E[{i}]", e_gen(src, i)))
-        gens.append((f"F[{i}]", f_gen(src, i)))
-    for mu in _y_basis(src):
-        gens.append((f"K{mu}", k_gen(src, mu)))
-    for name, g in gens:
+    for name, g in _named_generators(emb_23.source):
         checked += 1
         lhs = braid.apply(emb_23.apply(g))
         rhs = emb_12.apply(relabel.apply(g))
@@ -2576,13 +2359,3 @@ def naive_square_check(target: UAlgebra, i1, i2, i3, epsilon: int) -> dict:
                              "lhs": render_uelement(lhs),
                              "rhs": render_uelement(rhs)})
     return {"checked": checked, "holds": not failures, "failures": failures}
-
-
-def _degrees_of_total(rank: int, total: int) -> Iterable[Degree]:
-    if rank == 0:
-        if total == 0:
-            yield ()
-        return
-    for head in range(total + 1):
-        for tail in _degrees_of_total(rank - 1, total - head):
-            yield (head,) + tail

@@ -138,6 +138,14 @@ def test_weyl_embedding_verify():
     assert len(images) == 6
 
 
+def test_weyl_embedding_verify_rejects_wrong_image():
+    rd = simply_connected_datum(A3)
+    emb = weyl_embedding(rd, ContractiblePair(2, 3))
+    # s_3 commutes with s_1, so (s_1 s_3)^3 = s_1 s_3 breaks the A2 relation
+    emb.generator_images[emb.merged] = simple_reflection(rd, 3)
+    assert emb.verify()["homomorphism"] is False
+
+
 def test_weyl_embedding_infinite_branch():
     # contracting one bond of the affine 3-cycle gives the A1(1) shape
     cyc = simply_laced_cartan((0, 1, 2), [(0, 1), (1, 2), (2, 0)])

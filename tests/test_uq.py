@@ -1,11 +1,14 @@
+import gc
 import random
+import weakref
 
 import pytest
 
 from qcontract.cartan import (
     ContractiblePair, simply_connected_datum, simply_laced_cartan,
 )
-from qcontract.falg import theta
+from qcontract import uq
+from qcontract.falg import _pbw_data, theta
 from qcontract.scalar import (
     QV_ONE, QV_ZERO, quantum_integer, v_power,
 )
@@ -358,6 +361,40 @@ def test_rank_two_braid_relation():
 def test_braid_gate():
     rep = braid_formula_gate(U2, PAIR12)
     assert rep["holds"], rep["failures"]
+
+
+def test_braid_gate_runs_once_per_algebra(monkeypatch):
+    # fresh algebras created and collected one after another reuse memory
+    # addresses; each must still run its own gate, and only once.  The
+    # counting stand-in passes the gate, which test_braid_gate checks for real.
+    gated = []
+
+    def counting(algebra, pair):
+        gated.append(pair)
+        return {"holds": True, "failures": []}
+
+    monkeypatch.setattr(uq, "braid_formula_gate", counting)
+    seen, reused, made = set(), 0, 0
+    while reused < 3 and made < 300:
+        alg = UAlgebra(simply_connected_datum(A2), 4)
+        made += 1
+        reused += id(alg) in seen
+        seen.add(id(alg))
+        tilde_braid_i0(alg, PAIR12, 1)
+        tilde_braid_i0(alg, PAIR12, -1)
+        del alg
+        gc.collect()
+    assert len(gated) == made
+
+
+def test_algebra_caches_die_with_the_algebra():
+    alg = UAlgebra(simply_connected_datum(A1), 4)
+    assert build_module(alg, (1,)) is build_module(alg, (1,))
+    assert _pbw_data(alg.f) is _pbw_data(alg.f)
+    refs = [weakref.ref(alg), weakref.ref(alg.f)]
+    del alg
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 def test_braid_neighbor_assumption():
