@@ -345,8 +345,9 @@ def _canonical_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly
     if len(den.coeffs) == 1:
         # monomial denominator: fold into the numerator
         e, c = next(iter(den.coeffs.items()))
-        inv = 1 / Fraction(c)
-        return num.shift(-e).scale(inv), _L_ONE
+        if c == 1:
+            return num.shift(-e), _L_ONE
+        return num.shift(-e).scale(1 / Fraction(c)), _L_ONE
     k = den.low()
     den = den.shift(-k)
     num = num.shift(-k)

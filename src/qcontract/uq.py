@@ -1358,6 +1358,24 @@ def _rank_of(terms_list: list[dict]) -> int:
     return _mat_rank(rows)
 
 
+def _crossing_ideal(tgt: UAlgebra, letters, max_total: int) -> list[dict]:
+    """Coordinates of the nonzero products x1·g·x2 of total degree at most
+    max_total, for the crossing letters g = E-E+ and F+F- and words x1, x2
+    in the probe alphabet."""
+    letter_map = {name: el for name, el, _ in letters}
+    rows = []
+    for gname in ("E-E+", "F+F-"):
+        g = letter_map[gname]
+        for x1, d1 in _products_upto(tgt, letters, max_total - 2):
+            left = u_multiply(x1, g)
+            for x2, d2 in _products_upto(tgt, letters, max_total - 2 - d1):
+                charge()
+                y = u_multiply(left, x2)
+                if not y.is_zero():
+                    rows.append(y.coords)
+    return rows
+
+
 def subquotient_phi_probe(target: UAlgebra, pair: ContractiblePair,
                           max_total: int, epsilon: int = 1) -> dict:
     """Rank evidence for the subquotient presentation: the pair subalgebra is
@@ -1377,18 +1395,9 @@ def subquotient_phi_probe(target: UAlgebra, pair: ContractiblePair,
         sub_rows.append(x.coords)
         for (_, mu, _f) in x.coords:
             mus.add(mu)
-    ideal_base = []
-    for gname in ("E-E+", "F+F-"):
-        g = letter_map[gname]
-        for x1, d1 in _products_upto(amb, letters, max_total - 2):
-            left = u_multiply(x1, g)
-            for x2, d2 in _products_upto(amb, letters, max_total - 2 - d1):
-                charge()
-                y = u_multiply(left, x2)
-                if not y.is_zero():
-                    ideal_base.append(y.coords)
-                    for (_, mu, _f) in y.coords:
-                        mus.add(mu)
+    ideal_base = _crossing_ideal(amb, letters, max_total)
+    for row in ideal_base:
+        mus.update(mu for (_, mu, _f) in row)
     shifts: set[YVec] = {amb.y_zero}
     for row in ideal_base:
         for (_, have, _f) in row:
@@ -1479,19 +1488,22 @@ def subquotient_phi_probe(target: UAlgebra, pair: ContractiblePair,
         expect(f"merged image: lowering pair (e={e})",
                tilde.apply(ff_mp),
                u_multiply(ee_pm, kem).scale(v_power(e * d0)))
-    quotient = _quotient_braid_agreement(emb, max_total)
+    torus = hat.rank_y == amb.rank_y and all(
+        emb.apply(k_gen(hat, mu)) == k_gen(amb, mu) for mu in _y_basis(hat))
+    quotient = _quotient_braid_agreement(emb, ideal_base)
     report = {
         "label": "evidence",
         "blocks": blocks,
         "surjective": surjective,
         "meet_trivial": injective,
-        "torus_bijective": True,
+        "torus_bijective": torus,
         "identities_hold": not failures,
         "failures": failures,
         "quotient_braid": quotient,
     }
-    report["holds"] = (surjective and not failures
-                       and bool(quotient["holds"]))
+    report["holds"] = (surjective and injective and torus and not failures
+                       and bool(quotient["holds"])
+                       and not quotient["ambiguous"])
     return report
 
 
@@ -1500,24 +1512,14 @@ def _norm_key(alg: UAlgebra, terms: Mapping[Triple, QVScalar]) -> Degree:
     return _triple_norm(alg, t)
 
 
-def _quotient_braid_agreement(emb: UEmbedding, max_total: int) -> dict:
+def _quotient_braid_agreement(emb: UEmbedding, ideal_base: list[dict]) -> dict:
     """Generator agreement of the decorated quotient symmetries: solve for the
-    preimage modulo the ideal, rescale per letter, compare upstairs."""
+    preimage modulo the ideal spanned by ideal_base, rescale per letter,
+    compare upstairs."""
     tgt, src = emb.target, emb.source
     pair = emb.pair
     p0 = src.position(emb.merged)
     d0 = tgt._d[tgt.position(pair.plus)]
-    letters = _probe_alphabet(tgt, pair)
-    letter_map = {name: el for name, el, _ in letters}
-    ideal_base = []
-    for gname in ("E-E+", "F+F-"):
-        g = letter_map[gname]
-        for x1, d1 in _products_upto(tgt, letters, max_total - 2):
-            left = u_multiply(x1, g)
-            for x2, d2 in _products_upto(tgt, letters, max_total - 2 - d1):
-                y = u_multiply(left, x2)
-                if not y.is_zero():
-                    ideal_base.append(y.coords)
     adjacency = {}
     j_case = {}
     k_case = {}
@@ -1578,7 +1580,16 @@ def _quotient_braid_agreement(emb: UEmbedding, max_total: int) -> dict:
 def _solve_mod_ideal(emb: UEmbedding, y: UElement,
                      ideal_base: list[dict]) -> tuple[UElement, bool] | None:
     """Express y as an embedded element plus ideal terms; the embedded part
-    is returned, flagged unique when the two spans meet trivially."""
+    is returned, flagged unique when the two spans meet trivially.
+
+    Only candidate images that can meet y or an ideal candidate are built.
+    The image of a·K_μ·b is bihomogeneous of bidegree
+    (degree_map(ν_e), degree_map(ν_f)), and degree_map is injective.  So a
+    block of candidates whose bidegree occurs neither in y nor in any ideal
+    candidate touches only rows that no other column touches: the exact
+    solve (free variables zero) gives it coefficient 0, and it adds the same
+    rank to the image span and to the whole span, leaving the uniqueness
+    flag alone.  Dropping such blocks changes no result."""
     tgt, src = emb.target, emb.source
     keys_y = set(y.coords)
     mus = {mu for (_, mu, _f) in keys_y}
@@ -1587,21 +1598,6 @@ def _solve_mod_ideal(emb: UEmbedding, y: UElement,
     norm = None
     if y.coords:
         norm = _norm_key(tgt, y.coords)
-    cand_pairs = []
-    imgs = []
-    for nu_e in _degrees_up_to(src.rank, 4):
-        for nu_f in _degrees_up_to(src.rank, 4):
-            if norm is not None:
-                delta_norm = _vsub(emb.degree_map(nu_e), emb.degree_map(nu_f))
-                if delta_norm != norm:
-                    continue
-            for a in src.f.component(nu_e).basis:
-                for b in src.f.component(nu_f).basis:
-                    for mu in sorted(mus):
-                        x = UElement(src, {(a, mu, b): QV_ONE})
-                        img = emb.apply(x)
-                        cand_pairs.append((a, mu, b))
-                        imgs.append(img.coords)
     ideal_cands = []
     for row in ideal_base:
         if not row:
@@ -1615,9 +1611,25 @@ def _solve_mod_ideal(emb: UEmbedding, y: UElement,
                 shift_set.add(_vsub(want, have))
         for sh in sorted(shift_set):
             ideal_cands.append(_k_shift(tgt, sh, row))
+    wd = tgt.f.word_degree
+    live = {(wd(ew), wd(fw)) for t in (y.coords, *ideal_cands)
+            for (ew, _, fw) in t}
+    cap = max((sum(d) for bideg in live for d in bideg), default=0)
+    degs = [(nu, emb.degree_map(nu)) for nu in _degrees_up_to(src.rank, cap)]
+    cand_pairs = []
+    imgs = []
+    for nu_e, img_e in degs:
+        for nu_f, img_f in degs:
+            if (img_e, img_f) not in live:
+                continue
+            for a in src.f.component(nu_e).basis:
+                for b in src.f.component(nu_f).basis:
+                    for mu in sorted(mus):
+                        x = UElement(src, {(a, mu, b): QV_ONE})
+                        cand_pairs.append((a, mu, b))
+                        imgs.append(emb.apply(x).coords)
     cols = imgs + ideal_cands
-    live = [c for c in cols if c]
-    if not live and not y.coords:
+    if not any(cols) and not y.coords:
         return UElement(src, {}), True
     keys = sorted(set().union(keys_y, *[set(c) for c in cols]))
     rows = [[cols[j].get(k, QV_ZERO) for j in range(len(cols))] for k in keys]

@@ -466,6 +466,46 @@ def test_subquotient_probe_a3():
     assert rep["quotient_braid"]["checked"] == 28
 
 
+def test_subquotient_probe_holds_needs_unambiguous_preimages(monkeypatch):
+    fake = {"checked": 16, "holds": True, "failures": [],
+            "ambiguous": ["primed (e=1) on E[1]"]}
+    monkeypatch.setattr(uq, "_quotient_braid_agreement", lambda *a: fake)
+    rep = subquotient_phi_probe(U2, PAIR12, 1, epsilon=-1)
+    assert rep["identities_hold"] and rep["meet_trivial"]
+    assert rep["holds"] is False
+
+
+def test_subquotient_probe_builds_no_component_past_max_total():
+    target = UAlgebra(simply_connected_datum(A2), 8)
+    assert subquotient_phi_probe(target, PAIR12, 3)["holds"]
+    built = sorted(target.f._components)
+    assert built and max(sum(nu) for nu in built) <= 3, built
+
+
+@pytest.mark.parametrize("target, pair, seed",
+                         [(U2, PAIR12, 11), (U3, PAIR23, 12)])
+def test_solve_mod_ideal_recovers_embedded_element(target, pair, seed):
+    rng = random.Random(seed)
+    emb = UEmbedding(target, pair, 1)
+    src = emb.source
+    ideal = uq._crossing_ideal(target, uq._probe_alphabet(target, pair), 4)
+    mus = [src.y_zero] + uq._y_basis(src)
+    degrees = list(uq._degrees_up_to(src.rank, 2))
+    for _ in range(6):
+        nu_e, nu_f = rng.choice(degrees), rng.choice(degrees)
+        triples = [(a, mu, b) for a in src.f.component(nu_e).basis
+                   for b in src.f.component(nu_f).basis for mu in mus]
+        x = UElement(src, {t: v_power(rng.randint(-2, 2), rng.randint(1, 3))
+                           for t in rng.sample(triples, min(3, len(triples)))})
+        y = emb.apply(x)
+        norm = uq._norm_key(target, y.coords)
+        for row in ideal:
+            if uq._norm_key(target, row) == norm and rng.random() < 0.5:
+                y = y + UElement(target, row).scale(
+                    v_power(rng.randint(-2, 2), rng.choice((-1, 1))))
+        assert uq._solve_mod_ideal(emb, y, ideal) == (x, True)
+
+
 # --- integrable quotients ----------------------------------------------------
 
 def test_module_dims_match_weyl_count():
