@@ -1,8 +1,12 @@
 """Exact linear algebra over any field type.
 
 Entries must support +, -, *, /, bool (truthiness = nonzero) and ==.  Works
-for Fraction, QVScalar, SqrtQScalar and finite-field elements alike.  Plain
-ints are not accepted as entries since int/int would go through floats.
+for Fraction, QVScalar and SqrtQScalar.  Plain ints are not accepted as
+entries since int/int would go through floats; finite-field elements are
+plain ints, so ``_gf.GF`` keeps its own ``mat_inv`` and ``mat_rank``.
+
+Each pivot step normalizes and subtracts the pivot row only over its nonzero
+entries: ``a - f*0 == a`` exactly, so skipping them changes no result.
 """
 from __future__ import annotations
 
@@ -11,37 +15,44 @@ from typing import Sequence, TypeVar
 T = TypeVar("T")
 
 
-def rref(rows: Sequence[Sequence[T]], ncols: int | None = None) -> tuple[list[list[T]], list[int]]:
-    """Reduced row echelon form of a copy; returns (matrix, pivot columns)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return m, []
-    if ncols is None:
-        ncols = len(m[0])
+def _eliminate(m: list[list[T]], ncols: int, above: bool) -> list[int]:
+    """Row-reduce m in place, choosing pivots among the first ncols columns;
+    returns the pivot columns.  Pivot rows are normalized and cleared below,
+    and also above when ``above`` (reduced row echelon form)."""
     pivots: list[int] = []
-    r = 0
     nrows = len(m)
+    r = 0
     for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                pr = i
-                break
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        m[r] = [x / piv for x in m[r]]
         row = m[r]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], row)]
+        piv = row[c]
+        nz = [k for k in range(c, len(row)) if row[k]]
+        for k in nz:
+            row[k] = row[k] / piv
+        for i in range(0 if above else r + 1, nrows):
+            other = m[i]
+            f = other[c]
+            if i != r and f:
+                for k in nz:
+                    other[k] = other[k] - f * row[k]
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
-    return m, pivots
+    return pivots
+
+
+def rref(rows: Sequence[Sequence[T]], ncols: int | None = None) -> tuple[list[list[T]], list[int]]:
+    """Reduced row echelon form of a copy; returns (matrix, pivot columns).
+    Pivots are chosen among the first ncols columns (default: all); the
+    remaining columns are reduced along with them."""
+    m = [list(r) for r in rows]
+    if not m:
+        return m, []
+    return m, _eliminate(m, len(m[0]) if ncols is None else ncols, True)
 
 
 def rank(rows: Sequence[Sequence[T]]) -> int:
@@ -49,28 +60,7 @@ def rank(rows: Sequence[Sequence[T]]) -> int:
     m = [list(r) for r in rows]
     if not m:
         return 0
-    ncols = len(m[0])
-    rk = 0
-    nrows = len(m)
-    for c in range(ncols):
-        pr = None
-        for i in range(rk, nrows):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[rk], m[pr] = m[pr], m[rk]
-        piv = m[rk][c]
-        prow = m[rk]
-        for i in range(rk + 1, nrows):
-            if m[i][c]:
-                f = m[i][c] / piv
-                m[i] = [a - f * b for a, b in zip(m[i], prow)]
-        rk += 1
-        if rk == nrows:
-            break
-    return rk
+    return len(_eliminate(m, len(m[0]), False))
 
 
 def nullspace(rows: Sequence[Sequence[T]], ncols: int, one: T) -> list[list[T]]:
@@ -107,9 +97,3 @@ def solve(rows: Sequence[Sequence[T]], rhs: Sequence[T]) -> list[T] | None:
     for r, pc in enumerate(pivots):
         sol[pc] = red[r][ncols]
     return sol
-
-
-def in_row_span(rows: Sequence[Sequence[T]], vec: Sequence[T]) -> bool:
-    """True iff vec lies in the row span of rows."""
-    base = rank(rows)
-    return rank(list(rows) + [list(vec)]) == base

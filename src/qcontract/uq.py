@@ -1631,20 +1631,21 @@ def _solve_mod_ideal(emb: UEmbedding, y: UElement,
     cols = imgs + ideal_cands
     if not any(cols) and not y.coords:
         return UElement(src, {}), True
+    # One elimination of the augmented system [cols | y] gives both the
+    # solution (free variables zero) and the rank of cols: the number of
+    # pivots before the augmented column.
+    n = len(cols)
     keys = sorted(set().union(keys_y, *[set(c) for c in cols]))
-    rows = [[cols[j].get(k, QV_ZERO) for j in range(len(cols))] for k in keys]
-    rhs = [y.coords.get(k, QV_ZERO) for k in keys]
-    sol = _solve(rows, rhs)
-    if sol is None:
+    aug = [[c.get(k, QV_ZERO) for c in cols] + [y.coords.get(k, QV_ZERO)]
+           for k in keys]
+    red, pivots = _rref(aug, n + 1)
+    if n in pivots:
         return None
     xhat: dict[Triple, QVScalar] = {}
-    for (a, mu, b), c in zip(cand_pairs, sol[:len(cand_pairs)]):
-        if c:
-            _add_into(xhat, (a, mu, b), c)
-    r_img = _rank_of(imgs)
-    r_idl = _rank_of(ideal_cands)
-    r_all = _rank_of(cols)
-    unique = (r_img + r_idl == r_all)
+    for row, pc in zip(red, pivots):
+        if pc < len(cand_pairs) and row[n]:
+            _add_into(xhat, cand_pairs[pc], row[n])
+    unique = (_rank_of(imgs) + _rank_of(ideal_cands) == len(pivots))
     return UElement(src, xhat), unique
 
 

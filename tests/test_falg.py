@@ -118,6 +118,8 @@ def test_dimensions_match_root_partition_counts():
         alg = FAlgebra(datum)
         for nu in degrees_up_to(len(datum.indices), 6 if datum is not A3 else 5):
             assert alg.component(nu).dim == kostant_count(datum, nu), (datum.indices, nu)
+    # the benchmark's headline component: a 420 x 210 Serre elimination
+    assert FAlgebra(A3).component((2, 3, 2)).dim == kostant_count(A3, (2, 3, 2)) == 13
 
 
 def test_gram_kernel_matches_relation_span():
