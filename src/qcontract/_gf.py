@@ -222,43 +222,40 @@ class GF:
     def mat_id(self, n: int) -> Mat:
         return tuple(tuple(1 if a == b else 0 for b in range(n)) for a in range(n))
 
+    def _eliminate(self, m: list[list[int]], ncols: int, above: bool) -> int:
+        """Row-reduce m in place, choosing pivots among the first ncols
+        columns; returns the rank.  Pivot rows are normalized and cleared
+        below, and also above when ``above`` (reduced row echelon form)."""
+        inv, mul, sub = self.inv, self.mul, self.sub
+        nrows = len(m)
+        r = 0
+        for c in range(ncols):
+            if r == nrows:
+                break
+            pr = next((i for i in range(r, nrows) if m[i][c]), None)
+            if pr is None:
+                continue
+            m[r], m[pr] = m[pr], m[r]
+            f = inv(m[r][c])
+            row = m[r] = [mul(f, x) for x in m[r]]
+            for i in range(0 if above else r + 1, nrows):
+                f = m[i][c]
+                if i != r and f:
+                    m[i] = [sub(x, mul(f, y)) for x, y in zip(m[i], row)]
+            r += 1
+        return r
+
     def mat_inv(self, A: Mat) -> Mat:
         n = len(A)
         aug = [list(A[r]) + [1 if c == r else 0 for c in range(n)] for r in range(n)]
-        for c in range(n):
-            pr = next((i for i in range(c, n) if aug[i][c]), None)
-            if pr is None:
-                raise ZeroDivisionError("singular matrix over F_q")
-            aug[c], aug[pr] = aug[pr], aug[c]
-            inv = self.inv(aug[c][c])
-            aug[c] = [self.mul(inv, x) for x in aug[c]]
-            for i in range(n):
-                if i != c and aug[i][c]:
-                    f = aug[i][c]
-                    aug[i] = [self.sub(x, self.mul(f, y)) for x, y in zip(aug[i], aug[c])]
+        if self._eliminate(aug, n, True) < n:
+            raise ZeroDivisionError("singular matrix over F_q")
         return tuple(tuple(r[n:]) for r in aug)
 
     def mat_rank(self, A: Mat) -> int:
         if not A:
             return 0
-        m = [list(r) for r in A]
-        nrows, ncols = len(m), len(m[0])
-        rk = 0
-        for c in range(ncols):
-            pr = next((i for i in range(rk, nrows) if m[i][c]), None)
-            if pr is None:
-                continue
-            m[rk], m[pr] = m[pr], m[rk]
-            inv = self.inv(m[rk][c])
-            m[rk] = [self.mul(inv, x) for x in m[rk]]
-            for i in range(nrows):
-                if i != rk and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [self.sub(x, self.mul(f, y)) for x, y in zip(m[i], m[rk])]
-            rk += 1
-            if rk == nrows:
-                break
-        return rk
+        return self._eliminate([list(r) for r in A], len(A[0]), False)
 
     def is_invertible(self, A: Mat) -> bool:
         n = len(A)

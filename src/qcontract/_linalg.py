@@ -2,15 +2,23 @@
 
 Entries must support +, -, *, /, bool (truthiness = nonzero) and ==.  Works
 for Fraction, QVScalar and SqrtQScalar.  Plain ints are not accepted as
-entries since int/int would go through floats; finite-field elements are
-plain ints, so ``_gf.GF`` keeps its own ``mat_inv`` and ``mat_rank``.
+entries since int/int would go through floats.
+
+This module owns both the eliminations and the bookkeeping around them:
+laying sparse vectors out as dense rows (``dense``, ``transpose``), solving
+for a combination of given vectors (``solve_in_span``) and reducing a vector
+by echelon rows (``reduce_by_rows``), so callers never build their own
+key-union matrices.  Finite-field elements are plain ints whose arithmetic
+goes through table lookups, so ``_gf.GF`` keeps one elimination kernel of
+its own: routing it through here would put a field-operation indirection
+into every step of this kernel, which the Q(v) eliminations cannot afford.
 
 Each pivot step normalizes and subtracts the pivot row only over its nonzero
 entries: ``a - f*0 == a`` exactly, so skipping them changes no result.
 """
 from __future__ import annotations
 
-from typing import Sequence, TypeVar
+from typing import Hashable, Mapping, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -97,3 +105,35 @@ def solve(rows: Sequence[Sequence[T]], rhs: Sequence[T]) -> list[T] | None:
     for r, pc in enumerate(pivots):
         sol[pc] = red[r][ncols]
     return sol
+
+
+def dense(vecs: Sequence[Mapping[Hashable, T]], zero: T) -> list[list[T]]:
+    """Sparse vectors as dense rows over the sorted union of their keys."""
+    keys = sorted(set().union(*vecs))
+    return [[v.get(k, zero) for k in keys] for v in vecs]
+
+
+def transpose(rows: Sequence[Sequence[T]]) -> list[list[T]]:
+    return [list(col) for col in zip(*rows)]
+
+
+def solve_in_span(vectors: Sequence[Sequence[T]], target: Sequence[T]) -> list[T] | None:
+    """Coefficients c with sum_k c[k] * vectors[k] == target (free ones
+    zero), or None when target is outside the span."""
+    if not vectors:
+        return None if any(target) else []
+    return solve(transpose(vectors), target)
+
+
+def reduce_by_rows(rows: Sequence[Sequence[T]], pivots: Sequence[int],
+                   vec: Sequence[T]) -> list[T]:
+    """vec minus multiples of the rows, taken in order, that clear it at each
+    row's pivot column.  Each row must be 1 at its pivot and 0 at the pivots
+    of the rows before it (rref rows, or a semi-echelon basis grown one
+    reduced row at a time)."""
+    vec = list(vec)
+    for row, pc in zip(rows, pivots):
+        c = vec[pc]
+        if c:
+            vec = [a - c * b for a, b in zip(vec, row)]
+    return vec

@@ -9,8 +9,7 @@ from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from . import _budget
-from ._linalg import rank as _rank
-from ._linalg import solve as _solve
+from ._linalg import rank as _rank, solve_in_span
 
 Symbol = Hashable
 Vector = tuple[int, ...]
@@ -444,8 +443,8 @@ def weyl_embedding(rd: RootDatum, pair: ContractiblePair,
 
 def express_in_simple_coroots(rd: RootDatum, y: Sequence[int]) -> tuple[Fraction, ...] | None:
     cols = [rd.coroot(i) for i in rd.cartan.indices]
-    rows = [[Fraction(c[a]) for c in cols] for a in range(rd.rankY)]
-    sol = _solve(rows, [Fraction(x) for x in y])
+    sol = solve_in_span([[Fraction(a) for a in c] for c in cols],
+                        [Fraction(x) for x in y])
     if sol is None:
         return None
     if any(sum(Fraction(cols[k][a]) * sol[k] for k in range(len(cols))) != y[a]

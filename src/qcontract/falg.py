@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import _budget
-from ._linalg import nullspace, rank, rref, solve
+from ._linalg import (nullspace, rank, reduce_by_rows, rref, solve_in_span,
+                      transpose)
 from .cartan import CartanDatum, ContractiblePair, contract_cartan
 from .scalar import (
     QVScalar, QV_ONE, QV_ZERO, LaurentPoly, bar as scalar_bar,
@@ -587,9 +588,7 @@ def _projector(alg: FAlgebra, i, nu: Degree, side: str):
         deriv = r_i if side == "right" else left_r_i
         img_rows = [deriv(FElement(alg, nu, {w: QV_ONE}), i).coordinate_vector()
                     for w in comp.basis]
-        sub_dim = alg.component(sub).dim
-        mat = [[img_rows[w][t] for w in range(dim)] for t in range(sub_dim)]
-        kernel = nullspace(mat, dim, QV_ONE)
+        kernel = nullspace(transpose(img_rows), dim, QV_ONE)
         if len(kernel) + len(mult_vecs) != dim \
                 or rank(kernel + mult_vecs) != dim:
             raise AssertionError(
@@ -613,9 +612,7 @@ def _project(x: FElement, i, side: str) -> FElement:
     alg = x.algebra
     comp = alg.component(x.nu)
     kernel, mult = _projector(alg, i, x.nu, side)
-    cols = kernel + mult
-    mat = [[cols[c][r] for c in range(len(cols))] for r in range(comp.dim)]
-    sol = solve(mat, x.coordinate_vector())
+    sol = solve_in_span(kernel + mult, x.coordinate_vector())
     if sol is None:
         raise AssertionError("piece decomposition failed to split the element")
     out: dict[PlainWord, QVScalar] = {}
@@ -991,12 +988,10 @@ def subquotient_f(target: FAlgebra, pair: ContractiblePair, max_total: int,
         if sum(nu) > target.degree_bound:
             continue
         vecs, imgs = _token_span(emb, nu)
-        comp = target.component(nu)
         sub_dim = rank(vecs) if vecs else 0
         # the quotient map on spanning words, checked well defined on relations
         n_words = len(vecs)
-        rel_rows = [[vecs[k][t] for k in range(n_words)] for t in range(comp.dim)]
-        relations = nullspace(rel_rows, n_words, QV_ONE) if n_words else []
+        relations = nullspace(transpose(vecs), n_words, QV_ONE) if n_words else []
         well_defined = True
         for rel in relations:
             acc: dict[PlainWord, QVScalar] = {}
@@ -1101,8 +1096,7 @@ def _apply_quotient(src: FAlgebra, nu_hat, vecs, imgs, x: FElement):
     when x lies outside the subalgebra."""
     if not vecs:
         return None
-    mat = [[vecs[c][r] for c in range(len(vecs))] for r in range(len(vecs[0]))]
-    sol = solve(mat, x.coordinate_vector())
+    sol = solve_in_span(vecs, x.coordinate_vector())
     if sol is None:
         return None
     acc: dict[PlainWord, QVScalar] = {}
@@ -1226,14 +1220,10 @@ def canonical_basis(algebra: FAlgebra, nu) -> list[FElement]:
     if not monos:
         return []
     n = len(monos)
-    index = {w: j for j, w in enumerate(comp.basis)}
-    mat = [[QV_ZERO] * n for _ in range(comp.dim)]
-    for col, (_, el) in enumerate(monos):
-        for w, c in el.coords.items():
-            mat[index[w]][col] = c
+    vecs = [el.coordinate_vector() for _, el in monos]
     trans: list[dict[int, QVScalar]] = []
     for _, el in monos:
-        sol = solve(mat, el.bar().coordinate_vector())
+        sol = solve_in_span(vecs, el.bar().coordinate_vector())
         if sol is None:
             raise AssertionError("root-vector monomials are not a basis")
         trans.append({k: c for k, c in enumerate(sol) if c})
@@ -1363,12 +1353,7 @@ def _subquotient_basis_failures(name: str, emb: FEmbedding, nu_hat, nu,
     ideal, pivots = rref(_ideal_vecs(vecs, imgs), len(vecs[0]) if vecs else 0)
 
     def residue(x: FElement) -> tuple:
-        vec = x.coordinate_vector()
-        for row, pc in zip(ideal, pivots):
-            if vec[pc]:
-                f = vec[pc]
-                vec = [a - f * b for a, b in zip(vec, row)]
-        return tuple(vec)
+        return tuple(reduce_by_rows(ideal, pivots, x.coordinate_vector()))
 
     residues = [residue(b) for b in basis_tgt]
     failures = []

@@ -8,6 +8,7 @@ edge order; matrices are tuples of row tuples of int-encoded field elements.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -275,39 +276,35 @@ def zero_mat(rows: int, cols: int) -> Mat:
     return tuple((0,) * cols for _ in range(rows))
 
 
-def rep_points(quiver: Quiver, dims: Dims, field: GF) -> list[Point]:
-    """All of E_V over the given field; refuses when past the work budget."""
-    cells = sum(dims[h.target] * dims[h.source] for h in quiver.edges)
-    total = field.q ** cells
+def _product(sizes: Sequence[int], pools: Iterable[Iterable[Mat]]) -> list[tuple[Mat, ...]]:
+    """Every tuple taking one matrix from each pool, in order.  The budget is
+    charged the closed-form count prod(sizes) before the first pool is
+    consumed, so lazy pools allocate nothing when the budget refuses."""
+    total = math.prod(sizes)
     budget = _budget.active_budget()
     if total > budget.limit - budget.used:
         raise _budget.BudgetExceeded(
-            f"point enumeration needs {total} points, budget has "
+            f"enumeration needs {total} points, budget has "
             f"{budget.limit - budget.used} left")
-    _budget.charge(total)
-    pools = [field.all_matrices(dims[h.target], dims[h.source]) for h in quiver.edges]
-    out: list[Point] = [()]
+    budget.charge(total)
+    out: list[tuple[Mat, ...]] = [()]
     for pool in pools:
+        pool = list(pool)
         out = [pt + (m,) for pt in out for m in pool]
     return out
 
 
+def rep_points(quiver: Quiver, dims: Dims, field: GF) -> list[Point]:
+    """All of E_V over the given field; refuses when past the work budget."""
+    shapes = [(dims[h.target], dims[h.source]) for h in quiver.edges]
+    return _product([field.q ** (r * c) for r, c in shapes],
+                    (field.all_matrices(r, c) for r, c in shapes))
+
+
 def group_points(quiver: Quiver, dims: Dims, field: GF) -> list[GPoint]:
     """All of G_V = prod GL(V_v) over the given field."""
-    pools = [field.general_linear(dims[v]) for v in quiver.vertices]
-    total = 1
-    for p in pools:
-        total *= len(p)
-    budget = _budget.active_budget()
-    if total > budget.limit - budget.used:
-        raise _budget.BudgetExceeded(
-            f"group enumeration needs {total} points, budget has "
-            f"{budget.limit - budget.used} left")
-    _budget.charge(total)
-    out: list[GPoint] = [()]
-    for pool in pools:
-        out = [g + (m,) for g in out for m in pool]
-    return out
+    return _product([gl_order(dims[v], field.q) for v in quiver.vertices],
+                    (field.general_linear(dims[v]) for v in quiver.vertices))
 
 
 def group_order(quiver: Quiver, dims: Dims, q: int,
@@ -514,26 +511,19 @@ class RepSpace:
 
 def sub_stable_points(quiver: Quiver, sub: Dims, quot: Dims, field: GF) -> list[Point]:
     """S_W: points of E_{V} preserving the first-coordinates subspace W."""
-    pools = []
-    for h in quiver.edges:
-        ws, wt = sub[h.source], sub[h.target]
-        ts, tt = quot[h.source], quot[h.target]
-        mats = []
+    def pool(ws, wt, ts, tt):
         for mw in field.all_matrices(wt, ws):
             for mtw in field.all_matrices(wt, ts):
                 for mt in field.all_matrices(tt, ts):
                     top = tuple(rw + rtw for rw, rtw in zip(mw, mtw)) if wt else ()
                     bot = tuple((0,) * ws + rt for rt in mt) if tt else ()
-                    mats.append(top + bot)
-        pools.append(mats)
-    total = 1
-    for p in pools:
-        total *= len(p)
-    _budget.charge(total)
-    out: list[Point] = [()]
-    for pool in pools:
-        out = [pt + (m,) for pt in out for m in pool]
-    return out
+                    yield top + bot
+
+    blocks = [(sub[h.source], sub[h.target], quot[h.source], quot[h.target])
+              for h in quiver.edges]
+    return _product([field.q ** (wt * (ws + ts) + tt * ts)
+                     for ws, wt, ts, tt in blocks],
+                    (pool(*b) for b in blocks))
 
 
 def block_sub(quiver: Quiver, sub: Dims, x: Point) -> Point:
@@ -758,37 +748,30 @@ def _p_prime_report(contr: QuiverContraction, tau: Dims, omega: Dims,
 
 def _unipotent_points(quiver: Quiver, sub: Dims, quot: Dims, field: GF) -> list[GPoint]:
     """Block matrices [[I, n], [0, I]] per vertex."""
-    pools = []
-    for v in quiver.vertices:
-        w, t = sub[v], quot[v]
-        mats = []
+    def pool(w, t):
         for n in field.all_matrices(w, t):
             top = tuple(tuple(1 if r == c else 0 for c in range(w)) + n[r]
                         for r in range(w))
             bot = tuple((0,) * w + tuple(1 if r == c else 0 for c in range(t))
                         for r in range(t))
-            mats.append(top + bot)
-        pools.append(mats)
-    out: list[GPoint] = [()]
-    for pool in pools:
-        out = [g + (m,) for g in out for m in pool]
-    return out
+            yield top + bot
+
+    blocks = [(sub[v], quot[v]) for v in quiver.vertices]
+    return _product([field.q ** (w * t) for w, t in blocks],
+                    (pool(w, t) for w, t in blocks))
 
 
 def _stabilizer_points(quiver: Quiver, sub: Dims, quot: Dims, field: GF) -> list[GPoint]:
     """Block matrices [[A, B], [0, D]] per vertex with A, D invertible."""
-    pools = []
-    for v in quiver.vertices:
-        w, t = sub[v], quot[v]
-        mats = []
+    def pool(w, t):
         for a in field.general_linear(w):
             for b in field.all_matrices(w, t):
                 for d in field.general_linear(t):
                     top = tuple(a[r] + b[r] for r in range(w))
                     bot = tuple((0,) * w + d[r] for r in range(t))
-                    mats.append(top + bot)
-        pools.append(mats)
-    out: list[GPoint] = [()]
-    for pool in pools:
-        out = [g + (m,) for g in out for m in pool]
-    return out
+                    yield top + bot
+
+    blocks = [(sub[v], quot[v]) for v in quiver.vertices]
+    return _product([gl_order(w, field.q) * field.q ** (w * t) * gl_order(t, field.q)
+                     for w, t in blocks],
+                    (pool(w, t) for w, t in blocks))

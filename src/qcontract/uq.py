@@ -17,7 +17,8 @@ from __future__ import annotations
 from typing import Callable, Mapping, Sequence
 
 from ._budget import charge
-from ._linalg import rank as _mat_rank, rref as _rref, solve as _solve
+from ._linalg import (dense, rank as _mat_rank, reduce_by_rows, rref as _rref,
+                      solve_in_span, transpose)
 from .cartan import (CartanDatum, ContractiblePair, RootDatum,
                      contract_root_datum)
 from .falg import (FAlgebra, FElement, LinearCombination, _add_into,
@@ -179,8 +180,11 @@ class UElement(LinearCombination):
     def __mul__(self, other: "UElement") -> "UElement":
         return u_multiply(self, other)
 
+    def __str__(self):
+        return render_uelement(self)
+
     def __repr__(self):
-        return f"UElement({render_uelement(self)})"
+        return f"UElement({self})"
 
 
 def u_element(algebra: UAlgebra, terms: Mapping[Triple, QVScalar]) -> UElement:
@@ -350,17 +354,23 @@ class UEmbedding:
                                             merged_symbol=self.merged,
                                             source=self.source.f)
 
-    def apply(self, x: UElement) -> UElement:
-        if x.algebra is not self.source:
-            raise ValueError("element does not live in the source algebra")
+    def substitute(self, terms: Mapping[Triple, QVScalar]) -> dict[Triple, QVScalar]:
+        """Normal-ordered image of source triples (raising word, middle,
+        lowering word): the outer words go through the two halves of the
+        embedding, the middle (torus exponent or weight) passes through."""
         raw: dict[Triple, QVScalar] = {}
-        for (ew, mu, fw), c in x.coords.items():
+        for (ew, mid, fw), c in terms.items():
             eimg = self.plus_map.apply_plain({ew: QV_ONE})
             fimg = self.minus_map.apply_plain({fw: QV_ONE})
             for a, ca in eimg.items():
                 for b, cb in fimg.items():
-                    _add_into(raw, (a, mu, b), c * ca * cb)
-        return UElement(self.target, self.target.reduce_triples(raw))
+                    _add_into(raw, (a, mid, b), c * ca * cb)
+        return self.target.reduce_triples(raw)
+
+    def apply(self, x: UElement) -> UElement:
+        if x.algebra is not self.source:
+            raise ValueError("element does not live in the source algebra")
+        return UElement(self.target, self.substitute(x.coords))
 
     def degree_map(self, nu: Degree) -> Degree:
         return self.plus_map.degree_map(nu)
@@ -414,94 +424,71 @@ def check_relations(source: UAlgebra, target: UAlgebra,
                     e_images: Mapping, f_images: Mapping,
                     k_images: Callable[[YVec], UElement] | None = None) -> dict:
     """Evaluate all six defining relation families of the source presentation
-    on assigned generator images; residuals must vanish."""
+    on assigned generator images; residuals must vanish.
+
+    Only the images' own ``*``, ``+``, ``-``, ``scale`` and ``==`` are used,
+    so the images may live in U_q (products normal-order) or be linear maps
+    of a module (products compose).  A divided power is never formed on its
+    own: the Serre term x^(r) y x^(s) is the product of r factors x, y and s
+    factors x, scaled by 1/([r]! [s]!), and zero is ``scale(0)``."""
     if k_images is None:
         k_images = lambda mu: k_gen(target, mu)
     indices = source.cartan.indices
     basis = _y_basis(source)
     report: dict = {"families": {}, "failures": []}
 
-    def fam(name: str, checked: int, fails: list):
+    def fam(name: str, cases) -> None:
+        """cases yields (at, lhs, rhs); each is one checked identity."""
+        checked = 0
+        fails = []
+        for at, lhs, rhs in cases:
+            checked += 1
+            if lhs != rhs:
+                fails.append({"family": name, "at": at, "diff": str(lhs - rhs)})
         report["families"][name] = {"checked": checked, "holds": not fails}
         report["failures"].extend(fails)
 
-    fails: list = []
-    count = 0
-    for a in basis:
-        for b in basis:
-            count += 1
-            lhs = u_multiply(k_images(a), k_images(b))
-            rhs = k_images(_vadd(a, b))
-            if lhs != rhs:
-                fails.append({"family": "K-product", "at": [list(a), list(b)],
-                              "diff": render_uelement(lhs - rhs)})
-    fam("K-product", count, fails)
+    def weight(mu: YVec, i) -> int:
+        return source.datum.pair(mu, source.datum.root(i))
 
-    fails, count = [], 0
-    for mu in basis:
-        kk = k_images(mu)
-        for i in indices:
-            count += 1
-            w = source.datum.pair(mu, source.datum.root(i))
-            lhs = u_multiply(kk, e_images[i])
-            rhs = u_multiply(e_images[i], kk).scale(v_power(w))
-            if lhs != rhs:
-                fails.append({"family": "K-E", "at": [list(mu), str(i)],
-                              "diff": render_uelement(lhs - rhs)})
-    fam("K-E", count, fails)
+    fam("K-product", (([list(a), list(b)], k_images(a) * k_images(b),
+                       k_images(_vadd(a, b)))
+                      for a in basis for b in basis))
+    fam("K-E", (([list(mu), str(i)], k_images(mu) * e_images[i],
+                 (e_images[i] * k_images(mu)).scale(v_power(weight(mu, i))))
+                for mu in basis for i in indices))
+    fam("K-F", (([list(mu), str(i)], k_images(mu) * f_images[i],
+                 (f_images[i] * k_images(mu)).scale(v_power(-weight(mu, i))))
+                for mu in basis for i in indices))
 
-    fails, count = [], 0
-    for mu in basis:
-        kk = k_images(mu)
-        for i in indices:
-            count += 1
-            w = source.datum.pair(mu, source.datum.root(i))
-            lhs = u_multiply(kk, f_images[i])
-            rhs = u_multiply(f_images[i], kk).scale(v_power(-w))
-            if lhs != rhs:
-                fails.append({"family": "K-F", "at": [list(mu), str(i)],
-                              "diff": render_uelement(lhs - rhs)})
-    fam("K-F", count, fails)
-
-    fails, count = [], 0
-    for i in indices:
+    def crossing(i, j):
+        lhs = e_images[i] * f_images[j] - f_images[j] * e_images[i]
+        if i != j:
+            return [str(i), str(j)], lhs, lhs.scale(0)
         di = source.cartan.d(i)
         kt = source.k_tilde_vector(i)
-        for j in indices:
-            count += 1
-            lhs = u_multiply(e_images[i], f_images[j]) \
-                - u_multiply(f_images[j], e_images[i])
-            if i == j:
-                den = QV_ONE / (v_power(di) - v_power(-di))
-                rhs = (k_images(kt) - k_images(_neg(kt))).scale(den)
-            else:
-                rhs = UElement(target, {})
-            if lhs != rhs:
-                fails.append({"family": "E-F", "at": [str(i), str(j)],
-                              "diff": render_uelement(lhs - rhs)})
-    fam("E-F", count, fails)
+        den = QV_ONE / (v_power(di) - v_power(-di))
+        return [str(i), str(j)], lhs, (k_images(kt) - k_images(_neg(kt))).scale(den)
+
+    fam("E-F", (crossing(i, j) for i in indices for j in indices))
+
+    def serre(images, i, j):
+        di = source.cartan.d(i)
+        m = 1 - source.cartan.cartan_entry(i, j)
+        acc = None
+        for r in range(m + 1):
+            factors = [images[i]] * r + [images[j]] + [images[i]] * (m - r)
+            term = factors[0]
+            for x in factors[1:]:
+                term = term * x
+            c = QV_ONE / (quantum_factorial(r, di) * quantum_factorial(m - r, di))
+            term = term.scale(-c if r % 2 else c)
+            acc = term if acc is None else acc + term
+        return [str(i), str(j)], acc, acc.scale(0)
 
     for name, images in (("Serre-E", e_images), ("Serre-F", f_images)):
-        fails, count = [], 0
-        for i in indices:
-            di = source.cartan.d(i)
-            for j in indices:
-                if i == j:
-                    continue
-                count += 1
-                m = 1 - source.cartan.cartan_entry(i, j)
-                acc = UElement(target, {})
-                for r in range(m + 1):
-                    s = m - r
-                    term = u_multiply(
-                        u_multiply(divided_power(images[i], r, di), images[j]),
-                        divided_power(images[i], s, di))
-                    acc = acc + (term if r % 2 == 0 else -term)
-                if not acc.is_zero():
-                    fails.append({"family": name, "at": [str(i), str(j)],
-                                  "diff": render_uelement(acc)})
-        fam(name, count, fails)
-
+        fam(name, (serre(images, i, j) for i in indices for j in indices
+                   if i != j))
     report["holds"] = not report["failures"]
     return report
 
@@ -528,20 +515,9 @@ def psi_preimage(emb: UEmbedding, y: UElement) -> UElement | None:
         nu_f = _degree_preimage(emb, df)
         pairs = [(a, b) for a in src.f.component(nu_e).basis
                  for b in src.f.component(nu_f).basis]
-        images = []
-        for a, b in pairs:
-            ia = emb.plus_map.apply_plain({a: QV_ONE})
-            ib = emb.minus_map.apply_plain({b: QV_ONE})
-            img: dict[Triple, QVScalar] = {}
-            for wa, ca in ia.items():
-                for wb, cb in ib.items():
-                    _add_into(img, (wa, mu, wb), ca * cb)
-            images.append(tgt.reduce_triples(img))
-        keys = sorted(set().union(part, *images))
-        rows = [[images[c].get(k, QV_ZERO) for c in range(len(pairs))]
-                for k in keys]
-        rhs = [part.get(k, QV_ZERO) for k in keys]
-        sol = _solve(rows, rhs)
+        *images, rhs = dense([emb.substitute({(a, mu, b): QV_ONE})
+                              for a, b in pairs] + [part], QV_ZERO)
+        sol = solve_in_span(images, rhs)
         if sol is None:
             return None
         for (a, b), c in zip(pairs, sol):
@@ -575,13 +551,8 @@ def u_injectivity_report(emb: UEmbedding, max_total: int) -> dict:
             pairs = [(a, b) for a in basis_e for b in basis_f]
             if not pairs:
                 continue
-            images = []
-            for a, b in pairs:
-                x = UElement(src, {(a, src.y_zero, b): QV_ONE})
-                images.append(emb.apply(x).coords)
-            keys = sorted(set().union(*images))
-            rows = [[img.get(k, QV_ZERO) for k in keys] for img in images]
-            rk = _mat_rank(rows)
+            rk = _rank_of([emb.substitute({(a, src.y_zero, b): QV_ONE})
+                           for a, b in pairs])
             blocks[f"{nu_e}|{nu_f}"] = {"dim": len(pairs), "rank": rk}
             if rk != len(pairs):
                 ok = False
@@ -817,14 +788,7 @@ def psi_udot(emb: UEmbedding, x: UdotElement) -> UdotElement:
     """The embedding on the idempotented form; weights pass through."""
     if x.algebra is not emb.source:
         raise ValueError("element does not live in the source algebra")
-    raw: dict = {}
-    for (ew, lam, fw), c in x.coords.items():
-        eimg = emb.plus_map.apply_plain({ew: QV_ONE})
-        fimg = emb.minus_map.apply_plain({fw: QV_ONE})
-        for a, ca in eimg.items():
-            for b, cb in fimg.items():
-                _add_into(raw, (a, lam, b), c * ca * cb)
-    return UdotElement(emb.target, emb.target.reduce_triples(raw))
+    return UdotElement(emb.target, emb.substitute(x.coords))
 
 
 def psi_dot_check(emb: UEmbedding, weights: Sequence, max_letters: int = 2) -> dict:
@@ -1149,40 +1113,47 @@ def _end_vertex(cartan: CartanDatum, i) -> bool:
                if j != i and cartan.dot(i, j) != 0) == 1
 
 
+def _rescale_letters(x: UElement, powers: Mapping[int, int], u: int) -> UElement:
+    """Scale each triple by (-v^u)^powers[p] per raising letter p and by
+    (-v^-u)^powers[p] per lowering letter; letters outside powers keep their
+    coefficient."""
+    out = {}
+    for (ew, mu, fw), c in x.coords.items():
+        for p in ew:
+            if p in powers:
+                c = c * _sign_power(u, powers[p])
+        for p in fw:
+            if p in powers:
+                c = c * _sign_power(-u, powers[p])
+        out[(ew, mu, fw)] = c
+    return UElement(x.algebra, out)
+
+
+def _merged_powers(src: UAlgebra, merged, scaled) -> dict[int, int]:
+    """Per-letter exponents of the contracted-side rescale: 1 on the merged
+    letter, and on each letter whose symbol passes ``scaled`` the Cartan
+    entry a(merged, letter)."""
+    p0 = src.position(merged)
+    out = {q: src.cartan.cartan_entry(merged, sym)
+           for q, sym in enumerate(src.cartan.indices)
+           if q != p0 and scaled(sym)}
+    out[p0] = 1
+    return out
+
+
 def chi_maps(emb: UEmbedding, sign: int) -> Callable[[UElement], UElement]:
     """Image-side rescaling transported to source coordinates: diagonal on
     normal-ordered triples, with per-letter factors."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     src = emb.source
-    eps = emb.epsilon
-    p0 = src.position(emb.merged)
-    d0 = src._d[p0]
-    adjacency = {}
-    for q, sym in enumerate(src.cartan.indices):
-        if q != p0:
-            adjacency[q] = src.cartan.cartan_entry(emb.merged, sym)
-
-    def factor(word: PlainWord, lowering: bool) -> QVScalar:
-        c = QV_ONE
-        for p in word:
-            if p == p0:
-                if sign == -1:
-                    c = c * (-v_power((-eps if lowering else eps) * d0))
-                else:
-                    c = c * (-v_power((eps if lowering else -eps) * d0))
-            elif sign == 1:
-                n = adjacency[p] * (eps if lowering else -eps)
-                c = c * _sign_power(d0, n)
-        return c
+    powers = _merged_powers(src, emb.merged, lambda sym: sign == 1)
+    u = -sign * emb.epsilon * src._d[src.position(emb.merged)]
 
     def apply(x: UElement) -> UElement:
         if x.algebra is not src:
             raise ValueError("element does not live in the source algebra")
-        out = {}
-        for (ew, mu, fw), c in x.coords.items():
-            out[(ew, mu, fw)] = c * factor(ew, False) * factor(fw, True)
-        return UElement(src, out)
+        return _rescale_letters(x, powers, u)
 
     return apply
 
@@ -1351,11 +1322,7 @@ def _products_upto(tgt: UAlgebra, letters, max_total: int):
 
 def _rank_of(terms_list: list[dict]) -> int:
     live = [t for t in terms_list if t]
-    if not live:
-        return 0
-    keys = sorted(set().union(*live))
-    rows = [[t.get(k, QV_ZERO) for k in keys] for t in live]
-    return _mat_rank(rows)
+    return _mat_rank(dense(live, QV_ZERO)) if live else 0
 
 
 def _crossing_ideal(tgt: UAlgebra, letters, max_total: int) -> list[dict]:
@@ -1518,35 +1485,11 @@ def _quotient_braid_agreement(emb: UEmbedding, ideal_base: list[dict]) -> dict:
     compare upstairs."""
     tgt, src = emb.target, emb.source
     pair = emb.pair
-    p0 = src.position(emb.merged)
     d0 = tgt._d[tgt.position(pair.plus)]
-    adjacency = {}
-    j_case = {}
-    k_case = {}
-    for q, sym in enumerate(src.cartan.indices):
-        if q != p0:
-            adjacency[q] = src.cartan.cartan_entry(emb.merged, sym)
-            j_case[q] = tgt.cartan.dot(sym, pair.minus) == 0
-            k_case[q] = tgt.cartan.dot(sym, pair.plus) == 0
-
-    def rescale(x: UElement, primed: bool, e: int) -> UElement:
-        out = {}
-        for (ew, mu, fw), c in x.coords.items():
-            for p in ew:
-                if p == p0:
-                    c = c * (-v_power((-e if primed else e) * d0))
-                elif j_case[p] if primed else k_case[p]:
-                    c = c * _sign_power((-e if primed else e) * d0,
-                                        adjacency[p])
-            for p in fw:
-                if p == p0:
-                    c = c * (-v_power((e if primed else -e) * d0))
-                elif j_case[p] if primed else k_case[p]:
-                    c = c * _sign_power((e if primed else -e) * d0,
-                                        adjacency[p])
-            out[(ew, mu, fw)] = c
-        return UElement(src, out)
-
+    powers = {primed: _merged_powers(
+        src, emb.merged,
+        lambda sym: tgt.cartan.dot(sym, pair.minus if primed else pair.plus) == 0)
+        for primed in (True, False)}
     gens = _named_generators(src)
     failures = []
     checked = 0
@@ -1567,7 +1510,8 @@ def _quotient_braid_agreement(emb: UEmbedding, ideal_base: list[dict]) -> dict:
                 xhat, unique = sol
                 if not unique:
                     ambiguous.append(f"{kind} (e={e}) on {name}")
-                got = rescale(xhat, primed, e)
+                got = _rescale_letters(xhat, powers[primed],
+                                       (-e if primed else e) * d0)
                 want = own.apply(g)
                 if got != want:
                     failures.append({"identity": f"{kind} (e={e}) on {name}",
@@ -1591,8 +1535,7 @@ def _solve_mod_ideal(emb: UEmbedding, y: UElement,
     rank to the image span and to the whole span, leaving the uniqueness
     flag alone.  Dropping such blocks changes no result."""
     tgt, src = emb.target, emb.source
-    keys_y = set(y.coords)
-    mus = {mu for (_, mu, _f) in keys_y}
+    mus = {mu for (_, mu, _f) in y.coords}
     for row in ideal_base:
         mus.update(mu for (_, mu, _f) in row)
     norm = None
@@ -1635,10 +1578,7 @@ def _solve_mod_ideal(emb: UEmbedding, y: UElement,
     # solution (free variables zero) and the rank of cols: the number of
     # pivots before the augmented column.
     n = len(cols)
-    keys = sorted(set().union(keys_y, *[set(c) for c in cols]))
-    aug = [[c.get(k, QV_ZERO) for c in cols] + [y.coords.get(k, QV_ZERO)]
-           for k in keys]
-    red, pivots = _rref(aug, n + 1)
+    red, pivots = _rref(transpose(dense(cols + [y.coords], QV_ZERO)), n + 1)
     if n in pivots:
         return None
     xhat: dict[Triple, QVScalar] = {}
@@ -1697,9 +1637,8 @@ class HWModule:
                                 for q, a in enumerate(nu))
                     for w in f.component(low).basis:
                         charge()
-                        x = felement(f, nu, {w + (p,) * n: QV_ONE})
-                        rows.append([x.coords.get(b, QV_ZERO)
-                                     for b in comp.basis])
+                        rows.append(felement(f, nu, {w + (p,) * n: QV_ONE})
+                                    .coordinate_vector())
                 red, pivots = _rref(rows, len(comp.basis)) if rows else ([], [])
                 pivot_set = set(pivots)
                 free = [c for c in range(len(comp.basis))
@@ -1724,13 +1663,7 @@ class HWModule:
         if info is None:
             return {}
         red, pivots, free = info
-        comp = self.algebra.f.component(nu)
-        vec = [x.coords.get(b, QV_ZERO) for b in comp.basis]
-        for r, pc in enumerate(pivots):
-            c = vec[pc]
-            if c:
-                row = red[r]
-                vec = [a - c * b for a, b in zip(vec, row)]
+        vec = reduce_by_rows(red, pivots, x.coordinate_vector())
         out = {}
         for c in free:
             if vec[c]:
@@ -1837,110 +1770,69 @@ def action_matrix_twisted(mod: HWModule, x: UElement) -> list[dict[int, QVScalar
     return action_matrix(mod, omega(x))
 
 
-def _cols_equal(a: list[dict], b: list[dict]) -> bool:
-    return all(x == y for x, y in zip(a, b))
+class ModuleMap(LinearCombination):
+    """Linear map out of a module, as a combination of matrix units keyed by
+    (row, column) and tied to its domain module.  The product f * g is the
+    composite f∘g, so sums and composites of generator actions are linear
+    maps of the module that compare with ``==``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of_columns(cls, domain, cols: Sequence[Mapping[int, QVScalar]]) -> "ModuleMap":
+        return cls(domain, {(r, c): x for c, col in enumerate(cols)
+                            for r, x in col.items()})
+
+    def __mul__(self, other: "ModuleMap") -> "ModuleMap":
+        by_col: dict[int, list[tuple[int, QVScalar]]] = {}
+        for (r, c), x in self.coords.items():
+            by_col.setdefault(c, []).append((r, x))
+        out: dict[tuple[int, int], QVScalar] = {}
+        for (j, k), y in other.coords.items():
+            for i, x in by_col.get(j, ()):
+                _add_into(out, (i, k), x * y)
+        return ModuleMap(other.algebra, out)
+
+    def __str__(self):
+        return " + ".join(f"({render_scalar(c)})*[{r},{k}]"
+                          for (r, k), c in sorted(self.coords.items())) or "0"
 
 
-def _cols_compose(outer: list[dict], inner: list[dict]) -> list[dict]:
-    out: list[dict] = []
-    for col in inner:
-        acc: dict[int, QVScalar] = {}
-        for mid, c in col.items():
-            for tgt, val in outer[mid].items():
-                _add_into(acc, tgt, c * val)
-        out.append({k: v for k, v in acc.items() if v})
-    return out
+def module_operator(mod: HWModule, x: UElement) -> ModuleMap:
+    return ModuleMap.of_columns(mod, action_matrix(mod, x))
 
 
 def module_relations_check(mod: HWModule) -> dict:
-    """All defining relations as matrix identities, plus the torus character
-    on every weight vector."""
+    """U_q's defining relations on the module, plus the torus character on
+    every weight vector.
+
+    ``check_relations`` evaluates its six families on the generator
+    operators E_i, F_i and K_μ as linear maps of the module, so every
+    product in a relation is a composite of matrices; E_iF_j - F_jE_i is
+    never normal-ordered in U_q first, where it would agree for any linear
+    action.  The report is check_relations' report (families, failures with
+    the residual map) with ``checked`` summed over the families and the
+    ``character`` verdict folded into ``holds``."""
     alg = mod.algebra
-    failures = []
-    checked = 0
-
-    def expect(label: str, got: list[dict], want: list[dict]):
-        nonlocal checked
-        checked += 1
-        if not _cols_equal(got, want):
-            failures.append({"identity": label})
-
-    for i in alg.cartan.indices:
-        for j in alg.cartan.indices:
-            lhs = _cols_sub(
-                action_matrix(mod, u_multiply(e_gen(alg, i), f_gen(alg, j))),
-                action_matrix(mod, u_multiply(f_gen(alg, j), e_gen(alg, i))))
-            if i == j:
-                di = alg.cartan.d(i)
-                den = QV_ONE / (v_power(di) - v_power(-di))
-                kt = alg.k_tilde_vector(i)
-                rhs = _cols_sub(action_matrix(mod, k_gen(alg, kt)),
-                                action_matrix(mod, k_gen(alg, _neg(kt))))
-                rhs = [{k: v * den for k, v in col.items()} for col in rhs]
-            else:
-                rhs = [{} for _ in range(mod.dim)]
-            expect(f"crossing ({i},{j})", lhs, rhs)
-    for mu in _y_basis(alg):
-        for i in alg.cartan.indices:
-            w = alg.datum.pair(mu, alg.datum.root(i))
-            lhs = _cols_compose(action_matrix(mod, k_gen(alg, mu)),
-                                action_matrix(mod, e_gen(alg, i)))
-            rhs = _cols_compose(action_matrix(mod, e_gen(alg, i)),
-                                action_matrix(mod, k_gen(alg, mu)))
-            rhs = [{k: v * v_power(w) for k, v in col.items()} for col in rhs]
-            expect(f"torus past raising ({mu},{i})", lhs, rhs)
-            lhs = _cols_compose(action_matrix(mod, k_gen(alg, mu)),
-                                action_matrix(mod, f_gen(alg, i)))
-            rhs = _cols_compose(action_matrix(mod, f_gen(alg, i)),
-                                action_matrix(mod, k_gen(alg, mu)))
-            rhs = [{k: v * v_power(-w) for k, v in col.items()}
-                   for col in rhs]
-            expect(f"torus past lowering ({mu},{i})", lhs, rhs)
-    for i in alg.cartan.indices:
-        di = alg.cartan.d(i)
-        for j in alg.cartan.indices:
-            if i == j:
-                continue
-            m = 1 - alg.cartan.cartan_entry(i, j)
-            acc_e = [{} for _ in range(mod.dim)]
-            acc_f = [{} for _ in range(mod.dim)]
-            for r in range(m + 1):
-                s = m - r
-                sgn = QV_ONE if r % 2 == 0 else -QV_ONE
-                te = action_matrix(mod, u_multiply(
-                    u_multiply(e_gen(alg, i, r), e_gen(alg, j)),
-                    e_gen(alg, i, s)))
-                tf = action_matrix(mod, u_multiply(
-                    u_multiply(f_gen(alg, i, r), f_gen(alg, j)),
-                    f_gen(alg, i, s)))
-                acc_e = _cols_add(acc_e, [{k: sgn * v for k, v in col.items()}
-                                          for col in te])
-                acc_f = _cols_add(acc_f, [{k: sgn * v for k, v in col.items()}
-                                          for col in tf])
-            expect(f"Serre raising ({i},{j})", acc_e,
-                   [{} for _ in range(mod.dim)])
-            expect(f"Serre lowering ({i},{j})", acc_f,
-                   [{} for _ in range(mod.dim)])
-    character = all(
-        action_matrix(mod, k_gen(alg, mu))[idx]
-        == {idx: v_power(alg.datum.pair(mu, mod.weights[idx]))}
-        for mu in _y_basis(alg) for idx in range(mod.dim))
-    return {"checked": checked, "character": character,
-            "holds": character and not failures, "failures": failures}
+    indices = alg.cartan.indices
+    op = lambda x: module_operator(mod, x)
+    report = check_relations(alg, alg, {i: op(e_gen(alg, i)) for i in indices},
+                             {i: op(f_gen(alg, i)) for i in indices},
+                             lambda mu: op(k_gen(alg, mu)))
+    report["checked"] = sum(f["checked"] for f in report["families"].values())
+    report["character"] = all(
+        op(k_gen(alg, mu)) == ModuleMap(mod, {
+            (idx, idx): v_power(alg.datum.pair(mu, wt))
+            for idx, wt in enumerate(mod.weights)})
+        for mu in _y_basis(alg))
+    report["holds"] = report["holds"] and report["character"]
+    return report
 
 
-def _cols_add(a: list[dict], b: list[dict]) -> list[dict]:
-    out = []
-    for x, y in zip(a, b):
-        acc = dict(x)
-        for k, v in y.items():
-            _add_into(acc, k, v)
-        out.append({k: v for k, v in acc.items() if v})
-    return out
-
-
-def _cols_sub(a: list[dict], b: list[dict]) -> list[dict]:
-    return _cols_add(a, [{k: -v for k, v in col.items()} for col in b])
+def _induced_columns(fmap, src_mod: HWModule, tgt_mod: HWModule) -> list[dict[int, QVScalar]]:
+    """Columns of the map of module quotients induced by a map of f."""
+    return [tgt_mod.project(fmap.apply(src_mod.rep_element(idx)))
+            for idx in range(src_mod.dim)]
 
 
 def module_hom_check(emb: UEmbedding, lam, check_canonical: bool = False) -> dict:
@@ -1973,30 +1865,17 @@ def module_hom_check(emb: UEmbedding, lam, check_canonical: bool = False) -> dic
                     continue
                 if tgt_mod.project(img):
                     well = False
-        phi: list[dict[int, QVScalar]] = []
-        for idx in range(src_mod.dim):
-            img = fmap.apply(src_mod.rep_element(idx))
-            phi.append(tgt_mod.project(img))
+        phi = _induced_columns(fmap, src_mod, tgt_mod)
+        phi_map = ModuleMap.of_columns(src_mod, phi)
         inter = True
         for name, g, gi in _generators_with_images(emb):
             if twisted:
-                src_cols = action_matrix_twisted(src_mod, g)
-                tgt_cols = action_matrix_twisted(tgt_mod, gi)
-            else:
-                src_cols = action_matrix(src_mod, g)
-                tgt_cols = action_matrix(tgt_mod, gi)
-            lhs = _cols_compose(phi, src_cols)
-            rhs = _cols_compose(tgt_cols, phi)
-            if not _cols_equal(lhs, rhs):
+                g, gi = omega(g), omega(gi)
+            if phi_map * module_operator(src_mod, g) \
+                    != module_operator(tgt_mod, gi) * phi_map:
                 inter = False
                 failures.append({"side": label, "generator": name})
-        if phi:
-            keys = range(tgt_mod.dim)
-            rows = [[phi[c].get(k, QV_ZERO) for c in range(src_mod.dim)]
-                    for k in keys]
-            inj = _mat_rank(rows) == src_mod.dim
-        else:
-            inj = True
+        inj = _rank_of(phi) == src_mod.dim
         images = {}
         for idx in range(src_mod.dim):
             nu, col = src_mod.basis[idx]
@@ -2101,97 +1980,74 @@ def psi_tensor_check(emb: UEmbedding, lam_left, lam_right) -> dict:
     separate-factor map matches."""
     src_tm = tensor_module(emb.source, lam_left, lam_right)
     tgt_tm = tensor_module(emb.target, lam_left, lam_right)
+    n, m = src_tm.dim, tgt_tm.dim
     e_imgs, f_imgs = _e_images_of(emb), _f_images_of(emb)
     gens: list[tuple[UElement, UElement]] = []
     for i in emb.source.cartan.indices:
         gens.append((e_gen(emb.source, i), e_imgs[i]))
         gens.append((f_gen(emb.source, i), f_imgs[i]))
-    src_actions = [src_tm.action(g) for g, _ in gens]
-    tgt_actions = [tgt_tm.action(gi) for _, gi in gens]
-    seed_s = {src_tm.cyclic_index(): QV_ONE}
-    seed_t = {tgt_tm.cyclic_index(): QV_ONE}
-    basis_rows: list[tuple[list[QVScalar], list[QVScalar]]] = []
+    actions = [(src_tm.action(g), tgt_tm.action(gi)) for g, gi in gens]
+    # a semi-echelon basis of pairs (source vector | target vector), with
+    # pivots in the source part; a pair reducing to (0 | nonzero) means the
+    # same source vector was reached with two different images
+    basis_rows: list[list[QVScalar]] = []
     pivots: list[int] = []
     consistent = True
 
-    def reduce_pair(vs: dict, vt: dict):
+    def reduce_pair(vs: dict, vt: dict) -> bool:
         nonlocal consistent
-        row = [vs.get(k, QV_ZERO) for k in range(src_tm.dim)]
-        companion = [vt.get(k, QV_ZERO) for k in range(tgt_tm.dim)]
-        for (brow, bcomp), pc in zip(basis_rows, pivots):
-            c = row[pc]
-            if c:
-                row = [a - c * b for a, b in zip(row, brow)]
-                companion = [a - c * b for a, b in zip(companion, bcomp)]
-        for pc, val in enumerate(row):
-            if val:
-                row = [a / val for a in row]
-                companion = [a / val for a in companion]
-                basis_rows.append((row, companion))
-                pivots.append(pc)
-                return True
-        if any(companion):
-            consistent = False
-        return False
+        row = reduce_by_rows(basis_rows, pivots,
+                             [vs.get(k, QV_ZERO) for k in range(n)]
+                             + [vt.get(k, QV_ZERO) for k in range(m)])
+        pc = next((k for k in range(n) if row[k]), None)
+        if pc is None:
+            consistent = consistent and not any(row)
+            return False
+        piv = row[pc]
+        basis_rows.append([a / piv for a in row])
+        pivots.append(pc)
+        return True
 
-    work = [(seed_s, seed_t)]
-    reduce_pair(seed_s, seed_t)
+    def act(cols: list[dict], vec: dict) -> dict:
+        out: dict[int, QVScalar] = {}
+        for idx, c in vec.items():
+            for t, val in cols[idx].items():
+                _add_into(out, t, c * val)
+        return out
+
+    seed = ({src_tm.cyclic_index(): QV_ONE}, {tgt_tm.cyclic_index(): QV_ONE})
+    work = [seed]
+    reduce_pair(*seed)
     while work:
         vs, vt = work.pop()
-        for (sa, ta) in zip(src_actions, tgt_actions):
+        for sa, ta in actions:
             charge()
-            nvs: dict[int, QVScalar] = {}
-            for idx, c in vs.items():
-                for tgt_i, val in sa[idx].items():
-                    _add_into(nvs, tgt_i, c * val)
-            nvt: dict[int, QVScalar] = {}
-            for idx, c in vt.items():
-                for tgt_i, val in ta[idx].items():
-                    _add_into(nvt, tgt_i, c * val)
-            nvs = {k: v for k, v in nvs.items() if v}
-            nvt = {k: v for k, v in nvt.items() if v}
-            if not nvs and not nvt:
-                continue
-            if reduce_pair(nvs, nvt):
+            nvs, nvt = act(sa, vs), act(ta, vt)
+            if (nvs or nvt) and reduce_pair(nvs, nvt):
                 work.append((nvs, nvt))
-    spans = len(basis_rows) == src_tm.dim
-    phi_cols: list[dict[int, QVScalar]] = []
+    spans = len(basis_rows) == n
     injective = False
     block_match = False
     if spans and consistent:
-        for k in range(src_tm.dim):
-            vec = [QV_ONE if a == k else QV_ZERO for a in range(src_tm.dim)]
-            comp = [QV_ZERO] * tgt_tm.dim
-            for (brow, bcomp), pc in zip(basis_rows, pivots):
-                c = vec[pc]
-                if c:
-                    vec = [a - c * b for a, b in zip(vec, brow)]
-                    comp = [a + c * b for a, b in zip(comp, bcomp)]
-            phi_cols.append({i: c for i, c in enumerate(comp) if c})
-        rows = [[phi_cols[c].get(r, QV_ZERO) for c in range(src_tm.dim)]
-                for r in range(tgt_tm.dim)]
-        injective = _mat_rank(rows) == src_tm.dim
+        # reducing (e_k | 0) leaves (0 | -phi(e_k))
+        phi_cols = []
+        for k in range(n):
+            row = reduce_by_rows(basis_rows, pivots,
+                                 [QV_ONE if a == k else QV_ZERO for a in range(n)]
+                                 + [QV_ZERO] * m)
+            phi_cols.append({i: -c for i, c in enumerate(row[n:]) if c})
+        injective = _rank_of(phi_cols) == n
         hom_left = module_hom_check(emb, src_tm.lam_left)
         hom_right = module_hom_check(emb, src_tm.lam_right)
-        phi_l: list[dict[int, QVScalar]] = []
-        for idx in range(src_tm.left.dim):
-            img = emb.plus_map.apply(src_tm.left.rep_element(idx))
-            phi_l.append(tgt_tm.left.project(img))
-        phi_r = []
-        for idx in range(src_tm.right.dim):
-            img = emb.minus_map.apply(src_tm.right.rep_element(idx))
-            phi_r.append(tgt_tm.right.project(img))
-        kron: list[dict[int, QVScalar]] = []
-        for a in range(src_tm.left.dim):
-            for b in range(src_tm.right.dim):
-                col: dict[int, QVScalar] = {}
-                for ta, va in phi_l[a].items():
-                    for tb, vb in phi_r[b].items():
-                        _add_into(col, tgt_tm.pair_index(ta, tb), va * vb)
-                kron.append({k: v for k, v in col.items() if v})
-        block_match = _cols_equal(phi_cols, kron) and hom_left["holds"] \
-            and hom_right["holds"]
-    return {"dims": [src_tm.dim, tgt_tm.dim],
+        phi_l = _induced_columns(emb.plus_map, src_tm.left, tgt_tm.left)
+        phi_r = _induced_columns(emb.minus_map, src_tm.right, tgt_tm.right)
+        kron = ModuleMap(src_tm, {
+            (tgt_tm.pair_index(ta, tb), src_tm.pair_index(a, b)): va * vb
+            for a, col_a in enumerate(phi_l) for b, col_b in enumerate(phi_r)
+            for ta, va in col_a.items() for tb, vb in col_b.items()})
+        block_match = ModuleMap.of_columns(src_tm, phi_cols) == kron \
+            and hom_left["holds"] and hom_right["holds"]
+    return {"dims": [n, m],
             "well_defined": consistent, "spans": spans,
             "injective": injective, "factor_map_matches": block_match,
             "holds": consistent and spans and injective and block_match}
@@ -2306,11 +2162,14 @@ def linear_tree_factorization_check(target: UAlgebra, chain: Sequence,
         relabels.append(GeneratorRelabel(upstream, downstream, mapping, y_map))
     braids = [braid_basic(target, chain[k], -epsilon, True)
               for k in range(1, n)]
+    upsilon = GeneratorRelabel(sub_alg, target,
+                               {s: s for s in sub_alg.cartan.indices},
+                               lambda mu: mu)
 
     def rhs(x: UElement) -> UElement:
         for rel in relabels:
             x = rel.apply(x)
-        y = _upsilon_apply(sub_alg, target, x)
+        y = upsilon.apply(x)
         for op in reversed(braids):
             y = op.apply(y)
         return y
@@ -2327,19 +2186,6 @@ def linear_tree_factorization_check(target: UAlgebra, chain: Sequence,
                              "rhs": render_uelement(got)})
     return {"hypothesis": True, "checked": checked,
             "holds": not failures, "failures": failures}
-
-
-def _upsilon_apply(sub: UAlgebra, full: UAlgebra, x: UElement) -> UElement:
-    """Standard embedding of a vertex-deleted subalgebra."""
-    if x.algebra is not sub:
-        raise ValueError("element does not live in the subalgebra")
-    letters = {sub.position(s): full.position(s)
-               for s in sub.cartan.indices}
-    raw: dict[Triple, QVScalar] = {}
-    for (ew, mu, fw), c in x.coords.items():
-        _add_into(raw, (tuple(letters[p] for p in ew), mu,
-                        tuple(letters[p] for p in fw)), c)
-    return UElement(full, full.reduce_triples(raw))
 
 
 def naive_square_check(target: UAlgebra, i1, i2, i3, epsilon: int) -> dict:

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from qcontract._linalg import nullspace, rank, rref, solve
+from qcontract._linalg import (dense, nullspace, rank, reduce_by_rows, rref,
+                               solve, solve_in_span, transpose)
 from qcontract.scalar import QV_ONE, QV_ZERO, QVScalar, v_power
 
 
@@ -198,3 +199,99 @@ def test_rref_matches_dense_hypothesis():
         assert_matches_dense(m, Fraction(0), Fraction(1), narrow)
 
     check()
+
+
+# --- layout and reduction helpers against the dense reference ----------------
+
+def dense_residual(red, pivots, vec):
+    """vec minus the combination of rref rows matching it on pivot columns."""
+    out = list(vec)
+    for r, pc in enumerate(pivots):
+        c = vec[pc]
+        for k in range(len(out)):
+            out[k] = out[k] - c * red[r][k]
+    return out
+
+
+def semi_echelon(vecs):
+    """A basis grown one reduced row at a time, each row scaled to 1 at its
+    first nonzero column but never cleared above (the shape psi_tensor_check
+    builds)."""
+    rows, pivots = [], []
+    for vec in vecs:
+        row = reduce_by_rows(rows, pivots, vec)
+        pc = next((k for k, x in enumerate(row) if x), None)
+        if pc is not None:
+            rows.append([x / row[pc] for x in row])
+            pivots.append(pc)
+    return rows, pivots
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dense_and_transpose(seed):
+    rng = random.Random(200 + seed)
+    zero = Fraction(0)
+    vecs = [{(rng.randint(0, 4), rng.choice("ab")): random_fraction(rng)
+             for _ in range(rng.randint(0, 5))} for _ in range(rng.randint(1, 8))]
+    keys = sorted(set().union(*vecs))
+    rows = dense(vecs, zero)
+    assert len(rows) == len(vecs)
+    for vec, row in zip(vecs, rows):
+        assert len(row) == len(keys)
+        assert {k: x for k, x in zip(keys, row) if x} == vec
+    cols = transpose(rows)
+    assert all(cols[j][i] == rows[i][j]
+               for i in range(len(rows)) for j in range(len(keys)))
+    assert transpose(cols) == (rows if keys else [])
+    assert dense([], zero) == []
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_solve_in_span_matches_dense(seed):
+    rng = random.Random(300 + seed)
+    zero = Fraction(0)
+    for _ in range(10):
+        n, dim = rng.randint(1, 10), rng.randint(1, 10)
+        vecs = sparse_matrix(rng, n, dim, random_fraction, zero, density=0.3)
+        if rng.random() < 0.5:
+            coeffs = [random_fraction(rng) for _ in range(n)]
+            target = [sum((c * v[k] for c, v in zip(coeffs, vecs)), zero)
+                      for k in range(dim)]
+        else:
+            target = [random_fraction(rng) if rng.random() < 0.4 else zero
+                      for _ in range(dim)]
+        mat = [[vecs[c][r] for c in range(n)] for r in range(dim)]
+        got = solve_in_span(vecs, target)
+        assert got == dense_solve(mat, target, zero)
+        if got is not None:
+            assert [sum((c * v[k] for c, v in zip(got, vecs)), zero)
+                    for k in range(dim)] == target
+    assert solve_in_span([], [zero, zero]) == []
+    assert solve_in_span([], [zero, Fraction(1)]) is None
+
+
+@pytest.mark.parametrize("entries", ["fraction", "qv"])
+@pytest.mark.parametrize("seed", range(3))
+def test_reduce_by_rows_matches_dense(entries, seed):
+    rng = random.Random(400 + seed)
+    entry, zero, one = ((random_fraction, Fraction(0), Fraction(1))
+                        if entries == "fraction" else (random_qv, QV_ZERO, QV_ONE))
+    for _ in range(6):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 9)
+        m = sparse_matrix(rng, nrows, ncols, entry, zero, density=0.3)
+        red, pivots = dense_rref(m)
+        semi, semi_pivots = semi_echelon(m)
+        assert sorted(semi_pivots) == pivots
+        for k, (row, pc) in enumerate(zip(semi, semi_pivots)):
+            assert row[pc] == one
+            assert not any(row[q] for q in semi_pivots[:k])
+        for _ in range(4):
+            vec = [entry(rng) if rng.random() < 0.5 else zero for _ in range(ncols)]
+            if rng.random() < 0.3:
+                vec = [a + b for a, b in zip(vec, m[rng.randrange(nrows)])]
+            want = dense_residual(red, pivots, vec)
+            assert reduce_by_rows(red, pivots, vec) == want
+            assert reduce_by_rows(semi, semi_pivots, vec) == want
+            assert all(not want[pc] for pc in pivots)
+            in_span = len(dense_rref(m + [vec])[1]) == len(pivots)
+            assert in_span == (not any(want))

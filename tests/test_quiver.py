@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qcontract import _budget
+from qcontract import _budget, quiver
 from qcontract._gf import gf
 from qcontract.cartan import ContractiblePair, contract_cartan
 from qcontract.quiver import (
@@ -186,6 +186,38 @@ def test_budget_guard():
     try:
         with pytest.raises(_budget.BudgetExceeded):
             rep_points(A2Q, {1: 4, 2: 4}, gf(5))
+    finally:
+        _budget.set_budget(saved.limit)
+
+
+ENUMERATIONS = {
+    "group_points": lambda d, F: group_points(A2Q, d, F),
+    "sub_stable_points": lambda d, F: sub_stable_points(A2Q, d, d, F),
+    "unipotent_points": lambda d, F: quiver._unipotent_points(A2Q, d, d, F),
+    "stabilizer_points": lambda d, F: quiver._stabilizer_points(A2Q, d, d, F),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATIONS))
+def test_enumerations_charge_before_building(name, monkeypatch):
+    F = gf(3)
+    calls = []
+    for meth in ("all_matrices", "general_linear"):
+        orig = getattr(type(F), meth)
+        monkeypatch.setattr(type(F), meth,
+                            lambda self, *a, _o=orig, _m=meth: calls.append(_m) or _o(self, *a))
+    saved = _budget.active_budget()
+    try:
+        budget = _budget.set_budget(1000)
+        with pytest.raises(_budget.BudgetExceeded):
+            ENUMERATIONS[name]({1: 3, 2: 3}, F)
+        assert calls == [] and budget.used == 0
+        # the closed-form charge is exactly the number of points built
+        budget = _budget.set_budget(10 ** 6)
+        for dims in ({1: 1, 2: 1}, {1: 2, 2: 1}, {1: 0, 2: 2}):
+            before = budget.used
+            got = ENUMERATIONS[name](dims, gf(2))
+            assert budget.used - before == len(got) == len(set(got))
     finally:
         _budget.set_budget(saved.limit)
 

@@ -528,6 +528,30 @@ def test_module_weights_and_relations():
     assert rep["holds"], rep["failures"]
 
 
+@pytest.mark.parametrize("alg,lam", [(U1, (2,)), (U2, (1, 1)), (U2, (2, 0)),
+                                     (U3, (1, 0, 0)), (U3, (0, 1, 0))])
+def test_module_relations_hold_on_honest_modules(alg, lam):
+    rep = module_relations_check(build_module(alg, lam))
+    assert rep["holds"] and rep["character"], rep["failures"]
+    fams = rep["families"]
+    assert set(fams) == {"K-product", "K-E", "K-F", "E-F", "Serre-E", "Serre-F"}
+    assert rep["checked"] == sum(f["checked"] for f in fams.values())
+    if alg.rank >= 2:
+        assert all(f["checked"] for f in fams.values())
+
+
+def test_module_relations_catch_a_scaled_raising_action(monkeypatch):
+    # doubling every E_i keeps the torus and Serre relations but breaks
+    # E_iF_i - F_iE_i = [K~_i], which only composed matrices can see
+    orig = uq.HWModule.e_action
+    monkeypatch.setattr(uq.HWModule, "e_action", lambda self, i, coords: {
+        k: c + c for k, c in orig(self, i, coords).items()})
+    rep = module_relations_check(uq.HWModule(U2, (1, 1)))
+    assert rep["holds"] is False and rep["character"]
+    assert [(f["family"], f["at"]) for f in rep["failures"]] == [
+        ("E-F", ["1", "1"]), ("E-F", ["2", "2"])]
+
+
 def test_module_rejects_bad_weights():
     with pytest.raises(ValueError):
         build_module(U2, (-1, 0))
