@@ -275,7 +275,23 @@ class GF:
         return out
 
     def general_linear(self, n: int) -> list[Mat]:
-        return [m for m in self.all_matrices(n, n) if self.is_invertible(m)]
+        """GL_n(F_q) in the order of ``all_matrices(n, n)`` (the last row is
+        the most significant), built from the last row up: each new row is
+        drawn from the vectors outside the span of the rows below it, so no
+        singular matrix is made."""
+        add, mul = self.add, self.mul
+        vectors = [r for (r,) in self.all_matrices(1, n)]
+        out: list[Mat] = [()]
+        for _ in range(n):
+            grown = []
+            for rows in out:
+                span = {(0,) * n}
+                for r in rows:
+                    span = {tuple(add(a, mul(c, b)) for a, b in zip(s, r))
+                            for s in span for c in range(self.q)}
+                grown.extend((r,) + rows for r in vectors if r not in span)
+            out = grown
+        return out
 
     def frobenius_mat(self, A: Mat, base: int | None = None) -> Mat:
         return tuple(tuple(self.frobenius(x, base) for x in row) for row in A)

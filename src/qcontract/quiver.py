@@ -656,82 +656,79 @@ def count_fiber_lemma_checks(contr: QuiverContraction, tau: Dims, omega: Dims,
     }
 
 
-def _with_inverses(field: GF, gs: Iterable[GPoint]) -> list[tuple[GPoint, GPoint]]:
-    return [(g, tuple(field.mat_inv(m) for m in g)) for g in gs]
+def _coset_table(field: GF, gs: Iterable[GPoint], subgroup: Iterable[GPoint]
+                 ) -> dict[GPoint, tuple[GPoint, GPoint, GPoint]]:
+    """g -> (m, t, t^-1) with m the lex-least element of the coset gS and
+    t = m^-1 g.  As s -> g s^-1 is injective, the lex-least member of the
+    class of (g, x) under (g, x) ~ (g s^-1, s.x) is (m, t.x).  Each coset
+    is walked twice, once for m and once as mS: 2|G| group products."""
+    def mul(a: GPoint, b: GPoint) -> GPoint:
+        return tuple(field.mat_mul(am, bm) for am, bm in zip(a, b))
+
+    pairs = [(s, tuple(field.mat_inv(m) for m in s)) for s in subgroup]
+    table: dict[GPoint, tuple[GPoint, GPoint, GPoint]] = {}
+    for g in gs:
+        if g not in table:
+            m = min(mul(g, s) for s, _ in pairs)
+            table.update((mul(m, s), (m, s, sinv)) for s, sinv in pairs)
+    return table
 
 
-def _class_rep(field: GF, quiver: Quiver, g: GPoint, x: Point,
-               subgroup: list[tuple[GPoint, GPoint]]) -> tuple[GPoint, Point]:
-    """Lex-least representative of the class of (g, x) under
-    (g, x) ~ (g s^-1, s.x) for s in the subgroup."""
-    best = None
-    for s, sinv in subgroup:
-        cand = (tuple(field.mat_mul(gm, sm) for gm, sm in zip(g, sinv)),
-                act(field, quiver, s, x, sinv))
-        if best is None or cand < best:
-            best = cand
-    return best
+def _table_rep(field: GF, quiver: Quiver, table: dict, g: GPoint, x: Point
+               ) -> tuple[GPoint, Point]:
+    m, t, tinv = table[g]
+    return m, act(field, quiver, t, x, tinv)
 
 
 def _p_prime_report(contr: QuiverContraction, tau: Dims, omega: Dims,
                     field: GF, s_heart: list[Point]) -> dict:
     """Induction-side bundle: fibers of the map from classes of (g, x) modulo
     the unipotent stabilizer to pairs (contracted class, class modulo the
-    full block stabilizer).  Tiny instances only."""
+    full block stabilizer).  Representatives come from one _coset_table
+    per subgroup U, Q, hat-U and hat-Q (2|G| or 2|hat G| group products
+    each), then one action per class: |G/U| |s_heart| classes upstairs,
+    |hat G/hat U| |hat S_W| on the contracted side."""
     q = contr.quiver
     nu = {v: tau[v] + omega[v] for v in q.vertices}
     hat = contr.hat_quiver
-    hat_nu = contr.contracted_dims(nu)
     hat_omega = contr.contracted_dims(omega)
     hat_tau = contr.contracted_dims(tau)
 
     g_all = group_points(q, nu, field)
-    u_all = _with_inverses(field, _unipotent_points(q, omega, tau, field))
-    q_all = _with_inverses(field, _stabilizer_points(q, omega, tau, field))
-    hat_u = _with_inverses(field, _unipotent_points(hat, hat_omega, hat_tau, field))
-    hat_q = _with_inverses(field, _stabilizer_points(hat, hat_omega, hat_tau, field))
+    hat_g = group_points(hat, contr.contracted_dims(nu), field)
+    u_of = _coset_table(field, g_all, _unipotent_points(q, omega, tau, field))
+    q_of = _coset_table(field, g_all, _stabilizer_points(q, omega, tau, field))
+    hat_u_of = _coset_table(field, hat_g, _unipotent_points(hat, hat_omega, hat_tau, field))
+    hat_q_of = _coset_table(field, hat_g, _stabilizer_points(hat, hat_omega, hat_tau, field))
 
-    # classes of (g, x) modulo the unipotent radical
-    e1_classes: list[tuple[GPoint, Point]] = []
-    seen: set = set()
-    for g in g_all:
-        for x in s_heart:
-            _budget.charge()
-            if (g, x) in seen:
-                continue
-            members = set()
-            for u, uinv in u_all:
-                members.add((tuple(field.mat_mul(gm, um) for gm, um in zip(g, uinv)),
-                             act(field, q, u, x, uinv)))
-            seen.update(members)
-            e1_classes.append(min(members))
-
+    # classes of (g, x) modulo the unipotent radical: U preserves s_heart, so
+    # each class has exactly one member (m, x) with m a minimum of G/U
+    mu = {x: mu_contraction(contr, nu, field, x) for x in s_heart}
     fibers: dict[tuple, int] = {}
     e2_of: dict = {}
-    for g, x in e1_classes:
+    for g in dict.fromkeys(m for m, _, _ in u_of.values()):
         ghat = contr.project_group(g)
-        xhat = mu_contraction(contr, nu, field, x)
-        e1_hat = _class_rep(field, hat, ghat, xhat, hat_u)
-        e2 = _class_rep(field, q, g, x, q_all)
-        e2_of.setdefault(e2, (ghat, xhat))
-        key = (e1_hat, e2)
-        fibers[key] = fibers.get(key, 0) + 1
+        for x in s_heart:
+            _budget.charge()
+            e1_hat = _table_rep(field, hat, hat_u_of, ghat, mu[x])
+            e2 = _table_rep(field, q, q_of, g, x)
+            e2_of.setdefault(e2, (ghat, mu[x]))
+            key = (e1_hat, e2)
+            fibers[key] = fibers.get(key, 0) + 1
     sizes = set(fibers.values())
     minus_quiver = Quiver(tuple(contr.pair.minus), ())
     expected = group_order(minus_quiver, tau, field.q) \
         * group_order(minus_quiver, omega, field.q)
 
-    # the fiber-product target: hat classes mod hat-U paired with classes mod
-    # Q that agree inside the hat classes mod hat-Q
-    e1_hat_all = set()
-    for ghat in group_points(hat, hat_nu, field):
-        for xhat in sub_stable_points(hat, hat_omega, hat_tau, field):
-            _budget.charge()
-            e1_hat_all.add(_class_rep(field, hat, ghat, xhat, hat_u))
-    push = {e: _class_rep(field, hat, e[0], e[1], hat_q) for e in e1_hat_all}
-    e2_push = {}
-    for e2, (ghat, xhat) in e2_of.items():
-        e2_push[e2] = _class_rep(field, hat, ghat, xhat, hat_q)
+    # the fiber-product target: hat classes mod hat-U (one (m, xhat) each, as
+    # hat-U preserves hat S_W) paired with classes mod Q that agree inside
+    # the hat classes mod hat-Q
+    hat_s = sub_stable_points(hat, hat_omega, hat_tau, field)
+    e1_hat_all = {(m, xhat) for m in {m for m, _, _ in hat_u_of.values()}
+                  for xhat in hat_s}
+    _budget.charge(len(e1_hat_all))
+    push = {e: _table_rep(field, hat, hat_q_of, *e) for e in e1_hat_all}
+    e2_push = {e2: _table_rep(field, hat, hat_q_of, *gx) for e2, gx in e2_of.items()}
     full_target = {(e1_hat, e2)
                    for e1_hat in e1_hat_all for e2 in e2_push
                    if push[e1_hat] == e2_push[e2]}

@@ -1625,6 +1625,11 @@ class HWModule:
             for nu in _degrees_up_to(alg.rank, level):
                 if sum(nu) != level:
                     continue
+                # M_nu = sum_p F_p M_(nu - e_p): zero when no degree one
+                # letter below it survived, so its component is not built
+                if level and not any(nu[:p] + (a - 1,) + nu[p + 1:] in self.reps
+                                     for p, a in enumerate(nu) if a):
+                    continue
                 comp = f.component(nu)
                 if not comp.basis:
                     continue

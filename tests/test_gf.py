@@ -43,3 +43,12 @@ def test_mat_inv_on_every_2x2(q):
         assert F.mat_mul(A, inv) == F.mat_id(2)
         assert F.mat_mul(inv, A) == F.mat_id(2)
     assert invertible == gl_order(2, q) == len(F.general_linear(2))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_general_linear_is_the_invertible_filter_in_order(q):
+    F = gf(q)
+    for n in range(4):
+        want = [m for m in F.all_matrices(n, n) if F.is_invertible(m)]
+        assert F.general_linear(n) == want
+        assert len(want) == gl_order(n, q)

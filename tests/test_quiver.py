@@ -8,8 +8,8 @@ from qcontract.cartan import ContractiblePair, contract_cartan
 from qcontract.quiver import (
     AdmissibleAutomorphism, OrbitPair, Quiver, RepSpace, act, block_quot,
     block_sub, contract_quiver, count_fiber_lemma_checks, group_order,
-    group_points, heart_subset, is_sub_stable, make_quiver, mu_contraction,
-    mu_fiber_report, quiver_cartan, rep_points, sub_stable_points,
+    group_points, heart_subset, is_heart, is_sub_stable, make_quiver,
+    mu_contraction, mu_fiber_report, quiver_cartan, rep_points, sub_stable_points,
     twisted_frobenius_fixed, twisted_frobenius_fixed_group,
 )
 
@@ -350,6 +350,62 @@ def test_fiber_lemma_degenerate_sub():
     rep = count_fiber_lemma_checks(contr, {1: 1, 2: 1}, {1: 0, 2: 0}, gf(2))
     assert rep["kappa_fiber_observed"] == 1
     assert rep["p_prime"]["observed"] == 1 and rep["p_prime"]["matches"]
+
+
+def test_fiber_lemma_report_pinned_f3():
+    ident = AdmissibleAutomorphism.identity(A2Q)
+    contr = contract_quiver(A2Q, ident, OrbitPair((1,), (2,)))
+    rep = count_fiber_lemma_checks(contr, {1: 1, 2: 1}, {1: 1, 2: 1}, gf(3))
+    assert rep["cartesian_top_squares"]
+    assert rep["kappa_fiber_constant"] and rep["kappa_surjective"]
+    assert rep["kappa_fiber_observed"] == 3 and rep["kappa_fiber_formula"] == 9
+    assert not rep["kappa_fiber_matches"]
+    assert rep["p_prime"] == {"constant": True, "observed": 4, "expected": 4,
+                              "matches": True, "surjective": True}
+
+
+def _stable_heart(tau, omega, F):
+    return [x for x in sub_stable_points(A2Q, omega, tau, F)
+            if is_heart(A2Q, OrbitPair((1,), (2,)), F, x)]
+
+
+def _lex_least_member(F, g, x, subgroup):
+    """The least member of the class of (g, x) under (g, x) ~ (g s^-1, s.x),
+    searched over the (s, s^-1) pairs of the whole subgroup."""
+    return min((tuple(F.mat_mul(gm, sm) for gm, sm in zip(g, sinv)),
+                act(F, A2Q, s, x, sinv)) for s, sinv in subgroup)
+
+
+@pytest.mark.parametrize("q, tau, omega, sample", [
+    (2, {1: 1, 2: 1}, {1: 1, 2: 1}, None),
+    (2, {1: 2, 2: 2}, {1: 0, 2: 0}, None),
+    (3, {1: 1, 2: 1}, {1: 0, 2: 0}, None),
+    (3, {1: 1, 2: 1}, {1: 1, 2: 1}, 150),
+])
+@pytest.mark.parametrize("subgroup", ["unipotent", "stabilizer"])
+def test_coset_table_gives_the_lex_least_class_member(q, tau, omega, sample, subgroup):
+    F = gf(q)
+    nu = {v: tau[v] + omega[v] for v in A2Q.vertices}
+    sub = getattr(quiver, f"_{subgroup}_points")(A2Q, omega, tau, F)
+    g_all = group_points(A2Q, nu, F)
+    table = quiver._coset_table(F, g_all, sub)
+    assert set(table) == set(g_all)
+    with_inv = [(s, tuple(F.mat_inv(m) for m in s)) for s in sub]
+    heart = _stable_heart(tau, omega, F)
+    pairs = [(g, x) for g in g_all for x in heart]
+    if sample is not None:
+        pairs = random.Random(q).sample(pairs, sample)
+    for g, x in pairs:
+        assert quiver._table_rep(F, A2Q, table, g, x) == _lex_least_member(F, g, x, with_inv)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_unipotent_radical_preserves_the_stable_heart(q):
+    F = gf(q)
+    dims = {1: 1, 2: 1}
+    heart = set(_stable_heart(dims, dims, F))
+    for u in quiver._unipotent_points(A2Q, dims, dims, F):
+        assert {act(F, A2Q, u, x) for x in heart} == heart
 
 
 def test_rep_space_orbits():

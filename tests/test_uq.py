@@ -8,7 +8,7 @@ from qcontract.cartan import (
     ContractiblePair, simply_connected_datum, simply_laced_cartan,
 )
 from qcontract import uq
-from qcontract.falg import _pbw_data, theta
+from qcontract.falg import FAlgebra, _pbw_data, theta
 from qcontract.scalar import (
     QV_ONE, QV_ZERO, quantum_integer, v_power,
 )
@@ -516,6 +516,33 @@ def test_module_dims_match_weyl_count():
     # rank three checks against the same hook-content count
     assert build_module(U3, (1, 0, 0)).dim == 4
     assert build_module(U3, (0, 1, 0)).dim == 6
+
+
+@pytest.mark.parametrize("cartan, lam, builds, basis, weights", [
+    (A2, (1, 1), 15,
+     [((0, 0), 0), ((0, 1), 0), ((1, 0), 0), ((1, 1), 0), ((1, 1), 1),
+      ((1, 2), 1), ((2, 1), 1), ((2, 2), 2)],
+     [(1, 1), (2, -1), (-1, 2), (0, 0), (0, 0), (1, -2), (-2, 1), (-1, -1)]),
+    (A3, (0, 1, 0), 25,
+     [((0, 0, 0), 0), ((0, 1, 0), 0), ((0, 1, 1), 1), ((1, 1, 0), 0),
+      ((1, 1, 1), 1), ((1, 2, 1), 3)],
+     [(0, 1, 0), (1, -1, 1), (1, 0, -1), (-1, 0, 1), (-1, 1, -1), (0, -1, 0)]),
+])
+def test_module_builds_only_reachable_components(cartan, lam, builds, basis,
+                                                 weights, monkeypatch):
+    # M_nu = sum_p F_p M_(nu - e_p), so a degree with no surviving degree one
+    # letter below it is skipped; building every degree of each level took
+    # 21 and 56 components and gave the same module data
+    alg = UAlgebra(simply_connected_datum(cartan), 8)
+    built = []
+    orig = FAlgebra._build_component
+    monkeypatch.setattr(FAlgebra, "_build_component",
+                        lambda self, nu, *a: built.append(nu) or orig(self, nu, *a))
+    mod = uq.HWModule(alg, lam)
+    assert len(built) == len(set(built)) == builds
+    assert mod.basis == basis and mod.weights == weights
+    assert mod.reps == {nu: [c for m, c in basis if m == nu] for nu, _ in basis}
+    assert mod.index == {b: k for k, b in enumerate(basis)}
 
 
 def test_module_weights_and_relations():
