@@ -381,11 +381,11 @@ def theta(algebra: FAlgebra, i, n: int = 1) -> FElement:
     return felement(algebra, nu, {(p,) * n: c})
 
 
-def from_free(algebra: FAlgebra, coords: Mapping, by_symbol: bool = True) -> FElement:
+def from_free(algebra: FAlgebra, coords: Mapping) -> FElement:
     """Reduce a combination of divided-power words given by index symbols."""
     free: dict[FreeWord, QVScalar] = {}
     for fw, c in coords.items():
-        key = tuple((algebra.position(s) if by_symbol else s, n) for s, n in fw)
+        key = tuple((algebra.position(s), n) for s, n in fw)
         _add_into(free, key, qv(c))
     plain = algebra.expand_free(free)
     if not plain:

@@ -18,12 +18,12 @@ from typing import Callable, Mapping, Sequence
 
 from ._budget import charge
 from ._linalg import (dense, rank as _mat_rank, reduce_by_rows, rref as _rref,
-                      solve_in_span, transpose)
+                      transpose)
 from .cartan import (CartanDatum, ContractiblePair, RootDatum,
                      contract_root_datum)
 from .falg import (FAlgebra, FElement, LinearCombination, _add_into,
-                   _degrees_up_to, felement, psi_dagger_epsilon, psi_epsilon,
-                   theta)
+                   _degrees_up_to, canonical_basis, felement,
+                   psi_dagger_epsilon, psi_epsilon, theta)
 from .scalar import (QV_ONE, QV_ZERO, QVScalar, bar as scalar_bar, qv,
                      quantum_factorial, quantum_integer, render_scalar,
                      v_power)
@@ -130,7 +130,6 @@ class UAlgebra:
                 w = self.weight_pairing(kt, self.f.word_degree(rest))
                 _add_into(out, (rest, kt, ()), -v_power(w) * den)
                 _add_into(out, (rest, _neg(kt), ()), v_power(-w) * den)
-            out = {k: c for k, c in out.items() if c}
         self._cross_one_memo[key] = out
         return out
 
@@ -150,7 +149,6 @@ class UAlgebra:
                 w = self.weight_pairing(k1, self.f.word_degree(f2))
                 _add_into(out, (a2, _vadd(k1, k2), f2 + f1),
                           c1 * c2 * v_power(w))
-        out = {k: c for k, c in out.items() if c}
         self._cross_memo[key] = out
         return out
 
@@ -169,7 +167,7 @@ class UAlgebra:
             for a, ca in self._reduce_word(ew).items():
                 for b, cb in self._reduce_word(fw).items():
                     _add_into(out, (a, mu, b), c * ca * cb)
-        return {k: c for k, c in out.items() if c}
+        return out
 
 
 class UElement(LinearCombination):
@@ -376,24 +374,11 @@ class UEmbedding:
         return self.plus_map.degree_map(nu)
 
 
-def _e_images_of(emb: UEmbedding) -> dict:
-    out = {}
-    for i in emb.source.cartan.indices:
-        if i == emb.merged:
-            out[i] = e_merged(emb.target, emb.pair, emb.epsilon)
-        else:
-            out[i] = e_gen(emb.target, i)
-    return out
-
-
-def _f_images_of(emb: UEmbedding) -> dict:
-    out = {}
-    for i in emb.source.cartan.indices:
-        if i == emb.merged:
-            out[i] = f_merged(emb.target, emb.pair, emb.epsilon)
-        else:
-            out[i] = f_gen(emb.target, i)
-    return out
+def _images_of(emb: UEmbedding, lowering: bool) -> dict:
+    """Target images of the source's raising (or lowering) generators."""
+    merged, gen = (f_merged, f_gen) if lowering else (e_merged, e_gen)
+    return {i: merged(emb.target, emb.pair, emb.epsilon) if i == emb.merged
+            else gen(emb.target, i) for i in emb.source.cartan.indices}
 
 
 def _y_basis(algebra: UAlgebra) -> list[YVec]:
@@ -412,7 +397,7 @@ def _named_generators(algebra: UAlgebra) -> list[tuple[str, UElement]]:
 
 def _generators_with_images(emb: UEmbedding) -> list[tuple[str, UElement, UElement]]:
     """The source's named generators, each with its assigned target image."""
-    e_imgs, f_imgs = _e_images_of(emb), _f_images_of(emb)
+    e_imgs, f_imgs = _images_of(emb, False), _images_of(emb, True)
     images = [img for i in emb.source.cartan.indices
               for img in (e_imgs[i], f_imgs[i])]
     images += [k_gen(emb.target, mu) for mu in _y_basis(emb.source)]
@@ -495,47 +480,14 @@ def check_relations(source: UAlgebra, target: UAlgebra,
 
 def embedding_relations_check(emb: UEmbedding) -> dict:
     return check_relations(emb.source, emb.target,
-                           _e_images_of(emb), _f_images_of(emb))
+                           _images_of(emb, False), _images_of(emb, True))
 
 
 def psi_preimage(emb: UEmbedding, y: UElement) -> UElement | None:
-    """Solve for the source element with the given image, blockwise over
-    (raising degree, torus, lowering degree); None when no preimage exists."""
-    tgt, src = emb.target, emb.source
-    pp, pm = tgt.position(emb.pair.plus), tgt.position(emb.pair.minus)
-    blocks: dict[tuple[Degree, YVec, Degree], dict[Triple, QVScalar]] = {}
-    for (ew, mu, fw), c in y.coords.items():
-        key = (tgt.f.word_degree(ew), mu, tgt.f.word_degree(fw))
-        blocks.setdefault(key, {})[(ew, mu, fw)] = c
-    out: dict[Triple, QVScalar] = {}
-    for (de, mu, df), part in blocks.items():
-        if de[pp] != de[pm] or df[pp] != df[pm]:
-            return None
-        nu_e = _degree_preimage(emb, de)
-        nu_f = _degree_preimage(emb, df)
-        pairs = [(a, b) for a in src.f.component(nu_e).basis
-                 for b in src.f.component(nu_f).basis]
-        *images, rhs = dense([emb.substitute({(a, mu, b): QV_ONE})
-                              for a, b in pairs] + [part], QV_ZERO)
-        sol = solve_in_span(images, rhs)
-        if sol is None:
-            return None
-        for (a, b), c in zip(pairs, sol):
-            if c:
-                _add_into(out, (a, mu, b), c)
-    return UElement(src, out)
-
-
-def _degree_preimage(emb: UEmbedding, nu: Degree) -> Degree:
-    """Letter degree upstairs; the two contracted coordinates must agree."""
-    src, tgt = emb.source, emb.target
-    out = [0] * src.rank
-    for q, sym in enumerate(src.cartan.indices):
-        if sym == emb.merged:
-            out[q] = nu[tgt.position(emb.pair.plus)]
-        else:
-            out[q] = nu[tgt.position(sym)]
-    return tuple(out)
+    """The source element whose image is y, or None when y is not in the
+    image; the embedding is injective, so the preimage is unique."""
+    sol = _solve_mod_ideal(emb, y, [])
+    return None if sol is None else sol[0]
 
 
 def u_injectivity_report(emb: UEmbedding, max_total: int) -> dict:
@@ -791,21 +743,23 @@ def psi_udot(emb: UEmbedding, x: UdotElement) -> UdotElement:
     return UdotElement(emb.target, emb.substitute(x.coords))
 
 
-def psi_dot_check(emb: UEmbedding, weights: Sequence, max_letters: int = 2) -> dict:
+def psi_dot_check(emb: UEmbedding, weights: Sequence) -> dict:
     """Bimodule compatibility of the idempotented embedding at the given
-    middle weights, on generator words up to a letter bound."""
+    middle weights: each base element x_s (the idempotent 1_λ and each
+    generator times it) maps to its target counterpart x_t, and the embedding
+    intertwines every generator acting on x_s from either side.  Each base
+    comparison and each side counts as one checked identity."""
     src, tgt = emb.source, emb.target
     gens = _generators_with_images(emb)
     failures = []
     checked = 0
     for lam in weights:
         lam = src.x_vector(lam)
-        base_pairs = [(udot_idempotent(src, lam), udot_idempotent(tgt, lam))]
-        if max_letters > 1:
-            for name, g, gi in gens:
-                base_pairs.append((u_act_udot(g, udot_idempotent(src, lam)),
-                                   u_act_udot(gi, udot_idempotent(tgt, lam))))
+        one_s, one_t = udot_idempotent(src, lam), udot_idempotent(tgt, lam)
+        base_pairs = [(one_s, one_t)] + [
+            (u_act_udot(g, one_s), u_act_udot(gi, one_t)) for _, g, gi in gens]
         for xs, xt in base_pairs:
+            checked += 1
             if psi_udot(emb, xs) != xt:
                 failures.append({"weight": list(lam),
                                  "diff": render_udot(psi_udot(emb, xs) - xt)})
@@ -938,47 +892,72 @@ class ComposedBraid:
         return x
 
 
+class _Identities:
+    """Recorder of checked identities: each ``expect`` counts one, and a
+    mismatch is a failure with both sides rendered; a ``got`` of None means
+    no preimage was found."""
+
+    def __init__(self):
+        self.checked = 0
+        self.failures: list[dict] = []
+
+    def expect(self, label: str, got: UElement | None, want: UElement) -> None:
+        self.checked += 1
+        if got is None or got != want:
+            self.failures.append({
+                "identity": label,
+                "got": "no preimage" if got is None else render_uelement(got),
+                "want": render_uelement(want)})
+
+
 def braid_formula_gate(algebra: UAlgebra, pair: ContractiblePair) -> dict:
     """Consistency gate for the substitution formulas: the operators must
     reproduce the quoted evaluations on the merged generators."""
     pp = algebra.position(pair.plus)
     d0 = algebra._d[pp]
-    failures = []
-
-    def expect(label: str, got: UElement, want: UElement):
-        if got != want:
-            failures.append({"identity": label,
-                             "got": render_uelement(got),
-                             "want": render_uelement(want)})
-
+    ids = _Identities()
     tp1 = braid_basic(algebra, pair.plus, 1)
     tm1 = braid_basic(algebra, pair.minus, 1)
-    expect("plus moves merged(-1) to the minus generator",
-           tp1.apply(e_merged(algebra, pair, -1)), e_gen(algebra, pair.minus))
-    expect("plus moves merged(-1) to the minus generator, lowering",
-           tp1.apply(f_merged(algebra, pair, -1)), f_gen(algebra, pair.minus))
-    expect("minus moves merged(+1) to the plus generator",
-           tm1.apply(e_merged(algebra, pair, 1)),
-           e_gen(algebra, pair.plus).scale(-v_power(-d0)))
-    expect("minus moves merged(+1) to the plus generator, lowering",
-           tm1.apply(f_merged(algebra, pair, 1)),
-           f_gen(algebra, pair.plus).scale(-v_power(d0)))
+    ids.expect("plus moves merged(-1) to the minus generator",
+               tp1.apply(e_merged(algebra, pair, -1)), e_gen(algebra, pair.minus))
+    ids.expect("plus moves merged(-1) to the minus generator, lowering",
+               tp1.apply(f_merged(algebra, pair, -1)), f_gen(algebra, pair.minus))
+    ids.expect("minus moves merged(+1) to the plus generator",
+               tm1.apply(e_merged(algebra, pair, 1)),
+               e_gen(algebra, pair.plus).scale(-v_power(-d0)))
+    ids.expect("minus moves merged(+1) to the plus generator, lowering",
+               tm1.apply(f_merged(algebra, pair, 1)),
+               f_gen(algebra, pair.plus).scale(-v_power(d0)))
     for e in (1, -1):
         tme = braid_basic(algebra, pair.minus, e)
         tpe = braid_basic(algebra, pair.plus, e)
-        expect(f"minus sends plus generator to merged(e={e})",
-               tme.apply(e_gen(algebra, pair.plus)),
-               e_merged(algebra, pair, -e))
-        expect(f"minus sends plus generator to merged(e={e}), lowering",
-               tme.apply(f_gen(algebra, pair.plus)),
-               f_merged(algebra, pair, -e))
-        expect(f"plus sends minus generator to merged(e={e})",
-               tpe.apply(e_gen(algebra, pair.minus)),
-               e_merged(algebra, pair, e).scale(-v_power(e * d0)))
-        expect(f"plus sends minus generator to merged(e={e}), lowering",
-               tpe.apply(f_gen(algebra, pair.minus)),
-               f_merged(algebra, pair, e).scale(-v_power(-e * d0)))
-    return {"holds": not failures, "failures": failures}
+        ids.expect(f"minus sends plus generator to merged(e={e})",
+                   tme.apply(e_gen(algebra, pair.plus)),
+                   e_merged(algebra, pair, -e))
+        ids.expect(f"minus sends plus generator to merged(e={e}), lowering",
+                   tme.apply(f_gen(algebra, pair.plus)),
+                   f_merged(algebra, pair, -e))
+        ids.expect(f"plus sends minus generator to merged(e={e})",
+                   tpe.apply(e_gen(algebra, pair.minus)),
+                   e_merged(algebra, pair, e).scale(-v_power(e * d0)))
+        ids.expect(f"plus sends minus generator to merged(e={e}), lowering",
+                   tpe.apply(f_gen(algebra, pair.minus)),
+                   f_merged(algebra, pair, e).scale(-v_power(-e * d0)))
+    return {"holds": not ids.failures, "failures": ids.failures}
+
+
+def _chain_sum(power: Callable[[int], UElement], gen: UElement, n: int,
+               twist: int, r_first: bool) -> UElement:
+    """sum over r + s = n of (-v^twist)^r X^(a) gen X^(b), where X^(k) is
+    power(k) and (a, b) is (r, s) when r_first and (s, r) otherwise: the
+    braid symmetry's image of a neighboring generator (Lusztig,
+    Introduction to Quantum Groups, 37.1.3)."""
+    acc = UElement(gen.algebra, {})
+    for r in range(n + 1):
+        a, b = (r, n - r) if r_first else (n - r, r)
+        acc = acc + u_multiply(u_multiply(power(a), gen), power(b)) \
+            .scale(_sign_power(twist, r))
+    return acc
 
 
 def _ensure_gate(algebra: UAlgebra, pair: ContractiblePair) -> None:
@@ -1030,59 +1009,31 @@ def braid_props_check(algebra: UAlgebra, pair: ContractiblePair) -> dict:
     pp = algebra.position(pair.plus)
     d0 = algebra._d[pp]
     kt0 = k_merged_vector(algebra, pair)
-    failures = []
-    checked = 0
-
-    def expect(label: str, got: UElement, want: UElement):
-        nonlocal checked
-        checked += 1
-        if got != want:
-            failures.append({"identity": label,
-                             "got": render_uelement(got),
-                             "want": render_uelement(want)})
-
+    ids = _Identities()
     others = [j for j in algebra.cartan.indices
               if j not in (pair.plus, pair.minus)]
-
-    def chain_sum(gen: UElement, nj: int, eps: int, lowering: bool,
-                  r_first: bool, twist: int, signed: bool) -> UElement:
-        """sum_r (-1)^r v^(twist r) M^(a) gen M^(b) over r + s = nj, with M
-        the merged(eps) generator in divided powers, (a, b) = (r, s) when
-        r_first and (s, r) otherwise, times (-v^twist)^nj when signed."""
-        extra = _sign_power(twist, nj) if signed else QV_ONE
-        acc = UElement(algebra, {})
-        for r in range(nj + 1):
-            s = nj - r
-            a, b = (r, s) if r_first else (s, r)
-            sign = QV_ONE if r % 2 == 0 else -QV_ONE
-            acc = acc + u_multiply(
-                u_multiply(_merged_divided(algebra, pair, eps, a, lowering), gen),
-                _merged_divided(algebra, pair, eps, b, lowering)) \
-                .scale(sign * v_power(twist * r) * extra)
-        return acc
-
     for e in (1, -1):
         tp = tilde_braid_i0(algebra, pair, e, primed=True)
         td = tilde_braid_i0(algebra, pair, e, primed=False)
         ke = k_gen(algebra, tuple(e * a for a in kt0))
         kem = k_gen(algebra, tuple(-e * a for a in kt0))
         for eps in (1, -1):
-            expect(f"primed list 1 (e={e}, eps={eps})",
-                   tp.apply(e_merged(algebra, pair, eps)),
-                   u_multiply(ke, f_merged(algebra, pair, -eps))
-                   .scale(v_power(-e * d0)))
-            expect(f"primed list 2 (e={e}, eps={eps})",
-                   tp.apply(f_merged(algebra, pair, eps)),
-                   u_multiply(e_merged(algebra, pair, -eps), kem)
-                   .scale(v_power(e * d0)))
-            expect(f"doubleprime list 1 (e={e}, eps={eps})",
-                   td.apply(e_merged(algebra, pair, eps)),
-                   u_multiply(f_merged(algebra, pair, -eps), ke)
-                   .scale(v_power(e * d0)))
-            expect(f"doubleprime list 2 (e={e}, eps={eps})",
-                   td.apply(f_merged(algebra, pair, eps)),
-                   u_multiply(kem, e_merged(algebra, pair, -eps))
-                   .scale(v_power(-e * d0)))
+            ids.expect(f"primed list 1 (e={e}, eps={eps})",
+                       tp.apply(e_merged(algebra, pair, eps)),
+                       u_multiply(ke, f_merged(algebra, pair, -eps))
+                       .scale(v_power(-e * d0)))
+            ids.expect(f"primed list 2 (e={e}, eps={eps})",
+                       tp.apply(f_merged(algebra, pair, eps)),
+                       u_multiply(e_merged(algebra, pair, -eps), kem)
+                       .scale(v_power(e * d0)))
+            ids.expect(f"doubleprime list 1 (e={e}, eps={eps})",
+                       td.apply(e_merged(algebra, pair, eps)),
+                       u_multiply(f_merged(algebra, pair, -eps), ke)
+                       .scale(v_power(e * d0)))
+            ids.expect(f"doubleprime list 2 (e={e}, eps={eps})",
+                       td.apply(f_merged(algebra, pair, eps)),
+                       u_multiply(kem, e_merged(algebra, pair, -eps))
+                       .scale(v_power(-e * d0)))
         for j in others:
             nj = -(algebra.cartan.cartan_entry(pair.plus, j)
                    + algebra.cartan.cartan_entry(pair.minus, j))
@@ -1100,12 +1051,16 @@ def braid_props_check(algebra: UAlgebra, pair: ContractiblePair) -> dict:
                         r_first = primed != lowering
                         twist = e * d0 if r_first else -e * d0
                         gen = (f_gen if lowering else e_gen)(algebra, j)
-                        expect(f"{kind} list {first + lowering} (e={e}, {tag}={j})",
-                               op.apply(gen),
-                               chain_sum(gen, nj, eps, lowering, r_first, twist,
-                                         primed == signed_primed))
-    return {"assumption": True, "checked": checked,
-            "holds": not failures, "failures": failures}
+                        want = _chain_sum(
+                            lambda k: _merged_divided(algebra, pair, eps, k,
+                                                      lowering),
+                            gen, nj, twist, r_first)
+                        if primed == signed_primed:
+                            want = want.scale(_sign_power(twist, nj))
+                        ids.expect(f"{kind} list {first + lowering} (e={e}, {tag}={j})",
+                                   op.apply(gen), want)
+    return {"assumption": True, "checked": ids.checked,
+            "holds": not ids.failures, "failures": ids.failures}
 
 
 def _end_vertex(cartan: CartanDatum, i) -> bool:
@@ -1178,18 +1133,7 @@ def braid_on_V_check(emb: UEmbedding, e: int) -> dict:
     emb_opp = UEmbedding(tgt, pair, -eps, new_index=emb.merged,
                          source=src)
     kt0 = k_merged_vector(tgt, pair)
-    failures = []
-    checked = 0
-
-    def expect(label: str, got, want):
-        nonlocal checked
-        checked += 1
-        if got is None or got != want:
-            failures.append({
-                "identity": label,
-                "got": "no preimage" if got is None else render_uelement(got),
-                "want": render_uelement(want)})
-
+    ids = _Identities()
     gens = _named_generators(src)
     for primed in (True, False):
         tilde = tilde_braid_i0(tgt, pair, e, primed)
@@ -1200,7 +1144,7 @@ def braid_on_V_check(emb: UEmbedding, e: int) -> dict:
             xhat = psi_preimage(emb_opp, y)
             got = None if xhat is None else chi(xhat)
             kind = "primed" if primed else "doubleprime"
-            expect(f"{kind} agreement on {name} (e={e})", got, own.apply(g))
+            ids.expect(f"{kind} agreement on {name} (e={e})", got, own.apply(g))
     chi = chi_maps(emb, e * eps)
     tilde = tilde_braid_i0(tgt, pair, e, True)
 
@@ -1208,24 +1152,25 @@ def braid_on_V_check(emb: UEmbedding, e: int) -> dict:
         xhat = psi_preimage(emb_opp, tilde.apply(x))
         return None if xhat is None else emb.apply(chi(xhat))
 
-    expect("closed form on the merged raising generator",
-           v_op(e_merged(tgt, pair, eps)),
-           u_multiply(k_gen(tgt, tuple(e * a for a in kt0)),
-                      f_merged(tgt, pair, eps)).scale(-QV_ONE))
-    expect("closed form on the merged lowering generator",
-           v_op(f_merged(tgt, pair, eps)),
-           u_multiply(e_merged(tgt, pair, eps),
-                      k_gen(tgt, tuple(-e * a for a in kt0))).scale(-QV_ONE))
+    ids.expect("closed form on the merged raising generator",
+               v_op(e_merged(tgt, pair, eps)),
+               u_multiply(k_gen(tgt, tuple(e * a for a in kt0)),
+                          f_merged(tgt, pair, eps)).scale(-QV_ONE))
+    ids.expect("closed form on the merged lowering generator",
+               v_op(f_merged(tgt, pair, eps)),
+               u_multiply(e_merged(tgt, pair, eps),
+                          k_gen(tgt, tuple(-e * a for a in kt0))).scale(-QV_ONE))
     root_sum = _vadd(tgt.datum.root(pair.plus), tgt.datum.root(pair.minus))
     coroot_sum = _vadd(tgt.datum.coroot(pair.plus),
                        tgt.datum.coroot(pair.minus))
     for mu in _y_basis(tgt):
         n = tgt.datum.pair(mu, root_sum)
         want_mu = tuple(a - n * b for a, b in zip(mu, coroot_sum))
-        expect(f"torus case K{mu}", v_op(k_gen(tgt, mu)),
-               k_gen(tgt, want_mu))
+        ids.expect(f"torus case K{mu}", v_op(k_gen(tgt, mu)),
+                   k_gen(tgt, want_mu))
     survivors = [j for j in tgt.cartan.indices
                  if j not in (pair.plus, pair.minus)]
+    e0, f0 = e_merged(tgt, pair, eps), f_merged(tgt, pair, eps)
     for j in survivors:
         dj = tgt._d[tgt.position(j)]
         nj = -(tgt.datum.pair(tgt.datum.coroot(j),
@@ -1234,41 +1179,21 @@ def braid_on_V_check(emb: UEmbedding, e: int) -> dict:
         for ee in (1, -1):
             for primed in (True, False):
                 op = braid_basic(tgt, j, ee, primed)
-                acc_e = UElement(tgt, {})
-                acc_f = UElement(tgt, {})
-                for r in range(nj + 1):
-                    s = nj - r
-                    sign = QV_ONE if r % 2 == 0 else -QV_ONE
-                    er = e_gen(tgt, j, r)
-                    es = e_gen(tgt, j, s)
-                    fr = f_gen(tgt, j, r)
-                    fs = f_gen(tgt, j, s)
-                    if primed:
-                        acc_e = acc_e + u_multiply(
-                            u_multiply(er, e_merged(tgt, pair, eps)), es) \
-                            .scale(sign * v_power(ee * dj * r))
-                        acc_f = acc_f + u_multiply(
-                            u_multiply(fs, f_merged(tgt, pair, eps)), fr) \
-                            .scale(sign * v_power(-ee * dj * r))
-                    else:
-                        acc_e = acc_e + u_multiply(
-                            u_multiply(es, e_merged(tgt, pair, eps)), er) \
-                            .scale(sign * v_power(-ee * dj * r))
-                        acc_f = acc_f + u_multiply(
-                            u_multiply(fr, f_merged(tgt, pair, eps)), fs) \
-                            .scale(sign * v_power(ee * dj * r))
                 kind = "primed" if primed else "doubleprime"
-                expect(f"surviving-index formula {kind} E (j={j}, e={ee})",
-                       op.apply(e_merged(tgt, pair, eps)), acc_e)
-                expect(f"surviving-index formula {kind} F (j={j}, e={ee})",
-                       op.apply(f_merged(tgt, pair, eps)), acc_f)
+                twist = ee * dj if primed else -ee * dj
+                ids.expect(f"surviving-index formula {kind} E (j={j}, e={ee})",
+                           op.apply(e0), _chain_sum(lambda k: e_gen(tgt, j, k),
+                                                    e0, nj, twist, primed))
+                ids.expect(f"surviving-index formula {kind} F (j={j}, e={ee})",
+                           op.apply(f0), _chain_sum(lambda k: f_gen(tgt, j, k),
+                                                    f0, nj, -twist, not primed))
                 own = braid_basic(src, j, ee, primed)
                 for name, g in gens:
-                    expect(f"surviving-index agreement {kind} (j={j}, e={ee},"
-                           f" {name})",
-                           op.apply(emb.apply(g)), emb.apply(own.apply(g)))
-    return {"hypothesis": True, "checked": checked,
-            "holds": not failures, "failures": failures}
+                    ids.expect(f"surviving-index agreement {kind} (j={j}, e={ee},"
+                               f" {name})",
+                               op.apply(emb.apply(g)), emb.apply(own.apply(g)))
+    return {"hypothesis": True, "checked": ids.checked,
+            "holds": not ids.failures, "failures": ids.failures}
 
 
 # --- subquotient probe -------------------------------------------------------
@@ -1375,20 +1300,8 @@ def subquotient_phi_probe(target: UAlgebra, pair: ContractiblePair,
         for sh in sorted(shifts):
             if any(sh):
                 ideal_rows.append(_k_shift(amb, sh, row))
-    psi_rows = []
-    for nu_e in _degrees_up_to(hat.rank, max_total):
-        deg_e = sum(emb.degree_map(nu_e))
-        if deg_e > max_total:
-            continue
-        for nu_f in _degrees_up_to(hat.rank, max_total):
-            deg_f = sum(emb.degree_map(nu_f))
-            if deg_e + deg_f > max_total:
-                continue
-            for a in hat.f.component(nu_e).basis:
-                for b in hat.f.component(nu_f).basis:
-                    for mu in sorted(mus):
-                        x = UElement(hat, {(a, mu, b): QV_ONE})
-                        psi_rows.append(emb.apply(x).coords)
+    psi_rows = [img for _, img in _candidate_images(
+        emb, max_total, mus, lambda de, df: sum(de) + sum(df) <= max_total)]
     norms = sorted({_norm_key(amb, t)
                     for rows in (sub_rows, ideal_rows, psi_rows)
                     for t in rows if t})
@@ -1411,50 +1324,43 @@ def subquotient_phi_probe(target: UAlgebra, pair: ContractiblePair,
                            "surjective": surj, "meet": meet}
         surjective = surjective and surj
         injective = injective and meet == 0
-    failures = []
-
-    def expect(label, got, want):
-        if got != want:
-            failures.append({"identity": label,
-                             "got": render_uelement(got),
-                             "want": render_uelement(want)})
-
+    ids = _Identities()
     den = QV_ONE / (v_power(epsilon * d0) - v_power(-epsilon * d0))
     ee_mp = letter_map["E-E+"]
     ee_pm = letter_map["E+E-"]
     ff_pm = letter_map["F+F-"]
     ff_mp = letter_map["F-F+"]
-    expect("inversion: minus-plus raising",
-           ee_mp, (e_merged(amb, pair, epsilon)
-                   - e_merged(amb, pair, -epsilon)).scale(den))
-    expect("inversion: plus-minus raising",
-           ee_pm, (e_merged(amb, pair, epsilon).scale(v_power(epsilon * d0))
-                   - e_merged(amb, pair, -epsilon)
-                   .scale(v_power(-epsilon * d0))).scale(den))
-    expect("inversion: plus-minus lowering",
-           ff_pm, (f_merged(amb, pair, -epsilon)
-                   - f_merged(amb, pair, epsilon)).scale(den))
-    expect("inversion: minus-plus lowering",
-           ff_mp, (f_merged(amb, pair, -epsilon).scale(v_power(epsilon * d0))
-                   - f_merged(amb, pair, epsilon)
-                   .scale(v_power(-epsilon * d0))).scale(den))
+    ids.expect("inversion: minus-plus raising",
+               ee_mp, (e_merged(amb, pair, epsilon)
+                       - e_merged(amb, pair, -epsilon)).scale(den))
+    ids.expect("inversion: plus-minus raising",
+               ee_pm, (e_merged(amb, pair, epsilon).scale(v_power(epsilon * d0))
+                       - e_merged(amb, pair, -epsilon)
+                       .scale(v_power(-epsilon * d0))).scale(den))
+    ids.expect("inversion: plus-minus lowering",
+               ff_pm, (f_merged(amb, pair, -epsilon)
+                       - f_merged(amb, pair, epsilon)).scale(den))
+    ids.expect("inversion: minus-plus lowering",
+               ff_mp, (f_merged(amb, pair, -epsilon).scale(v_power(epsilon * d0))
+                       - f_merged(amb, pair, epsilon)
+                       .scale(v_power(-epsilon * d0))).scale(den))
     kt0 = k_merged_vector(amb, pair)
     for e in (1, -1):
         tilde = tilde_braid_i0(amb, pair, e, True)
         ke = k_gen(amb, tuple(e * a for a in kt0))
         kem = k_gen(amb, tuple(-e * a for a in kt0))
-        expect(f"ideal image: raising crossing (e={e})",
-               tilde.apply(ee_mp),
-               u_multiply(ke, ff_pm).scale(v_power(-e * d0)))
-        expect(f"merged image: raising pair (e={e})",
-               tilde.apply(ee_pm),
-               u_multiply(ke, ff_mp).scale(v_power(-e * d0)))
-        expect(f"ideal image: lowering crossing (e={e})",
-               tilde.apply(ff_pm),
-               u_multiply(ee_mp, kem).scale(v_power(e * d0)))
-        expect(f"merged image: lowering pair (e={e})",
-               tilde.apply(ff_mp),
-               u_multiply(ee_pm, kem).scale(v_power(e * d0)))
+        ids.expect(f"ideal image: raising crossing (e={e})",
+                   tilde.apply(ee_mp),
+                   u_multiply(ke, ff_pm).scale(v_power(-e * d0)))
+        ids.expect(f"merged image: raising pair (e={e})",
+                   tilde.apply(ee_pm),
+                   u_multiply(ke, ff_mp).scale(v_power(-e * d0)))
+        ids.expect(f"ideal image: lowering crossing (e={e})",
+                   tilde.apply(ff_pm),
+                   u_multiply(ee_mp, kem).scale(v_power(e * d0)))
+        ids.expect(f"merged image: lowering pair (e={e})",
+                   tilde.apply(ff_mp),
+                   u_multiply(ee_pm, kem).scale(v_power(e * d0)))
     torus = hat.rank_y == amb.rank_y and all(
         emb.apply(k_gen(hat, mu)) == k_gen(amb, mu) for mu in _y_basis(hat))
     quotient = _quotient_braid_agreement(emb, ideal_base)
@@ -1464,11 +1370,11 @@ def subquotient_phi_probe(target: UAlgebra, pair: ContractiblePair,
         "surjective": surjective,
         "meet_trivial": injective,
         "torus_bijective": torus,
-        "identities_hold": not failures,
-        "failures": failures,
+        "identities_hold": not ids.failures,
+        "failures": ids.failures,
         "quotient_braid": quotient,
     }
-    report["holds"] = (surjective and injective and torus and not failures
+    report["holds"] = (surjective and injective and torus and not ids.failures
                        and bool(quotient["holds"])
                        and not quotient["ambiguous"])
     return report
@@ -1491,40 +1397,58 @@ def _quotient_braid_agreement(emb: UEmbedding, ideal_base: list[dict]) -> dict:
         lambda sym: tgt.cartan.dot(sym, pair.minus if primed else pair.plus) == 0)
         for primed in (True, False)}
     gens = _named_generators(src)
-    failures = []
-    checked = 0
+    ids = _Identities()
     ambiguous = []
     for primed in (True, False):
         for e in (1, -1):
             tilde = tilde_braid_i0(tgt, pair, e, primed)
             own = braid_basic(src, emb.merged, e, primed)
             for name, g in gens:
-                checked += 1
                 y = tilde.apply(emb.apply(g))
                 sol = _solve_mod_ideal(emb, y, ideal_base)
                 kind = "primed" if primed else "doubleprime"
+                label = f"{kind} (e={e}) on {name}"
                 if sol is None:
-                    failures.append({"identity": f"{kind} (e={e}) on {name}",
-                                     "got": "no preimage modulo the ideal"})
+                    ids.checked += 1
+                    ids.failures.append({"identity": label,
+                                         "got": "no preimage modulo the ideal"})
                     continue
                 xhat, unique = sol
                 if not unique:
-                    ambiguous.append(f"{kind} (e={e}) on {name}")
-                got = _rescale_letters(xhat, powers[primed],
-                                       (-e if primed else e) * d0)
-                want = own.apply(g)
-                if got != want:
-                    failures.append({"identity": f"{kind} (e={e}) on {name}",
-                                     "got": render_uelement(got),
-                                     "want": render_uelement(want)})
-    return {"checked": checked, "holds": not failures,
-            "ambiguous": ambiguous, "failures": failures}
+                    ambiguous.append(label)
+                ids.expect(label, _rescale_letters(xhat, powers[primed],
+                                                   (-e if primed else e) * d0),
+                           own.apply(g))
+    return {"checked": ids.checked, "holds": not ids.failures,
+            "ambiguous": ambiguous, "failures": ids.failures}
+
+
+def _candidate_images(emb: UEmbedding, bound: int, mus,
+                      keep: Callable[[Degree, Degree], bool]) -> list[tuple]:
+    """Each source triple (a, μ, b), with a and b basis words of degrees
+    ν_e, ν_f up to bound and μ in mus, paired with the coordinates of its
+    image; only bidegrees whose image degrees pass keep are built.  Ordered
+    by ν_e, ν_f, a, b, then sorted μ."""
+    src = emb.source
+    degs = [(nu, emb.degree_map(nu)) for nu in _degrees_up_to(src.rank, bound)]
+    out = []
+    for nu_e, img_e in degs:
+        for nu_f, img_f in degs:
+            if not keep(img_e, img_f):
+                continue
+            for a in src.f.component(nu_e).basis:
+                for b in src.f.component(nu_f).basis:
+                    for mu in sorted(mus):
+                        x = UElement(src, {(a, mu, b): QV_ONE})
+                        out.append(((a, mu, b), emb.apply(x).coords))
+    return out
 
 
 def _solve_mod_ideal(emb: UEmbedding, y: UElement,
                      ideal_base: list[dict]) -> tuple[UElement, bool] | None:
     """Express y as an embedded element plus ideal terms; the embedded part
-    is returned, flagged unique when the two spans meet trivially.
+    is returned, flagged unique when the two spans meet trivially.  With no
+    ideal rows this is the preimage under the embedding (``psi_preimage``).
 
     Only candidate images that can meet y or an ideal candidate are built.
     The image of a·K_μ·b is bihomogeneous of bidegree
@@ -1558,19 +1482,8 @@ def _solve_mod_ideal(emb: UEmbedding, y: UElement,
     live = {(wd(ew), wd(fw)) for t in (y.coords, *ideal_cands)
             for (ew, _, fw) in t}
     cap = max((sum(d) for bideg in live for d in bideg), default=0)
-    degs = [(nu, emb.degree_map(nu)) for nu in _degrees_up_to(src.rank, cap)]
-    cand_pairs = []
-    imgs = []
-    for nu_e, img_e in degs:
-        for nu_f, img_f in degs:
-            if (img_e, img_f) not in live:
-                continue
-            for a in src.f.component(nu_e).basis:
-                for b in src.f.component(nu_f).basis:
-                    for mu in sorted(mus):
-                        x = UElement(src, {(a, mu, b): QV_ONE})
-                        cand_pairs.append((a, mu, b))
-                        imgs.append(emb.apply(x).coords)
+    cands = _candidate_images(emb, cap, mus, lambda de, df: (de, df) in live)
+    imgs = [img for _, img in cands]
     cols = imgs + ideal_cands
     if not any(cols) and not y.coords:
         return UElement(src, {}), True
@@ -1583,8 +1496,8 @@ def _solve_mod_ideal(emb: UEmbedding, y: UElement,
         return None
     xhat: dict[Triple, QVScalar] = {}
     for row, pc in zip(red, pivots):
-        if pc < len(cand_pairs) and row[n]:
-            _add_into(xhat, cand_pairs[pc], row[n])
+        if pc < len(cands) and row[n]:
+            _add_into(xhat, cands[pc][0], row[n])
     unique = (_rank_of(imgs) + _rank_of(ideal_cands) == len(pivots))
     return UElement(src, xhat), unique
 
@@ -1721,7 +1634,6 @@ class HWModule:
                                                 {rest: QV_ONE}))
                     for tgt, val in cls.items():
                         _add_into(out, tgt, c * val)
-        out = {k: c for k, c in out.items() if c}
         self._e_word_memo[key] = out
         return out
 
@@ -1840,7 +1752,7 @@ def _induced_columns(fmap, src_mod: HWModule, tgt_mod: HWModule) -> list[dict[in
             for idx in range(src_mod.dim)]
 
 
-def module_hom_check(emb: UEmbedding, lam, check_canonical: bool = False) -> dict:
+def module_hom_check(emb: UEmbedding, lam) -> dict:
     """The contracted module maps into the full module: the lowering-side
     embedding descends to the quotients, intertwines all generator actions
     through the embedding, and is injective; same for the twisted side with
@@ -1895,18 +1807,18 @@ def module_hom_check(emb: UEmbedding, lam, check_canonical: bool = False) -> dic
                           for side in ("plain", "twisted")) \
         and not failures
     report["failures"] = failures
-    if check_canonical:
-        report["canonical"] = _canonical_image_check(emb, lam,
-                                                     src_mod, tgt_mod)
     return report
 
 
-def _canonical_image_check(emb: UEmbedding, lam, src_mod: HWModule,
-                           tgt_mod: HWModule) -> dict:
-    """Under the vanishing-threshold hypotheses, nonzero canonical classes map
-    to canonical classes (lowering side needs the minus threshold zero, the
-    twisted side the plus threshold)."""
-    from .falg import canonical_basis
+def module_canonical_check(emb: UEmbedding, lam) -> dict:
+    """Under the vanishing-threshold hypotheses, nonzero canonical classes of
+    the contracted module map to canonical classes of the full module (the
+    lowering side needs the minus threshold zero, the twisted side the plus
+    threshold).  Holds when some side applies and every applicable side
+    holds."""
+    lam = emb.target.x_vector(lam)
+    src_mod = build_module(emb.source, lam)
+    tgt_mod = build_module(emb.target, lam)
     out: dict = {}
     for twisted in (False, True):
         i_hyp = emb.pair.plus if twisted else emb.pair.minus
@@ -1935,6 +1847,8 @@ def _canonical_image_check(emb: UEmbedding, lam, src_mod: HWModule,
                 ok = ok and match
         out["twisted" if twisted else "plain"] = {
             "applicable": True, "holds": ok, "classes": seen}
+    sides = [side for side in out.values() if side["applicable"]]
+    out["holds"] = bool(sides) and all(side["holds"] for side in sides)
     return out
 
 
@@ -1969,7 +1883,7 @@ class TensorModule:
                         for tb, vb in right_cols[b].items():
                             _add_into(cols[src],
                                       self.pair_index(ta, tb), c * va * vb)
-        return [{k: v for k, v in col.items() if v} for col in cols]
+        return cols
 
     def cyclic_index(self) -> int:
         return self.pair_index(0, 0)
@@ -1986,12 +1900,9 @@ def psi_tensor_check(emb: UEmbedding, lam_left, lam_right) -> dict:
     src_tm = tensor_module(emb.source, lam_left, lam_right)
     tgt_tm = tensor_module(emb.target, lam_left, lam_right)
     n, m = src_tm.dim, tgt_tm.dim
-    e_imgs, f_imgs = _e_images_of(emb), _f_images_of(emb)
-    gens: list[tuple[UElement, UElement]] = []
-    for i in emb.source.cartan.indices:
-        gens.append((e_gen(emb.source, i), e_imgs[i]))
-        gens.append((f_gen(emb.source, i), f_imgs[i]))
-    actions = [(src_tm.action(g), tgt_tm.action(gi)) for g, gi in gens]
+    # E[i] and F[i] come first in the generator list, the K's last
+    actions = [(src_tm.action(g), tgt_tm.action(gi)) for _, g, gi
+               in _generators_with_images(emb)[:2 * emb.source.rank]]
     # a semi-echelon basis of pairs (source vector | target vector), with
     # pivots in the source part; a pair reducing to (0 | nonzero) means the
     # same source vector was reached with two different images

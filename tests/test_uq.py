@@ -18,7 +18,8 @@ from qcontract.uq import (
     build_module, check_relations, delta, delta_component, divided_power,
     e_gen, e_merged, emb_co_check, embedding_relations_check, f_gen,
     f_merged, k_gen, k_merged_vector, k_tilde_gen, linear_tree_factorization_check,
-    module_hom_check, module_relations_check, naive_square_check, omega,
+    module_canonical_check, module_hom_check, module_relations_check,
+    naive_square_check, omega,
     pi_weight, psi_dot_check, psi_preimage, psi_tensor_check, render_udot,
     render_uelement, rho, subquotient_phi_probe, subset_root_datum,
     tensor_of, tensor_psi, tilde_braid_i0, u_act_udot, u_element,
@@ -219,6 +220,19 @@ def test_psi_preimage_roundtrip():
     assert psi_preimage(emb, e_gen(U2, 1)) is None
 
 
+@pytest.mark.parametrize("eps", [1, -1])
+def test_psi_preimage_rejects_non_images_of_image_bidegree(eps):
+    # the opposite-sign merged generators sit in the image's bidegrees but
+    # not in the image, so the solve itself must find no preimage
+    emb = UEmbedding(U2, PAIR12, eps)
+    assert psi_preimage(emb, e_merged(U2, PAIR12, -eps)) is None
+    assert psi_preimage(emb, f_merged(U2, PAIR12, -eps)) is None
+    assert psi_preimage(emb, e_merged(U2, PAIR12, eps)) == \
+        e_gen(emb.source, emb.merged)
+    assert psi_preimage(emb, f_merged(U2, PAIR12, eps)) == \
+        f_gen(emb.source, emb.merged)
+
+
 def test_injectivity_report():
     emb = UEmbedding(U2, PAIR12, 1)
     rep = u_injectivity_report(emb, 3)
@@ -328,7 +342,9 @@ def test_psi_dot_check():
         emb = UEmbedding(U2, PAIR12, eps)
         rep = psi_dot_check(emb, [(0, 0), (1, 0), (0, 1), (1, 1)])
         assert rep["holds"], rep["failures"]
-        assert rep["checked"] > 0
+        # per weight: 5 base comparisons, and 4 generators times 2 sides on
+        # each of the 5 base elements
+        assert rep["checked"] == 4 * (5 + 5 * 4 * 2)
 
 
 # --- braid operators ---------------------------------------------------------
@@ -610,6 +626,22 @@ def test_module_hom_check_small():
             assert rep["dims"] == [2, 3]
             assert rep["hypothesis_minus"] is hyp_minus
             assert rep["hypothesis_plus"] is hyp_plus
+
+
+def test_module_canonical_check():
+    rep = module_canonical_check(UEmbedding(U2, PAIR12, 1), (1, 0))
+    assert rep["holds"] and not rep["twisted"]["applicable"]
+    assert rep["plain"]["holds"] and len(rep["plain"]["classes"]) == 2
+    # observed, not adjudicated: on A3 the degree (1, 1) canonical class of
+    # the contracted module does not map to a canonical class
+    rep = module_canonical_check(UEmbedding(U3, PAIR12, 1), (0, 0, 1))
+    assert rep["plain"]["applicable"] and not rep["plain"]["holds"]
+    assert len(rep["plain"]["classes"]) == 3
+    assert rep["twisted"]["holds"] and not rep["holds"]
+    # neither threshold vanishes, so nothing is checked and nothing holds
+    rep = module_canonical_check(UEmbedding(U2, PAIR12, 1), (1, 1))
+    assert not rep["plain"]["applicable"] and not rep["twisted"]["applicable"]
+    assert not rep["holds"]
 
 
 def test_tensor_module_check():
