@@ -5,12 +5,19 @@ field Q(v) in a canonical form (so equality is structural), quantum
 integers/factorials/binomials, the bar involution v -> v^-1, and the exact
 numeric ring Q(sqrt(q)) used on the finite-field side.
 
+Every Q(v) construction puts its fraction into canonical form.  Numerator and
+denominator are written once as a rational times a primitive integer
+polynomial (dense coefficient lists), their gcd comes from the heuristic gcd
+of Char, Geddes and Gonnet (integer gcd at one evaluation point, certified by
+exact division over Z), and both are divided by it over Z.  Euclid's
+algorithm over the rationals runs only when the heuristic gives up.
+
 No floating point anywhere; every identity checked downstream is exact.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Mapping, Union
 
 Rat = Union[int, Fraction]
@@ -49,6 +56,14 @@ class LaurentPoly:
     def v_power(e: int, c: Rat = 1) -> LaurentPoly:
         return LaurentPoly({e: c})
 
+    @staticmethod
+    def _of(d: dict[int, Rat]) -> LaurentPoly:
+        """Wrap a dict of nonzero coefficients as it is, without a copy."""
+        out = LaurentPoly.__new__(LaurentPoly)
+        object.__setattr__(out, "coeffs", d)
+        object.__setattr__(out, "_hash", None)
+        return out
+
     # --- structure ----------------------------------------------------
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -64,7 +79,7 @@ class LaurentPoly:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash(frozenset((e, Fraction(c)) for e, c in self.coeffs.items()))
+            h = hash(frozenset(self.coeffs.items()))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -93,10 +108,7 @@ class LaurentPoly:
                 d[e] = s
             elif e in d:
                 del d[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "coeffs", d)
-        object.__setattr__(out, "_hash", None)
-        return out
+        return LaurentPoly._of(d)
 
     def __neg__(self) -> LaurentPoly:
         return LaurentPoly({e: -c for e, c in self.coeffs.items()})
@@ -119,10 +131,7 @@ class LaurentPoly:
                     d[e] = s
                 elif e in d:
                     del d[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "coeffs", d)
-        object.__setattr__(out, "_hash", None)
-        return out
+        return LaurentPoly._of(d)
 
     def scale(self, c: Rat) -> LaurentPoly:
         if not c:
@@ -175,40 +184,133 @@ def _poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPo
     return LaurentPoly(q), r
 
 
-def _poly_content(a: LaurentPoly) -> Fraction:
-    """Positive rational c with a/c primitive over Z, signed by leading coeff."""
-    from math import gcd, lcm
-
-    nums = [Fraction(c).numerator for c in a.coeffs.values()]
-    dens = [Fraction(c).denominator for c in a.coeffs.values()]
-    g = 0
-    for n in nums:
-        g = gcd(g, abs(n))
-    m = 1
-    for d in dens:
-        m = lcm(m, d)
-    c = Fraction(g, m)
-    if a.coeffs[a.degree()] < 0:
-        c = -c
-    return c
-
-
 def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic-free gcd of ordinary polynomials, primitive with positive lead."""
+    """A gcd of nonzero ordinary polynomials over Q, by Euclid's algorithm;
+    only its primitive part is defined."""
     while not b.is_zero():
         _, r = _poly_divmod(a, b)
         a, b = b, r
-    if a.is_zero():
-        return _L_ONE
-    c = _poly_content(a)
-    return a.scale(1 / c)
+    return a
 
 
-def _poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    q, r = _poly_divmod(a, b)
-    if not r.is_zero():
-        raise ArithmeticError("division was expected to be exact")
+# --- dense integer polynomials ---------------------------------------------
+#
+# Canonicalization works on ordinary polynomials over Z stored as dense
+# coefficient lists, constant term first.  The lists it handles are
+# primitive with positive lead and nonzero constant term.
+
+def _primitive(a: list[int]) -> tuple[int, list[int]]:
+    """(c, a/c) with a/c primitive over Z with positive lead."""
+    c = gcd(*a)
+    if a[-1] < 0:
+        c = -c
+    return c, (a if c == 1 else [x // c for x in a])
+
+
+def _int_form(coeffs: Mapping[int, Rat], low: int) -> tuple[int, int, list[int]]:
+    """(p, q, a) with coeffs = (p/q) * v^low * a(v), a primitive over Z with
+    positive lead, q > 0."""
+    q = lcm(*[c.denominator for c in coeffs.values()])
+    a = [0] * (max(coeffs) - low + 1)
+    for e, c in coeffs.items():
+        a[e - low] = c.numerator * (q // c.denominator)
+    p, a = _primitive(a)
+    return p, q, a
+
+
+def _zdiv(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b over Z, or None when b does not divide a exactly.  b has a
+    nonzero constant term."""
+    m = len(b) - 1
+    n = len(a) - 1 - m
+    if n < 0 or a[0] % b[0]:
+        return None
+    r = list(a)
+    lb = b[-1]
+    q = [0] * (n + 1)
+    for i in range(n, -1, -1):
+        t, rem = divmod(r[i + m], lb)
+        if rem:
+            return None
+        if t:
+            q[i] = t
+            for j in range(m):
+                r[i + j] -= t * b[j]
+    if any(r[:m]):
+        return None
     return q
+
+
+def _eval(a: list[int], x: int) -> int:
+    out = 0
+    for c in reversed(a):
+        out = out * x + c
+    return out
+
+
+def _balanced_digits(h: int, x: int) -> list[int]:
+    """The polynomial g with g(x) = h and every coefficient in (-x/2, x/2]."""
+    half = x // 2
+    g = []
+    while h:
+        d = h % x
+        if d > half:
+            d -= x
+        g.append(d)
+        h = (h - d) // x
+    return g
+
+
+# Evaluation points tried by the heuristic gcd before it gives up.
+_HEU_TRIES = 6
+
+
+def _heu_gcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]] | None:
+    """(g, a/g, b/g) with g = gcd(a, b), or None when no evaluation point
+    gave a certified gcd.
+
+    The heuristic gcd of Char, Geddes and Gonnet (J. Symbolic Comput. 7,
+    1989): evaluate at an integer xi, take the integer gcd h, and read a
+    candidate g off the balanced base-xi digits of h.  Every root of a
+    common factor C of a and b lies within 1 + min(|a|, |b|) of zero (max
+    norms), so for xi >= 2 min(|a|, |b|) + 2 a nonconstant C has
+    |C(xi)| > xi/2, while the content of the digit polynomial is at most
+    xi/2.  Hence a primitive g that divides both a and b exactly is their
+    gcd; any other candidate fails a division and xi grows."""
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    top = min(len(a), len(b))
+    for _ in range(_HEU_TRIES):
+        g = _balanced_digits(gcd(_eval(a, xi), _eval(b, xi)), xi)
+        if len(g) <= top:
+            _, g = _primitive(g)
+            qa = _zdiv(a, g)
+            qb = None if qa is None else _zdiv(b, g)
+            if qb is not None:
+                return g, qa, qb
+        xi = 2 * xi + 1
+    return None
+
+
+def _cancel(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """a and b divided by their gcd: the heuristic gcd, else Euclid."""
+    if len(a) == 1 or len(b) == 1:
+        return a, b
+    heu = _heu_gcd(a, b)
+    if heu is not None:
+        return heu[1], heu[2]
+    g = _poly_gcd(LaurentPoly(dict(enumerate(a))), LaurentPoly(dict(enumerate(b))))
+    _, _, g = _int_form(g.coeffs, 0)
+    qa, qb = _zdiv(a, g), _zdiv(b, g)
+    if qa is None or qb is None:
+        raise ArithmeticError("division was expected to be exact")
+    return qa, qb
+
+
+def _laurent(a: list[int], low: int, p: int = 1, q: int = 1) -> LaurentPoly:
+    """(p/q) * v^low * a(v) as a LaurentPoly."""
+    if q == 1:
+        return LaurentPoly._of({e + low: c * p for e, c in enumerate(a) if c})
+    return LaurentPoly({e + low: Fraction(c * p, q) for e, c in enumerate(a) if c})
 
 
 class QVScalar:
@@ -218,6 +320,11 @@ class QVScalar:
     denominator is an ordinary polynomial with nonzero constant term, positive
     leading coefficient and primitive integer content.  Equality and hashing
     are structural.
+
+    The form is computed on primitive integer parts: a monomial denominator
+    folds into the numerator; otherwise the common factor is found by the
+    heuristic gcd (``_heu_gcd``), with Euclid over Q (``_poly_gcd``) as the
+    fallback, and divided out exactly over Z.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -348,23 +455,16 @@ def _canonical_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly
         if c == 1:
             return num.shift(-e), _L_ONE
         return num.shift(-e).scale(1 / Fraction(c)), _L_ONE
-    k = den.low()
-    den = den.shift(-k)
-    num = num.shift(-k)
-    m = num.low()
-    num_poly = num.shift(-m)
-    g = _poly_gcd(num_poly, den)
-    if g.coeffs != {0: 1}:
-        num_poly = _poly_exact_div(num_poly, g)
-        den = _poly_exact_div(den, g)
-    if len(den.coeffs) == 1:
-        e, c = next(iter(den.coeffs.items()))
-        return num_poly.shift(m - e).scale(1 / Fraction(c)), _L_ONE
-    c = _poly_content(den)
-    if c != 1:
-        den = den.scale(1 / c)
-        num_poly = num_poly.scale(1 / c)
-    return num_poly.shift(m), den
+    k, m = den.low(), num.low()
+    pn, qn, a = _int_form(num.coeffs, m)
+    pd, qd, b = _int_form(den.coeffs, k)
+    a, b = _cancel(a, b)
+    # num/den = (pn qd)/(qn pd) * v^(m-k) * a/b, and b is canonical
+    p, q = pn * qd, qn * pd
+    if q < 0:
+        p, q = -p, -q
+    g = gcd(p, q)
+    return _laurent(a, m - k, p // g, q // g), (_L_ONE if len(b) == 1 else _laurent(b, 0))
 
 
 QV_ZERO = QVScalar(_L_ZERO)

@@ -1487,9 +1487,10 @@ def _solve_mod_ideal(emb: UEmbedding, y: UElement,
     cols = imgs + ideal_cands
     if not any(cols) and not y.coords:
         return UElement(src, {}), True
-    # One elimination of the augmented system [cols | y] gives both the
-    # solution (free variables zero) and the rank of cols: the number of
-    # pivots before the augmented column.
+    # One elimination of the augmented system [cols | y] gives the solution
+    # (free variables zero) and, since pivots are chosen left to right, the
+    # ranks of cols (its pivots before the augmented column) and of imgs
+    # (its pivots before the first ideal column).
     n = len(cols)
     red, pivots = _rref(transpose(dense(cols + [y.coords], QV_ZERO)), n + 1)
     if n in pivots:
@@ -1498,7 +1499,8 @@ def _solve_mod_ideal(emb: UEmbedding, y: UElement,
     for row, pc in zip(red, pivots):
         if pc < len(cands) and row[n]:
             _add_into(xhat, cands[pc][0], row[n])
-    unique = (_rank_of(imgs) + _rank_of(ideal_cands) == len(pivots))
+    rank_imgs = sum(pc < len(imgs) for pc in pivots)
+    unique = rank_imgs + _rank_of(ideal_cands) == len(pivots)
     return UElement(src, xhat), unique
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qcontract import scalar
 from qcontract.scalar import (
     LaurentPoly, QVScalar, QV_ONE, QV_V, QV_ZERO, SqrtQScalar, bar,
     degree_at_infinity, evaluate_at_sqrt_q, in_one_plus_vinv,
@@ -189,3 +190,135 @@ def test_render_parse_roundtrip():
         parse_scalar("v +")
     with pytest.raises(ValueError):
         parse_scalar("w")
+
+
+# --- oracles: sympy, hypothesis, and the Euclid fallback --------------------
+
+# Factors shared by numerator and denominator: cyclotomic polynomials and
+# products of them, as quantum integers produce, plus non-unit contents.
+_SHARED = [{1: 1, 0: 1}, {2: 1, 0: 1}, {2: 1, 1: 1, 0: 1}, {2: 1, 1: -1, 0: 1},
+           {4: 1, 3: 1, 2: 1, 1: 1, 0: 1}, {2: 1, 0: -1}, {4: 1, 2: 1, 0: 1},
+           {1: 3, 0: -2}, {0: 6}, {0: Fraction(3, 4)}]
+
+
+def _rand_fraction(rng):
+    """(num, den) Laurent polynomials with a random shared factor."""
+    def poly(nterms):
+        return LaurentPoly({rng.randint(-3, 5): rng.choice(
+            [rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 8)),
+             rng.randint(-10 ** 6, 10 ** 6)]) for _ in range(nterms)})
+    num, den = poly(rng.randint(1, 4)), poly(rng.randint(1, 4))
+    while den.is_zero():
+        den = poly(rng.randint(1, 4))
+    for _ in range(rng.randint(0, 3)):
+        h = LaurentPoly(rng.choice(_SHARED)).shift(rng.randint(-2, 2))
+        num, den = num * h, den * h
+    return num, den
+
+
+def _assert_sympy_canonical(sp, v, num, den, x):
+    """x is num/den in the canonical form built from sympy.cancel: the
+    reduced denominator stripped of its power of v, made primitive over Z
+    with positive lead, and the numerator that goes with it."""
+    def expr(p):
+        return sum((sp.Rational(c.numerator, c.denominator) * v ** e
+                    for e, c in p.coeffs.items()), sp.Integer(0))
+    n, d = sp.fraction(sp.cancel(expr(num) / expr(den)))
+    low = min(m[0] for m in sp.Poly(d, v).monoms())
+    _, dp = sp.Poly(sp.expand(d / v ** low), v).primitive()
+    want_den = (dp if dp.LC() > 0 else -dp).as_expr()
+    want_num = sp.expand(sp.cancel(n / d * want_den))
+    assert sp.expand(expr(x.den) - want_den) == 0, (num, den, x)
+    assert sp.expand(expr(x.num) - want_num) == 0, (num, den, x)
+
+
+def test_canonical_form_matches_sympy_cancel():
+    sp = pytest.importorskip("sympy")
+    v = sp.Symbol("v")
+    rng = random.Random(2308)
+    for _ in range(100):
+        num, den = _rand_fraction(rng)
+        x = QVScalar(num, den)
+        _assert_sympy_canonical(sp, v, num, den, x)
+        assert all(isinstance(c, int) for c in x.den.coeffs.values())
+
+
+def test_field_axioms_and_bar_hypothesis():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    coeff = st.integers(-20, 20) | st.fractions(min_value=-5, max_value=5,
+                                                max_denominator=6)
+    poly = st.dictionaries(st.integers(-4, 4), coeff, max_size=4).map(LaurentPoly)
+    scalars = st.tuples(poly, poly.filter(bool)).map(lambda nd: QVScalar(*nd))
+
+    @hyp.settings(max_examples=80, deadline=None, derandomize=True)
+    @hyp.given(scalars, scalars, scalars)
+    def check(x, y, z):
+        assert (x + y) + z == x + (y + z)
+        assert (x * y) * z == x * (y * z)
+        assert x * (y + z) == x * y + x * z
+        assert x + y == y + x and x * y == y * x
+        assert x - x == QV_ZERO and x * QV_ONE == x
+        if x:
+            assert x * (QV_ONE / x) == QV_ONE
+        assert bar(bar(x)) == x
+        assert bar(x + y) == bar(x) + bar(y)
+        assert bar(x * y) == bar(x) * bar(y)
+        assert hash(x * y) == hash(y * x)
+
+    check()
+
+
+def test_heuristic_gcd_equals_euclid():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    big = st.integers(-10 ** 40, 10 ** 40)
+    poly = st.lists(big, min_size=1, max_size=6).map(lambda a: [1] + a)
+
+    def lp(a):
+        return LaurentPoly(dict(enumerate(a)))
+
+    def prim(p):
+        return scalar._int_form(p.coeffs, 0)[2]
+
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    @hyp.settings(max_examples=120, deadline=None, derandomize=True)
+    @hyp.given(poly, poly, poly)
+    def check(f, g, h):
+        a, b = prim(lp(mul(f, h))), prim(lp(mul(g, h)))
+        heu = scalar._heu_gcd(a, b)
+        hyp.assume(heu is not None)
+        g_heu, qa, qb = heu
+        assert g_heu == prim(scalar._poly_gcd(lp(a), lp(b)))
+        assert mul(g_heu, qa) == a and mul(g_heu, qb) == b
+
+    check()
+
+
+def test_euclid_fallback_gives_same_canonical_form(monkeypatch):
+    sp = pytest.importorskip("sympy")
+    v = sp.Symbol("v")
+    rng = random.Random(1989)
+    cases = [_rand_fraction(rng) for _ in range(60)]
+    divmods = []
+    divmod0 = scalar._poly_divmod
+
+    def counted(a, b):
+        divmods.append(1)
+        return divmod0(a, b)
+
+    monkeypatch.setattr(scalar, "_poly_divmod", counted)
+    heuristic = [QVScalar(num, den) for num, den in cases]
+    assert not divmods, "Euclid ran although the heuristic gcd succeeded"
+    monkeypatch.setattr(scalar, "_heu_gcd", lambda a, b: None)
+    for (num, den), x in zip(cases, heuristic):
+        y = QVScalar(num, den)
+        assert (y.num.coeffs, y.den.coeffs) == (x.num.coeffs, x.den.coeffs)
+        _assert_sympy_canonical(sp, v, num, den, y)
+    assert divmods
