@@ -7,11 +7,13 @@ entries since int/int would go through floats.
 This module owns both the eliminations and the bookkeeping around them:
 laying sparse vectors out as dense rows (``dense``, ``transpose``), solving
 for a combination of given vectors (``solve_in_span``) and reducing a vector
-by echelon rows (``reduce_by_rows``), so callers never build their own
-key-union matrices.  Finite-field elements are plain ints whose arithmetic
-goes through table lookups, so ``_gf.GF`` keeps one elimination kernel of
-its own: routing it through here would put a field-operation indirection
-into every step of this kernel, which the Q(v) eliminations cannot afford.
+by echelon rows (``reduce_by_rows``; ``echelon_insert`` and
+``echelon_reduce`` keep sparse rows as dicts keyed by their leads), so
+callers never build their own key-union matrices.  Finite-field elements
+are plain ints whose arithmetic goes through table lookups, so ``_gf.GF``
+keeps one elimination kernel of its own: routing it through here would put
+a field-operation indirection into every step of this kernel, which the
+Q(v) eliminations cannot afford.
 
 Each pivot step normalizes and subtracts the pivot row only over its nonzero
 entries: ``a - f*0 == a`` exactly, so skipping them changes no result.
@@ -137,3 +139,39 @@ def reduce_by_rows(rows: Sequence[Sequence[T]], pivots: Sequence[int],
         if c:
             vec = [a - c * b for a, b in zip(vec, row)]
     return vec
+
+
+def _add_scaled(vec: dict, c: T, row: Mapping) -> None:
+    """vec += c * row in place, dropping keys that cancel."""
+    for k, x in row.items():
+        s = vec[k] + c * x if k in vec else c * x
+        if s:
+            vec[k] = s
+        else:
+            del vec[k]
+
+
+def echelon_insert(rules: dict[Hashable, dict], vec: Mapping[Hashable, T]) -> bool:
+    """Add the sparse vector vec to a sparse echelon set unless it lies in
+    its span; returns whether it was added.  ``rules`` maps each lead to its
+    tail, the row lead - sum_k tail[k] * k with every tail key below the
+    lead.  vec is reduced at its greatest key while that key leads a rule."""
+    vec = dict(vec)
+    while vec:
+        lead = max(vec)
+        c = vec.pop(lead)
+        if lead not in rules:
+            neg = -c
+            rules[lead] = {k: x / neg for k, x in vec.items()}
+            return True
+        _add_scaled(vec, c, rules[lead])
+    return False
+
+
+def echelon_reduce(rules: dict[Hashable, dict]) -> None:
+    """Clear every lead out of every tail, in place: the reduced echelon form.
+    Leads go in ascending order, so each tail is cleared by reduced rules."""
+    for lead in sorted(rules):
+        tail = rules[lead]
+        for k in [k for k in tail if k in rules]:
+            _add_scaled(tail, tail.pop(k), rules[k])

@@ -1,10 +1,13 @@
 """Graded algebra on generator words modulo the quantum Serre relations.
 
-Normal forms come from exact linear algebra per graded piece: the degree-nu
-span of the two-sided Serre ideal is row-reduced with columns in descending
-word order, so the surviving basis is the lexicographically least complement
-of the leading terms.  The bilinear form is computed by a cleared recursion
-that never divides; the (1 - v_i^-2)^-1 factors are restored at the end.
+Normal forms come from exact linear algebra per graded piece, each built
+from the pieces one letter lower: their rewrite rules, prefixed by a letter,
+keep distinct leading words, so only the ideal's rows that start with a
+relator are reduced against them.  The result is the reduced echelon form
+of the ideal span, columns in descending word order, so the basis is the
+lexicographically least complement of the leading terms.  The bilinear form
+is computed by a cleared recursion that never divides; the (1 - v_i^-2)^-1
+factors are restored at the end.
 
 Internally letters are generator positions (ints); the public surface speaks
 in the Cartan datum's index symbols.
@@ -12,11 +15,12 @@ in the Cartan datum's index symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from . import _budget
-from ._linalg import (nullspace, rank, reduce_by_rows, rref, solve_in_span,
-                      transpose)
+from ._linalg import (echelon_insert, echelon_reduce, nullspace, rank,
+                      reduce_by_rows, rref, solve_in_span, transpose)
 from .cartan import CartanDatum, ContractiblePair, contract_cartan
 from .scalar import (
     QVScalar, QV_ONE, QV_ZERO, LaurentPoly, bar as scalar_bar,
@@ -196,25 +200,12 @@ class FAlgebra:
             _add_into(out, fw, qv(-1) ** r)
         return out
 
-    def _ideal_rows(self, nu: Degree) -> list[dict[PlainWord, QVScalar]]:
-        rows = []
-        for a in range(self.rank):
-            for b in range(self.rank):
-                if a == b:
-                    continue
-                rel = self.expand_free(self.serre_relator_free(
-                    self.cartan.indices[a], self.cartan.indices[b]))
-                rel_deg = self.word_degree(next(iter(rel)))
-                rest = tuple(n - d for n, d in zip(nu, rel_deg))
-                if any(x < 0 for x in rest):
-                    continue
-                for left_deg in _subdegrees(rest):
-                    right_deg = tuple(r - l for r, l in zip(rest, left_deg))
-                    for u in self.plain_words(left_deg):
-                        for w in self.plain_words(right_deg):
-                            _budget.charge()
-                            rows.append({u + m + w: c for m, c in rel.items()})
-        return rows
+    @cached_property
+    def _serre_relators(self) -> list[tuple[dict[PlainWord, QVScalar], Degree]]:
+        """Each ordered pair's relator on plain words, with its degree."""
+        rels = [self.expand_free(self.serre_relator_free(i, j))
+                for i in self.cartan.indices for j in self.cartan.indices if i != j]
+        return [(rel, self.word_degree(next(iter(rel)))) for rel in rels]
 
     def component(self, nu, check_form: bool = False) -> GradedComponent:
         nu = self.degree(nu)
@@ -229,38 +220,40 @@ class FAlgebra:
         return comp
 
     def _build_component(self, nu: Degree, check_form: bool) -> GradedComponent:
+        # I_nu = sum_p theta_p I_(nu - e_p) + sum_rel rel F_(nu - deg rel),
+        # and rel I lies in the first sum, so w runs over basis words only
         words = sorted(self.plain_words(nu))
-        desc = list(reversed(words))
-        col = {w: k for k, w in enumerate(desc)}
-        raw = self._ideal_rows(nu)
-        mat = [[QV_ZERO] * len(desc) for _ in raw]
-        for r, row in enumerate(raw):
-            for w, c in row.items():
-                mat[r][col[w]] = c
-        red, pivots = rref(mat, ncols=len(desc)) if raw else ([], [])
-        pivot_words = {desc[c] for c in pivots}
-        basis = tuple(w for w in words if w not in pivot_words)
-        rewrite: dict[PlainWord, dict[PlainWord, QVScalar]] = {}
-        for r, c in enumerate(pivots):
-            rewrite[desc[c]] = {desc[k]: -red[r][k]
-                                for k in range(len(desc))
-                                if k != c and red[r][k]}
+        rules: dict[PlainWord, dict[PlainWord, QVScalar]] = {}
+        for p in range(self.rank):
+            if nu[p]:
+                lower = nu[:p] + (nu[p] - 1,) + nu[p + 1:]
+                for lead, tail in self.component(lower).rewrite.items():
+                    _budget.charge()
+                    rules[(p,) + lead] = {(p,) + w: c for w, c in tail.items()}
+        for rel, rel_deg in self._serre_relators:
+            rest = tuple(n - d for n, d in zip(nu, rel_deg))
+            if any(x < 0 for x in rest):
+                continue
+            for w in self.component(rest).basis:
+                _budget.charge()
+                echelon_insert(rules, {m + w: c for m, c in rel.items()})
+        echelon_reduce(rules)
+        basis = tuple(w for w in words if w not in rules)
+        rewrite = {lead: dict(sorted(rules[lead].items(), reverse=True))
+                   for lead in sorted(rules, reverse=True)}
         gram_dim = None
         if check_form:
             gram = [[qv(self._gtilde(u, w)) for w in words] for u in words]
             gram_dim = len(words) - rank(gram)
-            if gram_dim != len(pivots):
+            if gram_dim != len(rewrite):
                 raise AssertionError(
                     f"form kernel and relation span disagree at {nu}: "
-                    f"{gram_dim} vs {len(pivots)}")
-            for r, c in enumerate(pivots):
-                vec = {desc[c]: QV_ONE}
-                vec.update({desc[k]: red[r][k] for k in range(len(desc))
-                            if k != c and red[r][k]})
+                    f"{gram_dim} vs {len(rewrite)}")
+            for lead, tail in rewrite.items():
                 for u in words:
-                    val = sum((cf * qv(self._gtilde(u, w)) for w, cf in vec.items()),
+                    val = sum((c * qv(self._gtilde(u, w)) for w, c in tail.items()),
                               QV_ZERO)
-                    if val:
+                    if val != qv(self._gtilde(u, lead)):
                         raise AssertionError(
                             f"relation row escapes the form kernel at {nu}")
         return GradedComponent(nu, tuple(words), basis, rewrite, gram_dim)
@@ -308,15 +301,6 @@ class FAlgebra:
             for _ in range(n):
                 clear = clear * factor
         return total / qv(clear)
-
-
-def _subdegrees(limit: Degree) -> Iterable[Degree]:
-    if not limit:
-        yield ()
-        return
-    for head in range(limit[0] + 1):
-        for tail in _subdegrees(limit[1:]):
-            yield (head,) + tail
 
 
 class FElement(LinearCombination):

@@ -105,7 +105,8 @@ class LaurentPoly:
         for e, c in b.items():
             s = d.get(e, 0) + c
             if s:
-                d[e] = s
+                # an int term leaves a stored Fraction non-integral
+                d[e] = s if type(c) is int else _norm_coeff(s)
             elif e in d:
                 del d[e]
         return LaurentPoly._of(d)
@@ -131,6 +132,8 @@ class LaurentPoly:
                     d[e] = s
                 elif e in d:
                     del d[e]
+        if type(sum(d.values())) is not int:   # some Fraction, maybe integral
+            d = {e: _norm_coeff(c) for e, c in d.items()}
         return LaurentPoly._of(d)
 
     def scale(self, c: Rat) -> LaurentPoly:

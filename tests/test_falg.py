@@ -3,7 +3,7 @@ import random
 import pytest
 
 from qcontract._budget import BudgetExceeded, set_budget
-from qcontract._linalg import rank as matrix_rank
+from qcontract._linalg import rank as matrix_rank, rref
 from qcontract.cartan import CartanDatum, ContractiblePair, simply_laced_cartan
 from qcontract.falg import (
     FAlgebra, FElement, FEmbedding, bar, bar_comp_check, bilinear_form,
@@ -20,7 +20,7 @@ from qcontract.falg import (
     b_emb_check, canonical_basis, pbw_monomials,
 )
 from qcontract.scalar import (
-    QV_ONE, in_one_plus_vinv, quantum_integer, qv, v_power,
+    QV_ONE, QV_ZERO, in_one_plus_vinv, quantum_integer, qv, v_power,
 )
 
 A1 = simply_laced_cartan((1,), [])
@@ -28,6 +28,7 @@ A2 = simply_laced_cartan((1, 2), [(1, 2)])
 A3 = simply_laced_cartan((1, 2, 3), [(1, 2), (2, 3)])
 D4 = simply_laced_cartan(("c", 1, 2, 3), [("c", 1), ("c", 2), ("c", 3)])
 B2 = CartanDatum((1, 2), ((4, -2), (-2, 2)))
+G2 = CartanDatum((1, 2), ((2, -3), (-3, 6)))
 AFF = simply_laced_cartan((1, 2), [(1, 2), (1, 2)])  # 1.2 = -2, not finite
 
 FA2 = FAlgebra(A2)
@@ -118,8 +119,67 @@ def test_dimensions_match_root_partition_counts():
         alg = FAlgebra(datum)
         for nu in degrees_up_to(len(datum.indices), 6 if datum is not A3 else 5):
             assert alg.component(nu).dim == kostant_count(datum, nu), (datum.indices, nu)
-    # the benchmark's headline component: a 420 x 210 Serre elimination
+    # the benchmark's headline component: 420 ideal rows u * rel * w of rank
+    # 197 over 210 words
     assert FAlgebra(A3).component((2, 3, 2)).dim == kostant_count(A3, (2, 3, 2)) == 13
+
+
+def subdegrees(limit):
+    if not limit:
+        yield ()
+        return
+    for head in range(limit[0] + 1):
+        for tail in subdegrees(limit[1:]):
+            yield (head,) + tail
+
+
+def ideal_rows(alg, nu):
+    """Every row u * rel * w of the degree-nu Serre ideal, as a sparse dict."""
+    rows = []
+    for i in alg.cartan.indices:
+        for j in alg.cartan.indices:
+            if i == j:
+                continue
+            rel = alg.expand_free(alg.serre_relator_free(i, j))
+            rest = tuple(n - d for n, d in zip(nu, alg.word_degree(next(iter(rel)))))
+            if any(x < 0 for x in rest):
+                continue
+            for left in subdegrees(rest):
+                right = tuple(r - x for r, x in zip(rest, left))
+                for u in alg.plain_words(left):
+                    for w in alg.plain_words(right):
+                        rows.append({u + m + w: c for m, c in rel.items()})
+    return rows
+
+
+def dense_component(alg, nu):
+    """(words, basis, rewrite) from the whole ideal span laid out densely,
+    columns in descending word order, and row-reduced."""
+    words = sorted(alg.plain_words(nu))
+    desc = words[::-1]
+    mat = [[row.get(w, QV_ZERO) for w in desc] for row in ideal_rows(alg, nu)]
+    red, pivots = rref(mat, len(desc)) if mat else ([], [])
+    leads = {desc[c] for c in pivots}
+    rewrite = {desc[c]: {desc[k]: -red[r][k] for k in range(len(desc))
+                         if k != c and red[r][k]}
+               for r, c in enumerate(pivots)}
+    return tuple(words), tuple(w for w in words if w not in leads), rewrite
+
+
+def test_components_match_dense_elimination():
+    # the recursion over lower components gives the reduced echelon form of
+    # the whole ideal span: same basis, same rewrite map, same key order
+    cases = [(datum, degrees_up_to(len(datum.indices), 5))
+             for datum in (A2, B2, G2, AFF)]
+    cases += [(A3, degrees_up_to(3, 4)), (D4, [(2, 1, 1, 1)])]
+    for datum, degrees in cases:
+        alg = FAlgebra(datum)
+        for nu in degrees:
+            comp = alg.component(nu)
+            words, basis, rewrite = dense_component(alg, nu)
+            assert (comp.words, comp.basis) == (words, basis), (datum.indices, nu)
+            assert [(w, list(rw.items())) for w, rw in comp.rewrite.items()] == \
+                [(w, list(rw.items())) for w, rw in rewrite.items()], (datum.indices, nu)
 
 
 def test_gram_kernel_matches_relation_span():

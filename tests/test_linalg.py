@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from qcontract._linalg import (dense, nullspace, rank, reduce_by_rows, rref,
-                               solve, solve_in_span, transpose)
+from qcontract._linalg import (dense, echelon_insert, echelon_reduce, nullspace,
+                               rank, reduce_by_rows, rref, solve, solve_in_span,
+                               transpose)
 from qcontract.scalar import QV_ONE, QV_ZERO, QVScalar, v_power
 
 
@@ -199,6 +200,43 @@ def test_rref_matches_dense_hypothesis():
         assert_matches_dense(m, Fraction(0), Fraction(1), narrow)
 
     check()
+
+
+def assert_echelon_matches_dense(m):
+    """Rows fed one at a time into a sparse echelon set, keyed so that column
+    c is key ncols - 1 - c (columns in descending key order), reduce to the
+    dense rref: leads are the pivots, tails the negated non-pivot entries."""
+    ncols = len(m[0])
+    rules = {}
+    added = [echelon_insert(rules, {ncols - 1 - c: x for c, x in enumerate(row) if x})
+             for row in m]
+    ranks = [len(dense_rref(m[:i])[1]) for i in range(len(m) + 1)]
+    assert added == [ranks[i + 1] > ranks[i] for i in range(len(m))]
+    echelon_reduce(rules)
+    red, pivots = dense_rref(m)
+    assert sorted(rules, reverse=True) == [ncols - 1 - c for c in pivots]
+    for r, c in enumerate(pivots):
+        assert rules[ncols - 1 - c] == {ncols - 1 - k: -red[r][k]
+                                        for k in range(ncols) if k != c and red[r][k]}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sparse_echelon_matches_dense_over_fractions(seed):
+    rng = random.Random(200 + seed)
+    for _ in range(8):
+        nrows, ncols = rng.randint(1, 25), rng.randint(2, 25)
+        assert_echelon_matches_dense(sparse_matrix(
+            rng, nrows, ncols, random_fraction, Fraction(0),
+            density=rng.choice([0.1, 0.2, 0.4])))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_sparse_echelon_matches_dense_over_qv(seed):
+    rng = random.Random(300 + seed)
+    for _ in range(3):
+        nrows, ncols = rng.randint(1, 8), rng.randint(2, 10)
+        assert_echelon_matches_dense(sparse_matrix(rng, nrows, ncols, random_qv,
+                                                   QV_ZERO, density=0.3))
 
 
 # --- layout and reduction helpers against the dense reference ----------------

@@ -79,6 +79,20 @@ def test_canonical_form_shape():
             assert all(f.denominator == 1 for f in fracs)
 
 
+def test_laurent_integer_coefficients_stay_ints():
+    half = LaurentPoly({0: Fraction(1, 2), 1: Fraction(1, 3)})
+    prod = half * LaurentPoly({0: 6})
+    assert prod.coeffs == {0: 3, 1: 2}
+    assert all(type(c) is int for c in prod.coeffs.values())
+    assert type((LaurentPoly({0: Fraction(1, 2)}) * LaurentPoly({0: 2})).coeff(0)) is int
+    total = half + LaurentPoly({0: Fraction(1, 2), 1: Fraction(2, 3), 2: 5})
+    assert total.coeffs == {0: 1, 1: 1, 2: 5}
+    assert all(type(c) is int for c in total.coeffs.values())
+    # a non-integral sum or product keeps its Fraction
+    assert (half + LaurentPoly({0: 1})).coeff(0) == Fraction(3, 2)
+    assert (half * half).coeff(1) == Fraction(1, 3)
+
+
 def test_canonical_equality_across_routes():
     a = L({1: 1, -1: 1})
     b = (v_power(2) + QV_ONE) / QV_V

@@ -539,7 +539,7 @@ def test_module_dims_match_weyl_count():
      [((0, 0), 0), ((0, 1), 0), ((1, 0), 0), ((1, 1), 0), ((1, 1), 1),
       ((1, 2), 1), ((2, 1), 1), ((2, 2), 2)],
      [(1, 1), (2, -1), (-1, 2), (0, 0), (0, 0), (1, -2), (-2, 1), (-1, -1)]),
-    (A3, (0, 1, 0), 25,
+    (A3, (0, 1, 0), 28,
      [((0, 0, 0), 0), ((0, 1, 0), 0), ((0, 1, 1), 1), ((1, 1, 0), 0),
       ((1, 1, 1), 1), ((1, 2, 1), 3)],
      [(0, 1, 0), (1, -1, 1), (1, 0, -1), (-1, 0, 1), (-1, 1, -1), (0, -1, 0)]),
@@ -548,7 +548,9 @@ def test_module_builds_only_reachable_components(cartan, lam, builds, basis,
                                                  weights, monkeypatch):
     # M_nu = sum_p F_p M_(nu - e_p), so a degree with no surviving degree one
     # letter below it is skipped; building every degree of each level took
-    # 21 and 56 components and gave the same module data
+    # 21 and 56 components and gave the same module data.  A component is
+    # built from the components one letter lower, so the built set also
+    # holds every degree below a requested one.
     alg = UAlgebra(simply_connected_datum(cartan), 8)
     built = []
     orig = FAlgebra._build_component
@@ -556,6 +558,8 @@ def test_module_builds_only_reachable_components(cartan, lam, builds, basis,
                         lambda self, nu, *a: built.append(nu) or orig(self, nu, *a))
     mod = uq.HWModule(alg, lam)
     assert len(built) == len(set(built)) == builds
+    assert all(nu[:p] + (nu[p] - 1,) + nu[p + 1:] in built
+               for nu in built for p in range(len(nu)) if nu[p])
     assert mod.basis == basis and mod.weights == weights
     assert mod.reps == {nu: [c for m, c in basis if m == nu] for nu, _ in basis}
     assert mod.index == {b: k for k, b in enumerate(basis)}
