@@ -8,9 +8,10 @@ edge order; matrices are tuples of row tuples of int-encoded field elements.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from . import _budget
 from ._gf import GF, Mat, gl_order
@@ -276,17 +277,20 @@ def zero_mat(rows: int, cols: int) -> Mat:
     return tuple((0,) * cols for _ in range(rows))
 
 
-def _product(sizes: Sequence[int], pools: Iterable[Iterable[Mat]]) -> list[tuple[Mat, ...]]:
-    """Every tuple taking one matrix from each pool, in order.  The budget is
-    charged the closed-form count prod(sizes) before the first pool is
-    consumed, so lazy pools allocate nothing when the budget refuses."""
-    total = math.prod(sizes)
+def _charge_first(total: int) -> None:
+    """Charge a closed-form count before its lazy pools build anything."""
     budget = _budget.active_budget()
     if total > budget.limit - budget.used:
         raise _budget.BudgetExceeded(
             f"enumeration needs {total} points, budget has "
             f"{budget.limit - budget.used} left")
     budget.charge(total)
+
+
+def _product(sizes: Sequence[int], pools: Iterable[Iterable[Mat]]) -> list[tuple[Mat, ...]]:
+    """Every tuple taking one matrix from each pool, in order, charged the
+    count prod(sizes) before the first pool is consumed."""
+    _charge_first(math.prod(sizes))
     out: list[tuple[Mat, ...]] = [()]
     for pool in pools:
         pool = list(pool)
@@ -324,11 +328,10 @@ def group_order(quiver: Quiver, dims: Dims, q: int,
 def act(field: GF, quiver: Quiver, g: GPoint, x: Point,
         g_inv: GPoint | None = None) -> Point:
     """(g.x)_h = g_{h''} x_h g_{h'}^{-1}."""
-    pos = {v: k for k, v in enumerate(quiver.vertices)}
     if g_inv is None:
         g_inv = tuple(field.mat_inv(m) for m in g)
-    return tuple(field.mat_mul(field.mat_mul(g[pos[h.target]], xh), g_inv[pos[h.source]])
-                 for h, xh in zip(quiver.edges, x))
+    return tuple(field.mat_mul(field.mat_mul(g[a], xh), g_inv[b])
+                 for (a, b), xh in zip(_edge_ends(quiver), x))
 
 
 def twisted_frobenius_fixed(points: Iterable[Point], quiver: Quiver,
@@ -509,21 +512,22 @@ class RepSpace:
 # vertex, the quotient T the remaining tau_v, so stabilizing points look like
 # [[x_W, x_TW], [0, x_T]] on every edge.
 
+def _upper_blocks(tops: Iterable[Mat], mids: Sequence[Mat], bots: Sequence[Mat],
+                  width: int) -> Iterator[Mat]:
+    """[[a, b], [0, d]] for a, b, d in that loop order; a has ``width`` columns."""
+    for a in tops:
+        for b in mids:
+            for d in bots:
+                yield tuple(ra + rb for ra, rb in zip(a, b)) + tuple((0,) * width + r for r in d)
+
+
 def sub_stable_points(quiver: Quiver, sub: Dims, quot: Dims, field: GF) -> list[Point]:
     """S_W: points of E_{V} preserving the first-coordinates subspace W."""
-    def pool(ws, wt, ts, tt):
-        for mw in field.all_matrices(wt, ws):
-            for mtw in field.all_matrices(wt, ts):
-                for mt in field.all_matrices(tt, ts):
-                    top = tuple(rw + rtw for rw, rtw in zip(mw, mtw)) if wt else ()
-                    bot = tuple((0,) * ws + rt for rt in mt) if tt else ()
-                    yield top + bot
-
     blocks = [(sub[h.source], sub[h.target], quot[h.source], quot[h.target])
               for h in quiver.edges]
-    return _product([field.q ** (wt * (ws + ts) + tt * ts)
-                     for ws, wt, ts, tt in blocks],
-                    (pool(*b) for b in blocks))
+    return _product([field.q ** (wt * (ws + ts) + tt * ts) for ws, wt, ts, tt in blocks],
+                    (_upper_blocks(field.all_matrices(wt, ws), field.all_matrices(wt, ts),
+                                   field.all_matrices(tt, ts), ws) for ws, wt, ts, tt in blocks))
 
 
 def block_sub(quiver: Quiver, sub: Dims, x: Point) -> Point:
@@ -629,9 +633,9 @@ def count_fiber_lemma_checks(contr: QuiverContraction, tau: Dims, omega: Dims,
               if block_quot(hat, hat_omega, xh) == mu_t[xt]
               and block_sub(hat, hat_omega, xh) == mu_w[xw]}
 
+    mu = {x: mu_contraction(contr, nu, field, x) for x in s_heart}
     fibers: dict[tuple, int] = {}
-    for x in s_heart:
-        xh = mu_contraction(contr, nu, field, x)
+    for x, xh in mu.items():
         if not is_sub_stable(hat, hat_omega, xh):
             raise AssertionError("contracted point does not stabilize the subspace")
         key = (xh, block_quot(q, omega, x), block_sub(q, omega, x))
@@ -652,83 +656,115 @@ def count_fiber_lemma_checks(contr: QuiverContraction, tau: Dims, omega: Dims,
         "kappa_fiber_formula": formula,
         "kappa_fiber_matches": observed == formula,
         "kappa_surjective": set(fibers) == target,
-        "p_prime": _p_prime_report(contr, tau, omega, field, s_heart),
+        "p_prime": _p_prime_report(contr, tau, omega, field, mu, hat_s),
     }
 
 
-def _coset_table(field: GF, gs: Iterable[GPoint], subgroup: Iterable[GPoint]
-                 ) -> dict[GPoint, tuple[GPoint, GPoint, GPoint]]:
-    """g -> (m, t, t^-1) with m the lex-least element of the coset gS and
-    t = m^-1 g.  As s -> g s^-1 is injective, the lex-least member of the
-    class of (g, x) under (g, x) ~ (g s^-1, s.x) is (m, t.x).  Each coset
-    is walked twice, once for m and once as mS: 2|G| group products."""
-    def mul(a: GPoint, b: GPoint) -> GPoint:
-        return tuple(field.mat_mul(am, bm) for am, bm in zip(a, b))
+def _vertex_blocks(field: GF, vertices: Sequence[Symbol], sub: Dims, quot: Dims
+                   ) -> list[tuple[list[int], Iterator[Iterable[Mat]]]]:
+    """Per vertex, with w = sub_v and t = quot_v: the counts and lazy pools of
+    G_v = GL(w + t), of its unipotent radical U_v = [[I, *], [0, I]] and of
+    its block stabilizer Q_v = [[A, *], [0, D]] (A, D invertible)."""
+    q, gl, mid = field.q, field.general_linear, field.all_matrices
+    wts = [(sub[v], quot[v]) for v in vertices]
+    return [([gl_order(w + t, q) for w, t in wts], (gl(w + t) for w, t in wts)),
+            ([q ** (w * t) for w, t in wts],
+             (_upper_blocks([field.mat_id(w)], mid(w, t), [field.mat_id(t)], w) for w, t in wts)),
+            ([gl_order(w, q) * q ** (w * t) * gl_order(t, q) for w, t in wts],
+             (_upper_blocks(gl(w), mid(w, t), gl(t), w) for w, t in wts))]
 
-    pairs = [(s, tuple(field.mat_inv(m) for m in s)) for s in subgroup]
-    table: dict[GPoint, tuple[GPoint, GPoint, GPoint]] = {}
-    for g in gs:
+
+def _vertex_tables(field: GF, vertices: Sequence[Symbol], sub: Dims, quot: Dims
+                   ) -> tuple[list[dict], list[dict]]:
+    """Per vertex, the coset tables of U_v and Q_v in G_v, all charged first."""
+    blocks = _vertex_blocks(field, vertices, sub, quot)
+    _charge_first(sum(sum(sizes) for sizes, _ in blocks))
+    gs, us, qs = ([list(p) for p in pools] for _, pools in blocks)
+    return ([_coset_table(field, g, s) for g, s in zip(gs, us)],
+            [_coset_table(field, g, s) for g, s in zip(gs, qs)])
+
+
+def _coset_table(field: GF, group: Iterable[Mat], subgroup: Iterable[Mat]
+                 ) -> dict[Mat, tuple[Mat, Mat, Mat]]:
+    """One vertex factor: g -> (m, t, t^-1), m the lex-least element of gS
+    and t = m^-1 g.  A coset of prod_v S_v has the tuple of per-vertex minima
+    as its least element, and as s -> g s^-1 is injective, the least member
+    of the class of (g, x) under (g, x) ~ (g s^-1, s.x) is (m, t.x).  Each
+    coset is walked twice, for m and as mS: 2|G_v| matrix products."""
+    pairs = [(s, field.mat_inv(s)) for s in subgroup]
+    table: dict[Mat, tuple[Mat, Mat, Mat]] = {}
+    for g in group:
         if g not in table:
-            m = min(mul(g, s) for s, _ in pairs)
-            table.update((mul(m, s), (m, s, sinv)) for s, sinv in pairs)
+            m = min(field.mat_mul(g, s) for s, _ in pairs)
+            table.update((field.mat_mul(m, s), (m, s, sinv)) for s, sinv in pairs)
     return table
 
 
-def _table_rep(field: GF, quiver: Quiver, table: dict, g: GPoint, x: Point
-               ) -> tuple[GPoint, Point]:
-    m, t, tinv = table[g]
-    return m, act(field, quiver, t, x, tinv)
+def _edge_ends(quiver: Quiver) -> list[tuple[int, int]]:
+    """(target, source) vertex positions of each edge, in edge order."""
+    pos = {v: k for k, v in enumerate(quiver.vertices)}
+    return [(pos[h.target], pos[h.source]) for h in quiver.edges]
 
 
-def _p_prime_report(contr: QuiverContraction, tau: Dims, omega: Dims,
-                    field: GF, s_heart: list[Point]) -> dict:
+def _table_rep(field: GF, ends: Sequence[tuple[int, int]], tables: Sequence[dict],
+               memo: dict, g: GPoint, x: Point) -> tuple[GPoint, Point]:
+    """(m, t.x) from per-vertex coset tables; the product t_target x_h
+    t_source^-1 is computed once per distinct key, kept in ``memo``."""
+    cols = [table[gv] for table, gv in zip(tables, g)]
+    keys = [(cols[a][1], xh, cols[b][2]) for (a, b), xh in zip(ends, x)]
+    for key in keys:
+        if key not in memo:
+            memo[key] = field.mat_mul(field.mat_mul(key[0], key[1]), key[2])
+    return tuple(c[0] for c in cols), tuple(map(memo.__getitem__, keys))
+
+
+def _p_prime_report(contr: QuiverContraction, tau: Dims, omega: Dims, field: GF,
+                    mu: dict[Point, Point], hat_s: list[Point]) -> dict:
     """Induction-side bundle: fibers of the map from classes of (g, x) modulo
-    the unipotent stabilizer to pairs (contracted class, class modulo the
-    full block stabilizer).  Representatives come from one _coset_table
-    per subgroup U, Q, hat-U and hat-Q (2|G| or 2|hat G| group products
-    each), then one action per class: |G/U| |s_heart| classes upstairs,
-    |hat G/hat U| |hat S_W| on the contracted side."""
+    the unipotent stabilizer, x in s_heart (the keys of mu, which maps them to
+    their contractions), to pairs (contracted class, class modulo the full
+    block stabilizer), against a target built on hat_s = hat S_W.  The cost
+    is one per-vertex coset table each for U, Q, hat-U and hat-Q (2 sum_v |G_v|
+    matrix products each), plus one edge product per distinct
+    (t_target, x_h, t_source^-1) over all classes, kept in a memo of this call."""
     q = contr.quiver
-    nu = {v: tau[v] + omega[v] for v in q.vertices}
     hat = contr.hat_quiver
     hat_omega = contr.contracted_dims(omega)
     hat_tau = contr.contracted_dims(tau)
 
-    g_all = group_points(q, nu, field)
-    hat_g = group_points(hat, contr.contracted_dims(nu), field)
-    u_of = _coset_table(field, g_all, _unipotent_points(q, omega, tau, field))
-    q_of = _coset_table(field, g_all, _stabilizer_points(q, omega, tau, field))
-    hat_u_of = _coset_table(field, hat_g, _unipotent_points(hat, hat_omega, hat_tau, field))
-    hat_q_of = _coset_table(field, hat_g, _stabilizer_points(hat, hat_omega, hat_tau, field))
+    u_of, q_of = _vertex_tables(field, q.vertices, omega, tau)
+    hat_u_of, hat_q_of = _vertex_tables(field, hat.vertices, hat_omega, hat_tau)
+    ends, hat_ends = _edge_ends(q), _edge_ends(hat)
+    memo: dict[tuple[Mat, Mat, Mat], Mat] = {}
+
+    def minima(tables: list[dict]) -> Iterable[GPoint]:
+        # in the order a walk of G in group_points order meets the cosets
+        return itertools.product(*(dict.fromkeys(m for m, _, _ in t.values())
+                                   for t in tables))
 
     # classes of (g, x) modulo the unipotent radical: U preserves s_heart, so
     # each class has exactly one member (m, x) with m a minimum of G/U
-    mu = {x: mu_contraction(contr, nu, field, x) for x in s_heart}
     fibers: dict[tuple, int] = {}
     e2_of: dict = {}
-    for g in dict.fromkeys(m for m, _, _ in u_of.values()):
+    for g in minima(u_of):
         ghat = contr.project_group(g)
-        for x in s_heart:
+        for x, xh in mu.items():
             _budget.charge()
-            e1_hat = _table_rep(field, hat, hat_u_of, ghat, mu[x])
-            e2 = _table_rep(field, q, q_of, g, x)
-            e2_of.setdefault(e2, (ghat, mu[x]))
+            e1_hat = _table_rep(field, hat_ends, hat_u_of, memo, ghat, xh)
+            e2 = _table_rep(field, ends, q_of, memo, g, x)
+            e2_of.setdefault(e2, (ghat, xh))
             key = (e1_hat, e2)
             fibers[key] = fibers.get(key, 0) + 1
     sizes = set(fibers.values())
-    minus_quiver = Quiver(tuple(contr.pair.minus), ())
-    expected = group_order(minus_quiver, tau, field.q) \
-        * group_order(minus_quiver, omega, field.q)
+    expected = math.prod(gl_order(d[v], field.q) for d in (tau, omega) for v in contr.pair.minus)
 
     # the fiber-product target: hat classes mod hat-U (one (m, xhat) each, as
     # hat-U preserves hat S_W) paired with classes mod Q that agree inside
     # the hat classes mod hat-Q
-    hat_s = sub_stable_points(hat, hat_omega, hat_tau, field)
-    e1_hat_all = {(m, xhat) for m in {m for m, _, _ in hat_u_of.values()}
-                  for xhat in hat_s}
+    e1_hat_all = {(m, xhat) for m in minima(hat_u_of) for xhat in hat_s}
     _budget.charge(len(e1_hat_all))
-    push = {e: _table_rep(field, hat, hat_q_of, *e) for e in e1_hat_all}
-    e2_push = {e2: _table_rep(field, hat, hat_q_of, *gx) for e2, gx in e2_of.items()}
+    push = {e: _table_rep(field, hat_ends, hat_q_of, memo, *e) for e in e1_hat_all}
+    e2_push = {e2: _table_rep(field, hat_ends, hat_q_of, memo, *gx) for e2, gx in e2_of.items()}
     full_target = {(e1_hat, e2)
                    for e1_hat in e1_hat_all for e2 in e2_push
                    if push[e1_hat] == e2_push[e2]}
@@ -744,31 +780,10 @@ def _p_prime_report(contr: QuiverContraction, tau: Dims, omega: Dims,
 
 
 def _unipotent_points(quiver: Quiver, sub: Dims, quot: Dims, field: GF) -> list[GPoint]:
-    """Block matrices [[I, n], [0, I]] per vertex."""
-    def pool(w, t):
-        for n in field.all_matrices(w, t):
-            top = tuple(tuple(1 if r == c else 0 for c in range(w)) + n[r]
-                        for r in range(w))
-            bot = tuple((0,) * w + tuple(1 if r == c else 0 for c in range(t))
-                        for r in range(t))
-            yield top + bot
-
-    blocks = [(sub[v], quot[v]) for v in quiver.vertices]
-    return _product([field.q ** (w * t) for w, t in blocks],
-                    (pool(w, t) for w, t in blocks))
+    """The whole unipotent radical U = prod_v U_v."""
+    return _product(*_vertex_blocks(field, quiver.vertices, sub, quot)[1])
 
 
 def _stabilizer_points(quiver: Quiver, sub: Dims, quot: Dims, field: GF) -> list[GPoint]:
-    """Block matrices [[A, B], [0, D]] per vertex with A, D invertible."""
-    def pool(w, t):
-        for a in field.general_linear(w):
-            for b in field.all_matrices(w, t):
-                for d in field.general_linear(t):
-                    top = tuple(a[r] + b[r] for r in range(w))
-                    bot = tuple((0,) * w + d[r] for r in range(t))
-                    yield top + bot
-
-    blocks = [(sub[v], quot[v]) for v in quiver.vertices]
-    return _product([gl_order(w, field.q) * field.q ** (w * t) * gl_order(t, field.q)
-                     for w, t in blocks],
-                    (pool(w, t) for w, t in blocks))
+    """The whole block stabilizer Q = prod_v Q_v."""
+    return _product(*_vertex_blocks(field, quiver.vertices, sub, quot)[2])

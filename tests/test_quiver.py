@@ -190,11 +190,22 @@ def test_budget_guard():
         _budget.set_budget(saved.limit)
 
 
+def _vertex_table_points(dims, F):
+    """What the per-vertex coset tables hold: each element of G_v once, as a
+    key, and each element of U_v and of Q_v once, as some t_v.  The quotient
+    is one-dimensional at each vertex, which keeps the tables small."""
+    u_of, q_of = quiver._vertex_tables(F, A2Q.vertices, dims, dict.fromkeys(dims, 1))
+    return [("G", k, g) for k, table in enumerate(u_of) for g in table] + [
+        (name, k, t) for name, tables in (("U", u_of), ("Q", q_of))
+        for k, table in enumerate(tables) for t in {t for _, t, _ in table.values()}]
+
+
 ENUMERATIONS = {
     "group_points": lambda d, F: group_points(A2Q, d, F),
     "sub_stable_points": lambda d, F: sub_stable_points(A2Q, d, d, F),
     "unipotent_points": lambda d, F: quiver._unipotent_points(A2Q, d, d, F),
     "stabilizer_points": lambda d, F: quiver._stabilizer_points(A2Q, d, d, F),
+    "vertex_tables": _vertex_table_points,
 }
 
 
@@ -364,6 +375,33 @@ def test_fiber_lemma_report_pinned_f3():
                               "matches": True, "surjective": True}
 
 
+@pytest.mark.parametrize("q, tau, omega, kappa, p_prime", [
+    (2, (1, 1), (2, 2), (4, 16), 6),
+    (2, (2, 2), (1, 1), (4, 16), 6),
+    (4, (1, 1), (1, 1), (4, 16), 9),
+])
+def test_fiber_lemma_report_pinned_beyond_one_dimension(q, tau, omega, kappa, p_prime):
+    ident = AdmissibleAutomorphism.identity(A2Q)
+    contr = contract_quiver(A2Q, ident, OrbitPair((1,), (2,)))
+    rep = count_fiber_lemma_checks(contr, dict(zip(A2Q.vertices, tau)),
+                                   dict(zip(A2Q.vertices, omega)), gf(q))
+    assert rep == {"cartesian_top_squares": True, "kappa_fiber_constant": True,
+                   "kappa_fiber_observed": kappa[0], "kappa_fiber_formula": kappa[1],
+                   "kappa_fiber_matches": False, "kappa_surjective": True,
+                   "p_prime": {"constant": True, "observed": p_prime, "expected": p_prime,
+                               "matches": True, "surjective": True}}
+
+
+def test_p_prime_report_never_enumerates_the_whole_group(monkeypatch):
+    def whole_group(*args):
+        raise AssertionError("the fiber report enumerated a whole group")
+
+    for name in ("group_points", "_unipotent_points", "_stabilizer_points"):
+        monkeypatch.setattr(quiver, name, whole_group)
+    test_fiber_lemma_report_pinned()
+    test_fiber_lemma_report_pinned_f3()
+
+
 def _stable_heart(tau, omega, F):
     return [x for x in sub_stable_points(A2Q, omega, tau, F)
             if is_heart(A2Q, OrbitPair((1,), (2,)), F, x)]
@@ -388,15 +426,16 @@ def test_coset_table_gives_the_lex_least_class_member(q, tau, omega, sample, sub
     nu = {v: tau[v] + omega[v] for v in A2Q.vertices}
     sub = getattr(quiver, f"_{subgroup}_points")(A2Q, omega, tau, F)
     g_all = group_points(A2Q, nu, F)
-    table = quiver._coset_table(F, g_all, sub)
-    assert set(table) == set(g_all)
+    tables = quiver._vertex_tables(F, A2Q.vertices, omega, tau)[subgroup == "stabilizer"]
+    assert [set(t) for t in tables] == [set(F.general_linear(nu[v])) for v in A2Q.vertices]
     with_inv = [(s, tuple(F.mat_inv(m) for m in s)) for s in sub]
     heart = _stable_heart(tau, omega, F)
     pairs = [(g, x) for g in g_all for x in heart]
     if sample is not None:
         pairs = random.Random(q).sample(pairs, sample)
+    ends, memo = quiver._edge_ends(A2Q), {}
     for g, x in pairs:
-        assert quiver._table_rep(F, A2Q, table, g, x) == _lex_least_member(F, g, x, with_inv)
+        assert quiver._table_rep(F, ends, tables, memo, g, x) == _lex_least_member(F, g, x, with_inv)
 
 
 @pytest.mark.parametrize("q", [2, 3])
