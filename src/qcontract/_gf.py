@@ -203,8 +203,10 @@ class GF:
 
     # --- matrices (tuples of row tuples) --------------------------------
     def mat_mul(self, A: Mat, B: Mat) -> Mat:
+        """A times B.  A B with no rows is read as 0 x 0 (a tuple of rows
+        cannot hold a width), so an n x 0 A gives n empty rows."""
         if not A or not B:
-            return ()
+            return tuple(() for _ in A)
         n, k, m = len(A), len(B), len(B[0])
         add, mul = self.add, self.mul
         out = []

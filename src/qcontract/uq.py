@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Callable, Mapping, Sequence
 
 from ._budget import charge
-from ._linalg import (dense, rank as _mat_rank, reduce_by_rows, rref as _rref,
+from ._linalg import (dense, echelon_insert, reduce_by_rows, rref as _rref,
                       transpose)
 from .cartan import (CartanDatum, ContractiblePair, RootDatum,
                      contract_root_datum)
@@ -73,6 +73,7 @@ class UAlgebra:
         self._cross_memo: dict = {}
         self._gated: set = set()          # pairs whose braid formula gate passed
         self._modules: dict = {}          # highest weight -> HWModule
+        self._braids: dict = {}           # (index, sign, primed) -> BraidOperator
 
     def position(self, symbol) -> int:
         return self.f.position(symbol)
@@ -271,36 +272,51 @@ def bar_U(x: UElement) -> UElement:
                                 for (ew, mu, fw), c in x.coords.items()})
 
 
+def _sandwich(alg: UAlgebra, parts, right: Callable[[PlainWord], UElement]) -> UElement:
+    """Sum of c·L·K_nu·right(w) over the (c, L, nu, w) in parts.  L·K_nu is
+    closed form: (a, m, b)·K_nu is v^<nu, wt b>·(a, m + nu, b), the term
+    u_multiply gives, since b crosses no raising letter.  The parts that
+    share w are summed first, so each distinct w costs one product."""
+    groups: dict[PlainWord, dict] = {}
+    for c, left, nu, w in parts:
+        charge()
+        raw = groups.setdefault(w, {})
+        for (a, m, b), x in left.coords.items():
+            k = alg.weight_pairing(nu, alg.f.word_degree(b))
+            _add_into(raw, (a, _vadd(m, nu), b), c * x * v_power(k))
+    out: dict[Triple, QVScalar] = {}
+    for w, raw in groups.items():
+        for t, c in u_multiply(UElement(alg, raw), right(w)).coords.items():
+            _add_into(out, t, c)
+    return UElement(alg, out)
+
+
 def omega(x: UElement) -> UElement:
     """Swap raising and lowering letters and invert the torus."""
-    alg = x.algebra
-    out = UElement(alg, {})
-    for (ew, mu, fw), c in x.coords.items():
-        t = UElement(alg, {((), alg.y_zero, ew): QV_ONE})
-        t = u_multiply(t, k_gen(alg, _neg(mu)))
-        t = u_multiply(t, UElement(alg, {(fw, alg.y_zero, ()): QV_ONE}))
-        out = out + t.scale(c)
-    return out
+    alg, y0 = x.algebra, x.algebra.y_zero
+    return _sandwich(alg, ((c, UElement(alg, {((), y0, ew): QV_ONE}), _neg(mu), fw)
+                           for (ew, mu, fw), c in x.coords.items()),
+                     lambda fw: UElement(alg, {(fw, y0, ()): QV_ONE}))
 
 
 def rho(x: UElement) -> UElement:
     """Antiautomorphism fixing the torus, sending each raising letter to a
     torus-twisted lowering letter and conversely."""
     alg = x.algebra
-    out = UElement(alg, {})
-    for (ew, mu, fw), c in x.coords.items():
+
+    def image(w: PlainWord, raising: bool) -> UElement:
+        """Image of the word w of raising (or lowering) letters."""
         acc = u_one(alg)
-        for p in reversed(fw):
-            d = alg._d[p]
-            img = UElement(alg, {((p,), _neg(alg._kt[p]), ()): v_power(-d)})
-            acc = u_multiply(acc, img)
-        acc = u_multiply(acc, k_gen(alg, mu))
-        for p in reversed(ew):
-            d = alg._d[p]
-            img = UElement(alg, {((), alg._kt[p], (p,)): v_power(d)})
-            acc = u_multiply(acc, img)
-        out = out + acc.scale(c)
-    return out
+        for p in reversed(w):
+            d, kt = alg._d[p], alg._kt[p]
+            acc = u_multiply(acc, UElement(alg, {((), kt, (p,)): v_power(d)}
+                                           if raising else
+                                           {((p,), _neg(kt), ()): v_power(-d)}))
+        return acc
+
+    return _sandwich(alg, ((c, image(fw, False), mu, ew)
+                           for (ew, mu, fw), c in x.coords.items()),
+                     lambda ew: image(ew, True))
 
 
 def render_uelement(x: UElement) -> str:
@@ -797,19 +813,11 @@ class BraidOperator:
         p = algebra.position(i)
         self._p = p
         d = algebra._d[p]
-        kt = algebra._kt[p]
-        self._e_img: dict[int, UElement] = {}
-        self._f_img: dict[int, UElement] = {}
-        if primed:
-            self._e_img[p] = UElement(algebra, {
-                ((), tuple(e * a for a in kt), (p,)): -QV_ONE})
-            self._f_img[p] = UElement(algebra, {
-                ((p,), tuple(-e * a for a in kt), ()): -QV_ONE})
-        else:
-            self._e_img[p] = UElement(algebra, {
-                ((), tuple(e * a for a in kt), (p,)): -v_power(2 * e * d)})
-            self._f_img[p] = UElement(algebra, {
-                ((p,), tuple(-e * a for a in kt), ()): -v_power(-2 * e * d)})
+        kt = tuple(e * a for a in algebra._kt[p])
+        tw = e * d if primed else -e * d
+        y0 = algebra.y_zero
+        self._e_img = {p: UElement(algebra, {((), kt, (p,)): -v_power(e * d - tw)})}
+        self._f_img = {p: UElement(algebra, {((p,), _neg(kt), ()): -v_power(tw - e * d)})}
         for q, sym in enumerate(algebra.cartan.indices):
             if q == p:
                 continue
@@ -818,22 +826,12 @@ class BraidOperator:
             raw_f: dict[Triple, QVScalar] = {}
             for r in range(n + 1):
                 s = n - r
+                a, b = (r, s) if primed else (s, r)
                 fac = QV_ONE / (quantum_factorial(r, d) * quantum_factorial(s, d))
-                sign = QV_ONE if r % 2 == 0 else -QV_ONE
-                if primed:
-                    ce = sign * v_power(e * d * r) * fac
-                    cf = sign * v_power(-e * d * r) * fac
-                    _add_into(raw_e, ((p,) * r + (q,) + (p,) * s,
-                                      algebra.y_zero, ()), ce)
-                    _add_into(raw_f, ((), algebra.y_zero,
-                                      (p,) * s + (q,) + (p,) * r), cf)
-                else:
-                    ce = sign * v_power(-e * d * r) * fac
-                    cf = sign * v_power(e * d * r) * fac
-                    _add_into(raw_e, ((p,) * s + (q,) + (p,) * r,
-                                      algebra.y_zero, ()), ce)
-                    _add_into(raw_f, ((), algebra.y_zero,
-                                      (p,) * r + (q,) + (p,) * s), cf)
+                _add_into(raw_e, ((p,) * a + (q,) + (p,) * b, y0, ()),
+                          _sign_power(tw, r) * fac)
+                _add_into(raw_f, ((), y0, (p,) * b + (q,) + (p,) * a),
+                          _sign_power(-tw, r) * fac)
             self._e_img[q] = UElement(algebra, algebra.reduce_triples(raw_e))
             self._f_img[q] = UElement(algebra, algebra.reduce_triples(raw_f))
         self._eword_memo: dict[PlainWord, UElement] = {}
@@ -854,22 +852,18 @@ class BraidOperator:
         return out
 
     def apply(self, x: UElement) -> UElement:
-        if x.algebra is not self.algebra:
+        """Sum of c·T(E_ew)·K_{s(mu)}·T(F_fw) over the terms of x."""
+        alg = self.algebra
+        if x.algebra is not alg:
             raise ValueError("element does not live in this algebra")
-        out = UElement(self.algebra, {})
-        for (ew, mu, fw), c in x.coords.items():
-            charge()
-            t = self._word_image(ew, False)
-            t = u_multiply(t, k_gen(self.algebra,
-                                    self.algebra.reflect_y(self._p, mu)))
-            t = u_multiply(t, self._word_image(fw, True))
-            out = out + t.scale(c)
-        return out
+        return _sandwich(alg, ((c, self._word_image(ew, False),
+                                alg.reflect_y(self._p, mu), fw)
+                               for (ew, mu, fw), c in x.coords.items()),
+                         lambda fw: self._word_image(fw, True))
 
     def inverse(self) -> "BraidOperator":
         """The inverse carries the opposite decoration and opposite sign."""
-        return BraidOperator(self.algebra, self.index, -self.e,
-                             not self.primed)
+        return braid_basic(self.algebra, self.index, -self.e, not self.primed)
 
     def __repr__(self):
         kind = "primed" if self.primed else "doubleprime"
@@ -877,7 +871,13 @@ class BraidOperator:
 
 
 def braid_basic(algebra: UAlgebra, i, e: int, primed: bool = True) -> BraidOperator:
-    return BraidOperator(algebra, i, e, primed)
+    """The algebra's one operator with this label, so its word images are
+    built once per algebra."""
+    key = (i, e, primed)
+    op = algebra._braids.get(key)
+    if op is None:
+        op = algebra._braids[key] = BraidOperator(algebra, i, e, primed)
+    return op
 
 
 class ComposedBraid:
@@ -1246,8 +1246,8 @@ def _products_upto(tgt: UAlgebra, letters, max_total: int):
 
 
 def _rank_of(terms_list: list[dict]) -> int:
-    live = [t for t in terms_list if t]
-    return _mat_rank(dense(live, QV_ZERO)) if live else 0
+    rules: dict = {}
+    return sum(echelon_insert(rules, t) for t in terms_list)
 
 
 def _crossing_ideal(tgt: UAlgebra, letters, max_total: int) -> list[dict]:

@@ -95,6 +95,14 @@ def test_field_axioms_and_frobenius_hypothesis(q):
     check()
 
 
+def test_mat_mul_keeps_the_rows_of_an_empty_product():
+    # n x 0 times 0 x 0 is n x 0: n empty rows, not a matrix with no rows
+    F = gf(2)
+    assert F.mat_mul(((), ()), ()) == ((), ())
+    assert F.mat_mul((), ()) == ()
+    assert F.mat_mul((), ((1, 0), (0, 1))) == ()
+
+
 @pytest.mark.parametrize("q", FIELDS)
 def test_mat_mul_matches_the_naive_product_hypothesis(q):
     hyp = pytest.importorskip("hypothesis")

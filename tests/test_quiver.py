@@ -392,6 +392,21 @@ def test_fiber_lemma_report_pinned_beyond_one_dimension(q, tau, omega, kappa, p_
                                "matches": True, "surjective": True}}
 
 
+
+@pytest.mark.parametrize("q, kappa, p_prime", [(2, (2, 4), 1), (3, (3, 9), 4)])
+def test_fiber_lemma_report_pinned_with_a_zero_dimensional_vertex(q, kappa, p_prime):
+    # vertex 1 has dimension 0, so the edge 1 -> 2 is a 1 x 0 matrix; acting
+    # on it must keep that shape for p' to reach every class
+    contr = contract_quiver(A3Q, AdmissibleAutomorphism.identity(A3Q),
+                            OrbitPair((2,), (3,)))
+    dims = {1: 0, 2: 1, 3: 1}
+    rep = count_fiber_lemma_checks(contr, dims, dims, gf(q))
+    assert rep == {"cartesian_top_squares": True, "kappa_fiber_constant": True,
+                   "kappa_fiber_observed": kappa[0], "kappa_fiber_formula": kappa[1],
+                   "kappa_fiber_matches": False, "kappa_surjective": True,
+                   "p_prime": {"constant": True, "observed": p_prime, "expected": p_prime,
+                               "matches": True, "surjective": True}}
+
 def test_p_prime_report_never_enumerates_the_whole_group(monkeypatch):
     def whole_group(*args):
         raise AssertionError("the fiber report enumerated a whole group")

@@ -5,9 +5,10 @@ import weakref
 import pytest
 
 from qcontract.cartan import (
-    ContractiblePair, simply_connected_datum, simply_laced_cartan,
+    CartanDatum, ContractiblePair, simply_connected_datum, simply_laced_cartan,
 )
 from qcontract import uq
+from qcontract._linalg import dense, rank
 from qcontract.falg import FAlgebra, _pbw_data, theta
 from qcontract.scalar import (
     QV_ONE, QV_ZERO, quantum_integer, v_power,
@@ -36,6 +37,8 @@ TRIANGLE = simply_laced_cartan((1, 2, 3), [(1, 2), (2, 3), (1, 3)])
 U1 = UAlgebra(simply_connected_datum(A1), 10)
 U2 = UAlgebra(simply_connected_datum(A2), 8)
 U3 = UAlgebra(simply_connected_datum(A3), 8)
+# B2 with d = 2 on vertex 1, so the braid twists differ between the letters
+UB2 = UAlgebra(simply_connected_datum(CartanDatum((1, 2), ((4, -2), (-2, 2)))), 8)
 PAIR12 = ContractiblePair(1, 2)
 PAIR23 = ContractiblePair(2, 3)
 
@@ -362,6 +365,41 @@ def test_braid_inverse_pairs():
                     assert op.apply(inv.apply(g)) == g
 
 
+
+def _braid_by_definition(op, x):
+    """Sum of c·T(E_ew)·K_{s(mu)}·T(F_fw), both products through u_multiply."""
+    alg = op.algebra
+    out = UElement(alg, {})
+    for (ew, mu, fw), c in x.coords.items():
+        t = u_multiply(op._word_image(ew, False),
+                       k_gen(alg, alg.reflect_y(op._p, mu)))
+        out = out + u_multiply(t, op._word_image(fw, True)).scale(c)
+    return out
+
+
+@pytest.mark.parametrize("alg", [U2, UB2], ids=["A2", "B2"])
+def test_braid_apply_matches_the_termwise_definition(alg):
+    rng = random.Random(11)
+    xs = [rand_element(alg, rng, width=4) for _ in range(4)]
+    for i in alg.cartan.indices:
+        for e in (1, -1):
+            for primed in (True, False):
+                op = braid_basic(alg, i, e, primed)
+                for x in xs:
+                    y = op.apply(x)
+                    assert y == _braid_by_definition(op, x)
+                    assert op.inverse().apply(y) == x
+
+
+def test_braid_operators_belong_to_their_algebra():
+    op = braid_basic(U2, 1, 1, True)
+    assert braid_basic(U2, 1, 1, True) is op
+    assert op.inverse() is braid_basic(U2, 1, -1, False)
+    assert op.inverse().inverse() is op
+    assert braid_basic(U2, 1, 1, False) is not op
+    other = UAlgebra(simply_connected_datum(A2), 8)
+    assert braid_basic(other, 1, 1, True) is not op
+
 def test_rank_two_braid_relation():
     gens = [e_gen(U2, 1), f_gen(U2, 2), k_gen(U2, (1, -1)),
             u_multiply(e_gen(U2, 1), f_gen(U2, 1))]
@@ -407,6 +445,8 @@ def test_algebra_caches_die_with_the_algebra():
     alg = UAlgebra(simply_connected_datum(A1), 4)
     assert build_module(alg, (1,)) is build_module(alg, (1,))
     assert _pbw_data(alg.f) is _pbw_data(alg.f)
+    assert braid_basic(alg, 1, -1, False).apply(
+        braid_basic(alg, 1, 1).apply(e_gen(alg, 1))) == e_gen(alg, 1)
     refs = [weakref.ref(alg), weakref.ref(alg.f)]
     del alg
     gc.collect()
@@ -481,6 +521,17 @@ def test_subquotient_probe_a3():
     assert rep["quotient_braid"]["holds"]
     assert rep["quotient_braid"]["checked"] == 28
 
+
+
+def test_rank_of_matches_dense_elimination():
+    rng = random.Random(7)
+    for _ in range(20):
+        xs = [rand_element(U2, rng, width=2, letters=1) for _ in range(rng.randint(1, 4))]
+        rows = [x.coords for x in xs]
+        rows += [(xs[0].scale(v_power(rng.randint(-2, 2))) + x).coords for x in xs]
+        rows.append({})
+        live = [r for r in rows if r]
+        assert uq._rank_of(rows) == (rank(dense(live, QV_ZERO)) if live else 0)
 
 def test_subquotient_probe_holds_needs_unambiguous_preimages(monkeypatch):
     fake = {"checked": 16, "holds": True, "failures": [],
