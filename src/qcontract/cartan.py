@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from . import _budget
-from ._linalg import rank as _rank, solve_in_span
+from ._linalg import rank as _rank, solve
 
 Symbol = Hashable
 Vector = tuple[int, ...]
@@ -69,6 +69,10 @@ class CartanDatum:
     def from_json(data: Mapping) -> CartanDatum:
         return CartanDatum(tuple(data["indices"]),
                            tuple(tuple(int(x) for x in r) for r in data["pairing"]))
+
+
+def _sparse(vec: Sequence[int]) -> dict[int, Fraction]:
+    return {a: Fraction(x) for a, x in enumerate(vec) if x}
 
 
 def _det(rows: Sequence[Sequence[int]]) -> Fraction:
@@ -219,7 +223,7 @@ class RootDatum:
         return self.pair(self.coroot(i), x)
 
     def is_Y_regular(self) -> bool:
-        rows = [[Fraction(c) for c in self.coroot(i)] for i in self.cartan.indices]
+        rows = [_sparse(self.coroot(i)) for i in self.cartan.indices]
         return _rank(rows) == len(self.cartan.indices)
 
     def dominant(self, x: Sequence[int]) -> bool:
@@ -443,14 +447,14 @@ def weyl_embedding(rd: RootDatum, pair: ContractiblePair,
 
 def express_in_simple_coroots(rd: RootDatum, y: Sequence[int]) -> tuple[Fraction, ...] | None:
     cols = [rd.coroot(i) for i in rd.cartan.indices]
-    sol = solve_in_span([[Fraction(a) for a in c] for c in cols],
-                        [Fraction(x) for x in y])
+    sol, _ = solve([_sparse(c) for c in cols], _sparse(y), Fraction(1))
     if sol is None:
         return None
-    if any(sum(Fraction(cols[k][a]) * sol[k] for k in range(len(cols))) != y[a]
+    coeffs = tuple(sol.get(k, Fraction(0)) for k in range(len(cols)))
+    if any(sum(Fraction(cols[k][a]) * coeffs[k] for k in range(len(cols))) != y[a]
            for a in range(rd.rankY)):
         return None
-    return tuple(sol)
+    return coeffs
 
 
 def enumerate_roots(rd: RootDatum, height_bound: int | None = None) -> frozenset[Vector]:

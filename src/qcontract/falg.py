@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 
 from . import _budget
 from ._linalg import (echelon_insert, echelon_reduce, nullspace, rank,
-                      reduce_by_rows, rref, solve_in_span, transpose)
+                      residue, rref, solve)
 from .cartan import CartanDatum, ContractiblePair, contract_cartan
 from .scalar import (
     QVScalar, QV_ONE, QV_ZERO, LaurentPoly, bar as scalar_bar,
@@ -243,7 +243,8 @@ class FAlgebra:
                    for lead in sorted(rules, reverse=True)}
         gram_dim = None
         if check_form:
-            gram = [[qv(self._gtilde(u, w)) for w in words] for u in words]
+            gram = [{w: g for w in words if (g := qv(self._gtilde(u, w)))}
+                    for u in words]
             gram_dim = len(words) - rank(gram)
             if gram_dim != len(rewrite):
                 raise AssertionError(
@@ -556,9 +557,8 @@ def _projector(alg: FAlgebra, i, nu: Degree, side: str):
     comp = alg.component(nu)
     dim = comp.dim
     if nu[p] == 0:
-        kernel = [[QV_ONE if c == r else QV_ZERO for c in range(dim)]
-                  for r in range(dim)]
-        mult_vecs: list[list[QVScalar]] = []
+        kernel = [{w: QV_ONE} for w in comp.basis]
+        mult_vecs: list[dict[PlainWord, QVScalar]] = []
     else:
         sub = list(nu)
         sub[p] -= 1
@@ -568,11 +568,11 @@ def _projector(alg: FAlgebra, i, nu: Degree, side: str):
         for w in alg.component(sub).basis:
             b = FElement(alg, sub, {w: QV_ONE})
             m = b * gen if side == "right" else gen * b
-            mult_vecs.append(m.coordinate_vector())
+            mult_vecs.append(m.coords)
         deriv = r_i if side == "right" else left_r_i
-        img_rows = [deriv(FElement(alg, nu, {w: QV_ONE}), i).coordinate_vector()
-                    for w in comp.basis]
-        kernel = nullspace(transpose(img_rows), dim, QV_ONE)
+        imgs = [deriv(FElement(alg, nu, {w: QV_ONE}), i).coords for w in comp.basis]
+        kernel = [{comp.basis[c]: x for c, x in rel.items()}
+                  for rel in nullspace(imgs, QV_ONE)]
         if len(kernel) + len(mult_vecs) != dim \
                 or rank(kernel + mult_vecs) != dim:
             raise AssertionError(
@@ -593,18 +593,16 @@ def left_pi_i(x: FElement, i) -> FElement:
 
 
 def _project(x: FElement, i, side: str) -> FElement:
-    alg = x.algebra
-    comp = alg.component(x.nu)
-    kernel, mult = _projector(alg, i, x.nu, side)
-    sol = solve_in_span(kernel + mult, x.coordinate_vector())
+    kernel, mult = _projector(x.algebra, i, x.nu, side)
+    sol, _ = solve(kernel + mult, x.coords, QV_ONE)
     if sol is None:
         raise AssertionError("piece decomposition failed to split the element")
     out: dict[PlainWord, QVScalar] = {}
-    for k, vec in enumerate(kernel):
-        if sol[k]:
-            for w, c in zip(comp.basis, vec):
-                _add_into(out, w, sol[k] * c)
-    return FElement(alg, x.nu, out)
+    for k, c in sol.items():
+        if k < len(kernel):
+            for w, a in kernel[k].items():
+                _add_into(out, w, c * a)
+    return FElement(x.algebra, x.nu, out)
 
 
 def f_i_membership(x: FElement, i) -> bool:
@@ -742,7 +740,8 @@ def injectivity_report(emb: FEmbedding, max_total: int) -> dict:
             continue
         images = [emb.apply_plain({w: QV_ONE}) for w in comp.basis]
         duals = [twin.apply_plain({w: QV_ONE}) for w in comp.basis]
-        gram = [[tgt.form_plain(a, b) for b in duals] for a in images]
+        gram = [{k: g for k, b in enumerate(duals) if (g := tgt.form_plain(a, b))}
+                for a in images]
         got = rank(gram)
         if got < comp.dim:
             probes: list[PlainWord] = []
@@ -752,9 +751,9 @@ def injectivity_report(emb: FEmbedding, max_total: int) -> dict:
                     if w not in seen:
                         seen.add(w)
                         probes.append(w)
-            matrix = [[tgt.form_plain({p: QV_ONE}, img) for p in probes]
-                      for img in images]
-            got = max(got, rank(matrix) if probes else 0)
+            matrix = [{p: g for p in probes
+                       if (g := tgt.form_plain({p: QV_ONE}, img))} for img in images]
+            got = max(got, rank(matrix))
         pieces[nu] = {"dim": comp.dim, "rank": got}
         all_ok = all_ok and got == comp.dim
     return {"max_total_degree": max_total, "pieces": pieces, "injective": all_ok}
@@ -972,33 +971,25 @@ def subquotient_f(target: FAlgebra, pair: ContractiblePair, max_total: int,
         if sum(nu) > target.degree_bound:
             continue
         vecs, imgs = _token_span(emb, nu)
-        sub_dim = rank(vecs) if vecs else 0
+        sub_dim = rank(vecs)
         # the quotient map on spanning words, checked well defined on relations
-        n_words = len(vecs)
-        relations = nullspace(transpose(vecs), n_words, QV_ONE) if n_words else []
         well_defined = True
-        for rel in relations:
+        for rel in nullspace(vecs, QV_ONE):
             acc: dict[PlainWord, QVScalar] = {}
-            for c, img in zip(rel, imgs):
-                if img is not None and c:
-                    _add_into(acc, img, c)
+            for k, c in rel.items():
+                if imgs[k] is not None:
+                    _add_into(acc, imgs[k], c)
             if acc and felement(src, nu_hat, acc):
                 well_defined = False
         # image dimension and kernel of the quotient on the subalgebra piece
         scomp = src.component(nu_hat)
-        img_rows = []
-        for img in imgs:
-            if img is None:
-                img_rows.append([QV_ZERO] * scomp.dim)
-            else:
-                img_rows.append(felement(src, nu_hat,
-                                         {img: QV_ONE}).coordinate_vector())
-        j_rank = rank(img_rows) if img_rows else 0
+        j_rank = rank([felement(src, nu_hat, {img: QV_ONE}).coords
+                       for img in imgs if img is not None])
         ker_dim = sub_dim - j_rank
         # token words with a wrong-order factor span the candidate ideal;
         # they map to zero, so the ideal sits inside the kernel already
         ideal_vecs = _ideal_vecs(vecs, imgs)
-        ideal_dim = rank(ideal_vecs) if ideal_vecs else 0
+        ideal_dim = rank(ideal_vecs)
         # split: the quotient inverts the embedding
         split_ok = True
         for w in scomp.basis:
@@ -1065,8 +1056,7 @@ def _token_span(emb: FEmbedding, nu: Degree) -> tuple[list, list]:
     under the quotient (None for words in the ideal)."""
     target = emb.target
     words = _token_words(_quotient_tokens(emb), target, nu)
-    vecs = [felement(target, nu, {w: QV_ONE}).coordinate_vector()
-            for w, _ in words]
+    vecs = [felement(target, nu, {w: QV_ONE}).coords for w, _ in words]
     return vecs, [img for _, img in words]
 
 
@@ -1080,13 +1070,13 @@ def _apply_quotient(src: FAlgebra, nu_hat, vecs, imgs, x: FElement):
     when x lies outside the subalgebra."""
     if not vecs:
         return None
-    sol = solve_in_span(vecs, x.coordinate_vector())
+    sol, _ = solve(vecs, x.coords, QV_ONE)
     if sol is None:
         return None
     acc: dict[PlainWord, QVScalar] = {}
-    for c, img in zip(sol, imgs):
-        if c and img is not None:
-            _add_into(acc, img, c)
+    for k, c in sol.items():
+        if imgs[k] is not None:
+            _add_into(acc, imgs[k], c)
     return felement(src, nu_hat, acc)
 
 
@@ -1204,13 +1194,13 @@ def canonical_basis(algebra: FAlgebra, nu) -> list[FElement]:
     if not monos:
         return []
     n = len(monos)
-    vecs = [el.coordinate_vector() for _, el in monos]
+    vecs = [el.coords for _, el in monos]
     trans: list[dict[int, QVScalar]] = []
     for _, el in monos:
-        sol = solve_in_span(vecs, el.bar().coordinate_vector())
+        sol, _ = solve(vecs, el.bar().coords, QV_ONE)
         if sol is None:
             raise AssertionError("root-vector monomials are not a basis")
-        trans.append({k: c for k, c in enumerate(sol) if c})
+        trans.append(sol)
     for col in range(n):
         if trans[col].get(col) != QV_ONE:
             raise AssertionError("bar transition is not unipotent")
@@ -1334,17 +1324,13 @@ def _subquotient_basis_failures(name: str, emb: FEmbedding, nu_hat, nu,
     one embedding; the ideal is reduced once, and congruence is equality of
     the reduced coordinate vectors."""
     vecs, imgs = _token_span(emb, nu)
-    ideal, pivots = rref(_ideal_vecs(vecs, imgs), len(vecs[0]) if vecs else 0)
-
-    def residue(x: FElement) -> tuple:
-        return tuple(reduce_by_rows(ideal, pivots, x.coordinate_vector()))
-
-    residues = [residue(b) for b in basis_tgt]
+    ideal = rref(_ideal_vecs(vecs, imgs))
+    residues = [residue(ideal, b.coords) for b in basis_tgt]
     failures = []
     reached: dict[int, FElement] = {}
     for b_hat in basis_hat:
         img = emb.apply(b_hat)
-        r = residue(img)
+        r = residue(ideal, img.coords)
         matches = [k for k, rb in enumerate(residues) if rb == r]
         witness = {"embedding": name, "element": render_felement(b_hat),
                    "image": render_felement(img)}

@@ -17,14 +17,13 @@ from __future__ import annotations
 from typing import Callable, Mapping, Sequence
 
 from ._budget import charge
-from ._linalg import (dense, echelon_insert, reduce_by_rows, rref as _rref,
-                      transpose)
+from ._linalg import echelon_insert, rank, rref, residue, solve
 from .cartan import (CartanDatum, ContractiblePair, RootDatum,
                      contract_root_datum)
 from .falg import (FAlgebra, FElement, LinearCombination, _add_into,
                    _degrees_up_to, canonical_basis, felement,
                    psi_dagger_epsilon, psi_epsilon, theta)
-from .scalar import (QV_ONE, QV_ZERO, QVScalar, bar as scalar_bar, qv,
+from .scalar import (QV_ONE, QVScalar, bar as scalar_bar, qv,
                      quantum_factorial, quantum_integer, render_scalar,
                      v_power)
 
@@ -519,8 +518,8 @@ def u_injectivity_report(emb: UEmbedding, max_total: int) -> dict:
             pairs = [(a, b) for a in basis_e for b in basis_f]
             if not pairs:
                 continue
-            rk = _rank_of([emb.substitute({(a, src.y_zero, b): QV_ONE})
-                           for a, b in pairs])
+            rk = rank([emb.substitute({(a, src.y_zero, b): QV_ONE})
+                       for a, b in pairs])
             blocks[f"{nu_e}|{nu_f}"] = {"dim": len(pairs), "rank": rk}
             if rk != len(pairs):
                 ok = False
@@ -1245,11 +1244,6 @@ def _products_upto(tgt: UAlgebra, letters, max_total: int):
         frontier = nxt
 
 
-def _rank_of(terms_list: list[dict]) -> int:
-    rules: dict = {}
-    return sum(echelon_insert(rules, t) for t in terms_list)
-
-
 def _crossing_ideal(tgt: UAlgebra, letters, max_total: int) -> list[dict]:
     """Coordinates of the nonzero products x1·g·x2 of total degree at most
     max_total, for the crossing letters g = E-E+ and F+F- and words x1, x2
@@ -1312,11 +1306,11 @@ def subquotient_phi_probe(target: UAlgebra, pair: ContractiblePair,
         sub = [t for t in sub_rows if t and _norm_key(amb, t) == nk]
         idl = [t for t in ideal_rows if t and _norm_key(amb, t) == nk]
         psi = [t for t in psi_rows if t and _norm_key(amb, t) == nk]
-        r_sub = _rank_of(sub)
-        r_idl = _rank_of(idl)
-        r_psi = _rank_of(psi)
-        r_pi = _rank_of(psi + idl)
-        r_all = _rank_of(psi + idl + sub)
+        r_sub = rank(sub)
+        r_idl = rank(idl)
+        r_psi = rank(psi)
+        r_pi = rank(psi + idl)
+        r_all = rank(psi + idl + sub)
         surj = r_all == r_pi
         meet = r_psi + r_idl - r_pi
         blocks[str(nk)] = {"sub": r_sub, "ideal": r_idl, "image": r_psi,
@@ -1484,23 +1478,15 @@ def _solve_mod_ideal(emb: UEmbedding, y: UElement,
     cap = max((sum(d) for bideg in live for d in bideg), default=0)
     cands = _candidate_images(emb, cap, mus, lambda de, df: (de, df) in live)
     imgs = [img for _, img in cands]
-    cols = imgs + ideal_cands
-    if not any(cols) and not y.coords:
-        return UElement(src, {}), True
-    # One elimination of the augmented system [cols | y] gives the solution
-    # (free variables zero) and, since pivots are chosen left to right, the
-    # ranks of cols (its pivots before the augmented column) and of imgs
-    # (its pivots before the first ideal column).
-    n = len(cols)
-    red, pivots = _rref(transpose(dense(cols + [y.coords], QV_ZERO)), n + 1)
-    if n in pivots:
+    # One solve over the columns imgs + ideal_cands gives the solution (free
+    # variables zero) and its pivots, the columns independent of those
+    # before them: their count is the rank of the columns, and the count
+    # below len(imgs) is the rank of imgs.
+    sol, pivots = solve(imgs + ideal_cands, y.coords, QV_ONE)
+    if sol is None:
         return None
-    xhat: dict[Triple, QVScalar] = {}
-    for row, pc in zip(red, pivots):
-        if pc < len(cands) and row[n]:
-            _add_into(xhat, cands[pc][0], row[n])
-    rank_imgs = sum(pc < len(imgs) for pc in pivots)
-    unique = rank_imgs + _rank_of(ideal_cands) == len(pivots)
+    xhat = {cands[j][0]: c for j, c in sol.items() if j < len(cands)}
+    unique = sum(j < len(imgs) for j in pivots) + rank(ideal_cands) == len(pivots)
     return UElement(src, xhat), unique
 
 
@@ -1520,7 +1506,9 @@ class HWModule:
         self._thresholds = {
             i: algebra.datum.pair_index(i, self.lam) + 1
             for i in algebra.cartan.indices}
-        self._sub: dict[Degree, tuple[list, list[int], list[int]]] = {}
+        # the submodule's reduced echelon rules per degree, with column c of
+        # the component keyed -c so that leads are the leftmost columns
+        self._sub: dict[Degree, dict[int, dict]] = {}
         self.reps: dict[Degree, list[int]] = {}
         self.index: dict[tuple[Degree, int], int] = {}
         self.basis: list[tuple[Degree, int]] = []
@@ -1557,13 +1545,11 @@ class HWModule:
                                 for q, a in enumerate(nu))
                     for w in f.component(low).basis:
                         charge()
-                        rows.append(felement(f, nu, {w + (p,) * n: QV_ONE})
-                                    .coordinate_vector())
-                red, pivots = _rref(rows, len(comp.basis)) if rows else ([], [])
-                pivot_set = set(pivots)
-                free = [c for c in range(len(comp.basis))
-                        if c not in pivot_set]
-                self._sub[nu] = (red, pivots, free)
+                        el = felement(f, nu, {w + (p,) * n: QV_ONE})
+                        rows.append({-c: x for c, x in
+                                     enumerate(el.coordinate_vector()) if x})
+                rules = self._sub[nu] = rref(rows)
+                free = [c for c in range(len(comp.basis)) if -c not in rules]
                 if free:
                     self.reps[nu] = free
                     for c in free:
@@ -1579,16 +1565,11 @@ class HWModule:
     def project(self, x: FElement) -> dict[int, QVScalar]:
         """Class of a Serre-algebra element in the quotient coordinates."""
         nu = x.nu
-        info = self._sub.get(nu)
-        if info is None:
+        rules = self._sub.get(nu)
+        if rules is None:
             return {}
-        red, pivots, free = info
-        vec = reduce_by_rows(red, pivots, x.coordinate_vector())
-        out = {}
-        for c in free:
-            if vec[c]:
-                out[self.index[(nu, c)]] = vec[c]
-        return out
+        vec = residue(rules, {-c: a for c, a in enumerate(x.coordinate_vector()) if a})
+        return {self.index[(nu, -k)]: a for k, a in vec.items()}
 
     def rep_element(self, idx: int) -> FElement:
         nu, col = self.basis[idx]
@@ -1772,17 +1753,12 @@ def module_hom_check(emb: UEmbedding, lam) -> dict:
         label = "twisted" if twisted else "plain"
         fmap = emb.plus_map if twisted else emb.minus_map
         well = True
-        for nu, (red, pivots, free) in src_mod._sub.items():
-            comp = emb.source.f.component(nu)
-            for r in range(len(pivots)):
-                row_el = FElement(emb.source.f, nu,
-                                  {w: red[r][c] for c, w in
-                                   enumerate(comp.basis) if red[r][c]})
-                img = fmap.apply(row_el)
-                info = tgt_mod._sub.get(img.nu)
-                if info is None:
-                    continue
-                if tgt_mod.project(img):
+        for nu, rules in src_mod._sub.items():
+            basis = emb.source.f.component(nu).basis
+            for lead, tail in rules.items():
+                row = {basis[-k]: -x for k, x in tail.items()}
+                row[basis[-lead]] = QV_ONE
+                if tgt_mod.project(fmap.apply(FElement(emb.source.f, nu, row))):
                     well = False
         phi = _induced_columns(fmap, src_mod, tgt_mod)
         phi_map = ModuleMap.of_columns(src_mod, phi)
@@ -1794,7 +1770,7 @@ def module_hom_check(emb: UEmbedding, lam) -> dict:
                     != module_operator(tgt_mod, gi) * phi_map:
                 inter = False
                 failures.append({"side": label, "generator": name})
-        inj = _rank_of(phi) == src_mod.dim
+        inj = rank(phi) == src_mod.dim
         images = {}
         for idx in range(src_mod.dim):
             nu, col = src_mod.basis[idx]
@@ -1905,25 +1881,22 @@ def psi_tensor_check(emb: UEmbedding, lam_left, lam_right) -> dict:
     # E[i] and F[i] come first in the generator list, the K's last
     actions = [(src_tm.action(g), tgt_tm.action(gi)) for _, g, gi
                in _generators_with_images(emb)[:2 * emb.source.rank]]
-    # a semi-echelon basis of pairs (source vector | target vector), with
-    # pivots in the source part; a pair reducing to (0 | nonzero) means the
-    # same source vector was reached with two different images
-    basis_rows: list[list[QVScalar]] = []
-    pivots: list[int] = []
+    # echelon rules of pairs (source vector | target vector), source keys
+    # (1, k) above target keys (0, k) so that every lead is in the source
+    # part; a pair reducing to (0 | nonzero) means the same source vector was
+    # reached with two different images
+    rules: dict = {}
     consistent = True
 
     def reduce_pair(vs: dict, vt: dict) -> bool:
         nonlocal consistent
-        row = reduce_by_rows(basis_rows, pivots,
-                             [vs.get(k, QV_ZERO) for k in range(n)]
-                             + [vt.get(k, QV_ZERO) for k in range(m)])
-        pc = next((k for k in range(n) if row[k]), None)
-        if pc is None:
-            consistent = consistent and not any(row)
+        vec = {(0, k): c for k, c in vt.items()}
+        vec.update({(1, k): c for k, c in vs.items()})
+        vec = residue(rules, vec)
+        if not vec or not next(iter(vec))[0]:
+            consistent = consistent and not vec
             return False
-        piv = row[pc]
-        basis_rows.append([a / piv for a in row])
-        pivots.append(pc)
+        echelon_insert(rules, vec)
         return True
 
     def act(cols: list[dict], vec: dict) -> dict:
@@ -1943,18 +1916,15 @@ def psi_tensor_check(emb: UEmbedding, lam_left, lam_right) -> dict:
             nvs, nvt = act(sa, vs), act(ta, vt)
             if (nvs or nvt) and reduce_pair(nvs, nvt):
                 work.append((nvs, nvt))
-    spans = len(basis_rows) == n
+    spans = len(rules) == n
     injective = False
     block_match = False
     if spans and consistent:
         # reducing (e_k | 0) leaves (0 | -phi(e_k))
-        phi_cols = []
-        for k in range(n):
-            row = reduce_by_rows(basis_rows, pivots,
-                                 [QV_ONE if a == k else QV_ZERO for a in range(n)]
-                                 + [QV_ZERO] * m)
-            phi_cols.append({i: -c for i, c in enumerate(row[n:]) if c})
-        injective = _rank_of(phi_cols) == n
+        phi_cols = [{i: -c for (_, i), c in
+                     reversed(residue(rules, {(1, k): QV_ONE}).items())}
+                    for k in range(n)]
+        injective = rank(phi_cols) == n
         hom_left = module_hom_check(emb, src_tm.lam_left)
         hom_right = module_hom_check(emb, src_tm.lam_right)
         phi_l = _induced_columns(emb.plus_map, src_tm.left, tgt_tm.left)

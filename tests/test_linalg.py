@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from qcontract._linalg import (dense, echelon_insert, echelon_reduce, nullspace,
-                               rank, reduce_by_rows, rref, solve, solve_in_span,
-                               transpose)
+from dense_reference import (dense, dense_nullspace, dense_rank, dense_residual,
+                             dense_rref, dense_solve, sparse, transpose)
+from qcontract._linalg import (echelon_insert, echelon_reduce, nullspace, rank,
+                               residue, rref, solve)
 from qcontract.scalar import QV_ONE, QV_ZERO, QVScalar, v_power
 
 
@@ -13,12 +14,31 @@ def F(rows):
     return [[Fraction(x) for x in r] for r in rows]
 
 
+def rows_of(m):
+    """Dense rows as sparse ones, column c keyed -c: leads are the leftmost
+    columns, as the pivots of dense elimination are."""
+    return [{-c: x for c, x in enumerate(row) if x} for row in m]
+
+
+def cols_of(m):
+    """The columns of a dense matrix as sparse vectors keyed by row."""
+    return [{r: row[c] for r, row in enumerate(m) if row[c]} for c in range(len(m[0]))]
+
+
+def rules_of(red, pivots):
+    """Dense rref rows as the echelon rules of ``rows_of``: each lead is a
+    pivot, its tail the negated non-pivot entries."""
+    return {-c: {-k: -x for k, x in enumerate(red[r]) if k != c and x}
+            for r, c in enumerate(pivots)}
+
+
 def test_rref_and_rank_small():
-    m, piv = rref(F([[1, 2, 3], [2, 4, 6], [1, 0, 1]]))
-    assert piv == [0, 1]
-    assert rank(F([[1, 2, 3], [2, 4, 6], [1, 0, 1]])) == 2
+    m = F([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+    assert rref(rows_of(m)) == {0: {-2: Fraction(-1)}, -1: {-2: Fraction(-1)}}
+    assert rank(rows_of(m)) == 2
     assert rank([]) == 0
-    assert rank(F([[0, 0], [0, 0]])) == 0
+    assert rank(rows_of(F([[0, 0], [0, 0]]))) == 0
+    assert rref([]) == {}
 
 
 def test_nullspace_matches_rank():
@@ -26,87 +46,37 @@ def test_nullspace_matches_rank():
     for _ in range(40):
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
         m = F([[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)])
-        ns = nullspace(m, nc, Fraction(1))
-        assert len(ns) == nc - rank(m)
+        ns = nullspace(cols_of(m), Fraction(1))
+        assert len(ns) == nc - rank(rows_of(m))
         for vec in ns:
             for row in m:
-                assert sum(a * b for a, b in zip(row, vec)) == 0
+                assert sum(row[j] * x for j, x in vec.items()) == 0
 
 
 def test_solve_consistent_and_not():
     a = F([[1, 1], [1, -1]])
-    x = solve(a, [Fraction(3), Fraction(1)])
-    assert x == [Fraction(2), Fraction(1)]
-    bad = solve(F([[1, 1], [2, 2]]), [Fraction(1), Fraction(3)])
-    assert bad is None
-    under = solve(F([[1, 1]]), [Fraction(5)])
-    assert under is not None
-    assert under[0] + under[1] == 5
+    assert solve(cols_of(a), {0: Fraction(3), 1: Fraction(1)}, Fraction(1)) == \
+        ({0: Fraction(2), 1: Fraction(1)}, [0, 1])
+    bad, pivots = solve(cols_of(F([[1, 1], [2, 2]])), {0: Fraction(1), 1: Fraction(3)},
+                        Fraction(1))
+    assert bad is None and pivots == [0]
+    under, pivots = solve(cols_of(F([[1, 1]])), {0: Fraction(5)}, Fraction(1))
+    assert under == {0: Fraction(5)} and pivots == [0]
 
 
 def test_over_qv_field():
     v = v_power(1)
     m = [[QV_ONE, v], [v, v * v]]
-    assert rank(m) == 1
-    ns = nullspace(m, 2, QV_ONE)
+    assert rank(rows_of(m)) == 1
+    ns = nullspace(cols_of(m), QV_ONE)
     assert len(ns) == 1
     assert ns[0][0] + v * ns[0][1] == QVScalar.from_rat(0)
     # row-span membership: a vector lies in the span iff it adds no rank
-    assert rank(m + [[v, v * v]]) == rank(m)
-    assert rank(m + [[QV_ONE, QV_ONE]]) == rank(m) + 1
+    assert rank(rows_of(m + [[v, v * v]])) == rank(rows_of(m))
+    assert rank(rows_of(m + [[QV_ONE, QV_ONE]])) == rank(rows_of(m)) + 1
 
 
-# --- differential tests against a dense reference ----------------------------
-
-def dense_rref(rows, ncols=None):
-    """Textbook Gauss-Jordan over every cell of every row."""
-    m = [list(r) for r in rows]
-    if not m:
-        return m, []
-    if ncols is None:
-        ncols = len(m[0])
-    pivots, r = [], 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        m[r] = [x / piv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
-
-
-def dense_solve(rows, rhs, zero):
-    n = len(rows[0])
-    red, pivots = dense_rref([list(r) + [b] for r, b in zip(rows, rhs)], n + 1)
-    if n in pivots:
-        return None
-    sol = [zero] * n
-    for r, pc in enumerate(pivots):
-        sol[pc] = red[r][n]
-    return sol
-
-
-def dense_nullspace(rows, ncols, one):
-    zero = one - one
-    red, pivots = dense_rref(rows, ncols)
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        vec = [zero] * ncols
-        vec[fc] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = zero - red[r][fc]
-        basis.append(vec)
-    return basis
-
+# --- differential tests against the dense reference --------------------------
 
 def random_fraction(rng):
     return Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 4))
@@ -119,6 +89,10 @@ def random_qv(rng):
     if rng.random() < 0.3:
         num = num / (QV_ONE + v_power(rng.randint(1, 2)))
     return num if num else QV_ONE
+
+
+FIELDS = {"fraction": (random_fraction, Fraction(0), Fraction(1)),
+          "qv": (random_qv, QV_ZERO, QV_ONE)}
 
 
 def sparse_matrix(rng, nrows, ncols, entry, zero, density=0.1):
@@ -141,12 +115,20 @@ def sparse_matrix(rng, nrows, ncols, entry, zero, density=0.1):
 def assert_matches_dense(m, zero, one, narrow):
     snapshot = [list(r) for r in m]
     ncols = len(m[0])
-    assert rref(m) == dense_rref(m)
-    assert rank(m) == len(dense_rref(m)[1])
-    assert rref(m, narrow) == dense_rref(m, narrow)
-    assert nullspace(m, ncols, one) == dense_nullspace(m, ncols, one)
+    red, pivots = dense_rref(m)
+    rows, cols = rows_of(m), cols_of(m)
+    assert rref(rows) == rules_of(red, pivots)
+    assert rank(rows) == len(pivots) == rank(cols)
+    assert nullspace(cols, one) == [sparse(vec) for vec in dense_nullspace(m, ncols, one)]
+    # the solve's pivots are the dense ones, so those below narrow count the
+    # rank of the first narrow columns
+    _, all_pivots = solve(cols, {}, one)
+    assert all_pivots == pivots
+    assert [j for j in all_pivots if j < narrow] == dense_rref(m, narrow)[1]
     rhs = [row[-1] for row in m]
-    assert solve([row[:-1] for row in m], rhs) == dense_solve([row[:-1] for row in m], rhs, zero)
+    want = dense_solve([row[:-1] for row in m], rhs, zero)
+    got, _ = solve(cols[:-1], cols[-1], one)
+    assert got == (None if want is None else sparse(want))
     assert m == snapshot
 
 
@@ -168,14 +150,6 @@ def test_rref_matches_dense_over_qv(seed):
         nrows, ncols = rng.randint(1, 10), rng.randint(2, 12)
         m = sparse_matrix(rng, nrows, ncols, random_qv, QV_ZERO, density=0.25)
         assert_matches_dense(m, QV_ZERO, QV_ONE, rng.randint(0, ncols))
-
-
-def test_rref_reduces_columns_past_ncols():
-    m = F([[1, 2, 3, 4], [2, 4, 7, 9], [0, 0, 0, 5]])
-    red, pivots = rref(m, 2)
-    assert pivots == [0]
-    assert red == F([[1, 2, 3, 4], [0, 0, 1, 1], [0, 0, 0, 5]])
-    assert (red, pivots) == dense_rref(m, 2)
 
 
 def test_rref_matches_dense_hypothesis():
@@ -239,34 +213,12 @@ def test_sparse_echelon_matches_dense_over_qv(seed):
                                                    QV_ZERO, density=0.3))
 
 
-# --- layout and reduction helpers against the dense reference ----------------
-
-def dense_residual(red, pivots, vec):
-    """vec minus the combination of rref rows matching it on pivot columns."""
-    out = list(vec)
-    for r, pc in enumerate(pivots):
-        c = vec[pc]
-        for k in range(len(out)):
-            out[k] = out[k] - c * red[r][k]
-    return out
-
-
-def semi_echelon(vecs):
-    """A basis grown one reduced row at a time, each row scaled to 1 at its
-    first nonzero column but never cleared above (the shape psi_tensor_check
-    builds)."""
-    rows, pivots = [], []
-    for vec in vecs:
-        row = reduce_by_rows(rows, pivots, vec)
-        pc = next((k for k, x in enumerate(row) if x), None)
-        if pc is not None:
-            rows.append([x / row[pc] for x in row])
-            pivots.append(pc)
-    return rows, pivots
-
+# --- keyed vectors, solving and reduction against the dense reference --------
 
 @pytest.mark.parametrize("seed", range(4))
 def test_dense_and_transpose(seed):
+    # the reference layout, and the sparse rank of vectors with tuple keys
+    # against the dense rank of that layout and of its transpose
     rng = random.Random(200 + seed)
     zero = Fraction(0)
     vecs = [{(rng.randint(0, 4), rng.choice("ab")): random_fraction(rng)
@@ -282,12 +234,13 @@ def test_dense_and_transpose(seed):
                for i in range(len(rows)) for j in range(len(keys)))
     assert transpose(cols) == (rows if keys else [])
     assert dense([], zero) == []
+    assert rank(vecs) == dense_rank(rows) == dense_rank(cols)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_solve_in_span_matches_dense(seed):
     rng = random.Random(300 + seed)
-    zero = Fraction(0)
+    zero, one = Fraction(0), Fraction(1)
     for _ in range(10):
         n, dim = rng.randint(1, 10), rng.randint(1, 10)
         vecs = sparse_matrix(rng, n, dim, random_fraction, zero, density=0.3)
@@ -298,38 +251,73 @@ def test_solve_in_span_matches_dense(seed):
         else:
             target = [random_fraction(rng) if rng.random() < 0.4 else zero
                       for _ in range(dim)]
-        mat = [[vecs[c][r] for c in range(n)] for r in range(dim)]
-        got = solve_in_span(vecs, target)
-        assert got == dense_solve(mat, target, zero)
+        want = dense_solve(transpose(vecs), target, zero)
+        got, _ = solve([sparse(v) for v in vecs], sparse(target), one)
+        assert got == (None if want is None else sparse(want))
         if got is not None:
-            assert [sum((c * v[k] for c, v in zip(got, vecs)), zero)
+            assert [sum((c * vecs[j][k] for j, c in got.items()), zero)
                     for k in range(dim)] == target
-    assert solve_in_span([], [zero, zero]) == []
-    assert solve_in_span([], [zero, Fraction(1)]) is None
+    assert solve([], {}, one) == ({}, [])
+    assert solve([], {1: one}, one) == (None, [])
+
+
+@pytest.mark.parametrize("entries", ["fraction", "qv"])
+@pytest.mark.parametrize("seed", range(3))
+def test_tagged_solve_matches_dense(entries, seed):
+    # columns with duplicates, combinations and zeros among them, against
+    # consistent and inconsistent right-hand sides
+    rng = random.Random(500 + seed)
+    entry, zero, one = FIELDS[entries]
+    outcomes = set()
+    for _ in range(8):
+        n, dim = rng.randint(1, 9), rng.randint(1, 8)
+        vecs = sparse_matrix(rng, n, dim, entry, zero, density=0.35)
+        if rng.random() < 0.5:
+            coeffs = [entry(rng) for _ in range(n)]
+            target = [sum((c * v[k] for c, v in zip(coeffs, vecs)), zero)
+                      for k in range(dim)]
+        else:
+            target = [entry(rng) if rng.random() < 0.4 else zero for _ in range(dim)]
+        mat = transpose(vecs)
+        want = dense_solve(mat, target, zero)
+        got, pivots = solve([sparse(v) for v in vecs], sparse(target), one)
+        outcomes.add(want is None)
+        if want is None:
+            assert got is None
+        else:
+            assert got == sparse(want)
+            assert set(got) <= set(pivots)     # the free variables are zero
+        for k in range(n + 1):
+            assert sum(j < k for j in pivots) == len(dense_rref(mat, k)[1])
+    assert outcomes == {True, False}
+    assert solve([], {}, one) == ({}, [])
+    assert solve([], {0: one}, one) == (None, [])
 
 
 @pytest.mark.parametrize("entries", ["fraction", "qv"])
 @pytest.mark.parametrize("seed", range(3))
 def test_reduce_by_rows_matches_dense(entries, seed):
+    # the residue by reduced rules, and by rules grown one row at a time and
+    # never reduced (the shape psi_tensor_check builds), is the dense one
     rng = random.Random(400 + seed)
-    entry, zero, one = ((random_fraction, Fraction(0), Fraction(1))
-                        if entries == "fraction" else (random_qv, QV_ZERO, QV_ONE))
+    entry, zero, one = FIELDS[entries]
     for _ in range(6):
         nrows, ncols = rng.randint(1, 8), rng.randint(1, 9)
         m = sparse_matrix(rng, nrows, ncols, entry, zero, density=0.3)
         red, pivots = dense_rref(m)
-        semi, semi_pivots = semi_echelon(m)
-        assert sorted(semi_pivots) == pivots
-        for k, (row, pc) in enumerate(zip(semi, semi_pivots)):
-            assert row[pc] == one
-            assert not any(row[q] for q in semi_pivots[:k])
+        reduced = rref(rows_of(m))
+        semi = {}
+        for row in rows_of(m):
+            echelon_insert(semi, row)
+        assert sorted(semi) == sorted(reduced) == sorted(-c for c in pivots)
         for _ in range(4):
             vec = [entry(rng) if rng.random() < 0.5 else zero for _ in range(ncols)]
             if rng.random() < 0.3:
                 vec = [a + b for a, b in zip(vec, m[rng.randrange(nrows)])]
-            want = dense_residual(red, pivots, vec)
-            assert reduce_by_rows(red, pivots, vec) == want
-            assert reduce_by_rows(semi, semi_pivots, vec) == want
-            assert all(not want[pc] for pc in pivots)
+            want = rows_of([dense_residual(red, pivots, vec)])[0]
+            got = residue(reduced, rows_of([vec])[0])
+            assert got == want == residue(semi, rows_of([vec])[0])
+            assert list(got) == sorted(got, reverse=True)
+            assert not any(-pc in got for pc in pivots)
             in_span = len(dense_rref(m + [vec])[1]) == len(pivots)
-            assert in_span == (not any(want))
+            assert in_span == (not got)

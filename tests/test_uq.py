@@ -4,11 +4,12 @@ import weakref
 
 import pytest
 
+from dense_reference import dense, dense_rank
 from qcontract.cartan import (
     CartanDatum, ContractiblePair, simply_connected_datum, simply_laced_cartan,
 )
 from qcontract import uq
-from qcontract._linalg import dense, rank
+from qcontract._linalg import rank
 from qcontract.falg import FAlgebra, _pbw_data, theta
 from qcontract.scalar import (
     QV_ONE, QV_ZERO, quantum_integer, v_power,
@@ -522,6 +523,15 @@ def test_subquotient_probe_a3():
     assert rep["quotient_braid"]["checked"] == 28
 
 
+def test_subquotient_probe_b3_long_edge():
+    # B3 with d = 2 on vertices 1 and 2: the contracted pair is the long edge
+    b3 = CartanDatum((1, 2, 3), ((4, -2, 0), (-2, 4, -2), (0, -2, 2)))
+    target = UAlgebra(simply_connected_datum(b3), 8)
+    rep = subquotient_phi_probe(target, PAIR12, 3, epsilon=1)
+    assert rep["holds"] and not rep["failures"], rep["failures"]
+    assert rep["quotient_braid"]["checked"] == 28
+    assert not rep["quotient_braid"]["failures"]
+
 
 def test_rank_of_matches_dense_elimination():
     rng = random.Random(7)
@@ -531,7 +541,7 @@ def test_rank_of_matches_dense_elimination():
         rows += [(xs[0].scale(v_power(rng.randint(-2, 2))) + x).coords for x in xs]
         rows.append({})
         live = [r for r in rows if r]
-        assert uq._rank_of(rows) == (rank(dense(live, QV_ZERO)) if live else 0)
+        assert rank(rows) == (dense_rank(dense(live, QV_ZERO)) if live else 0)
 
 def test_subquotient_probe_holds_needs_unambiguous_preimages(monkeypatch):
     fake = {"checked": 16, "holds": True, "failures": [],
