@@ -150,6 +150,12 @@ class FAlgebra:
             out[p] += 1
         return tuple(out)
 
+    def reduce_word(self, w: PlainWord) -> dict[PlainWord, QVScalar]:
+        """Normal form of the single word w."""
+        if not w:
+            return {(): QV_ONE}
+        return self.component(self.word_degree(w)).reduce({w: QV_ONE})
+
     def degree_dot(self, a: Degree, b: Degree) -> int:
         return sum(a[s] * self._dot[s][t] * b[t]
                    for s in range(self.rank) if a[s]
@@ -425,10 +431,7 @@ class TensorElement(LinearCombination):
         for (al, ar), ca in self.coords.items():
             for (bl, br), cb in other.coords.items():
                 twist = alg.degree_dot(alg.word_degree(ar), alg.word_degree(bl))
-                left = alg.component(alg.word_degree(al + bl)).reduce(
-                    {al + bl: QV_ONE})
-                right = alg.component(alg.word_degree(ar + br)).reduce(
-                    {ar + br: QV_ONE})
+                left, right = alg.reduce_word(al + bl), alg.reduce_word(ar + br)
                 c = ca * cb * v_power(twist)
                 for wl, cl in left.items():
                     for wr, cr in right.items():
@@ -472,10 +475,7 @@ def coproduct_r(x: FElement) -> TensorElement:
                     left.append(w[k])
                 else:
                     right.append(w[k])
-            lred = alg.component(alg.word_degree(tuple(left))).reduce(
-                {tuple(left): QV_ONE})
-            rred = alg.component(alg.word_degree(tuple(right))).reduce(
-                {tuple(right): QV_ONE})
+            lred, rred = alg.reduce_word(tuple(left)), alg.reduce_word(tuple(right))
             cc = c * v_power(twist)
             for wl, cl in lred.items():
                 for wr, cr in rred.items():
@@ -489,42 +489,37 @@ def r_component(x: FElement, tau, omega) -> TensorElement:
 
 # --- the derivations r_i and the projections pi^i ---------------------------
 
-def r_i(x: FElement, i) -> FElement:
-    """Characterized by r_i(theta_j) = delta_ij and
-    r_i(xy) = v^(i.|y|) r_i(x) y + x r_i(y)."""
+def _derive(x: FElement, i, left: bool) -> FElement:
+    """Drop each letter theta_i from each word, twisted by v^(i . w') where w'
+    is the rest of the word after that letter, or before it when left."""
     alg = x.algebra
     p = alg.position(i)
     nu = list(x.nu)
     if nu[p] == 0:
         return FElement(alg, tuple(nu), {})
     nu[p] -= 1
+    dot = alg._dot[p]
     out: dict[PlainWord, QVScalar] = {}
     for w, c in x.coords.items():
-        suffix_dot = [0] * (len(w) + 1)
-        for k in range(len(w) - 1, -1, -1):
-            suffix_dot[k] = suffix_dot[k + 1] + alg._dot[p][w[k]]
+        before, after = 0, sum(dot[letter] for letter in w)
         for k, letter in enumerate(w):
+            after -= dot[letter]
             if letter == p:
-                _add_into(out, w[:k] + w[k + 1:], c * v_power(suffix_dot[k + 1]))
+                _add_into(out, w[:k] + w[k + 1:],
+                          c * v_power(before if left else after))
+            before += dot[letter]
     return felement(alg, tuple(nu), out)
+
+
+def r_i(x: FElement, i) -> FElement:
+    """Characterized by r_i(theta_j) = delta_ij and
+    r_i(xy) = v^(i.|y|) r_i(x) y + x r_i(y)."""
+    return _derive(x, i, left=False)
 
 
 def left_r_i(x: FElement, i) -> FElement:
     """The twin with the twist on the left factor."""
-    alg = x.algebra
-    p = alg.position(i)
-    nu = list(x.nu)
-    if nu[p] == 0:
-        return FElement(alg, tuple(nu), {})
-    nu[p] -= 1
-    out: dict[PlainWord, QVScalar] = {}
-    for w, c in x.coords.items():
-        prefix_dot = 0
-        for k, letter in enumerate(w):
-            if letter == p:
-                _add_into(out, w[:k] + w[k + 1:], c * v_power(prefix_dot))
-            prefix_dot += alg._dot[p][letter]
-    return felement(alg, tuple(nu), out)
+    return _derive(x, i, left=True)
 
 
 def f_prime(algebra: FAlgebra, i, j, m: int) -> FElement:

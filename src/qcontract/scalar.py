@@ -2,8 +2,7 @@
 
 Laurent polynomials in the indeterminate v over the rationals, the fraction
 field Q(v) in a canonical form (so equality is structural), quantum
-integers/factorials/binomials, the bar involution v -> v^-1, and the exact
-numeric ring Q(sqrt(q)) used on the finite-field side.
+integers/factorials/binomials, and the bar involution v -> v^-1.
 
 Every Q(v) construction puts its fraction into canonical form.  Numerator and
 denominator are written once as a rational times a primitive integer
@@ -17,7 +16,7 @@ No floating point anywhere; every identity checked downstream is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import Mapping, Union
 
 Rat = Union[int, Fraction]
@@ -557,145 +556,6 @@ def laurent_negative_part(x: QVScalar) -> QVScalar:
                                  if e < 0}))
 
 
-# --- Q(sqrt(q)) ----------------------------------------------------------
-
-class SqrtQScalar:
-    """a + b*sqrt(q) with exact rational a, b; b folds into a when q is square."""
-
-    __slots__ = ("a", "b", "q", "_root")
-
-    def __init__(self, a: Rat, b: Rat, q: int):
-        if q < 2:
-            raise ValueError(f"q must be a prime power >= 2, got {q}")
-        r = isqrt(q)
-        if r * r == q:
-            a = Fraction(a) + Fraction(b) * r
-            b = Fraction(0)
-            root = r
-        else:
-            a = Fraction(a)
-            b = Fraction(b)
-            root = None
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "_root", root)
-
-    def __setattr__(self, k, v):
-        raise AttributeError("SqrtQScalar is immutable")
-
-    @staticmethod
-    def from_rat(c: Rat, q: int) -> SqrtQScalar:
-        return SqrtQScalar(c, 0, q)
-
-    @staticmethod
-    def sqrt_q(q: int) -> SqrtQScalar:
-        return SqrtQScalar(0, 1, q)
-
-    def is_zero(self) -> bool:
-        return not self.a and not self.b
-
-    def __bool__(self) -> bool:
-        return bool(self.a) or bool(self.b)
-
-    def _check(self, other) -> SqrtQScalar:
-        if isinstance(other, (int, Fraction)):
-            return SqrtQScalar.from_rat(other, self.q)
-        if isinstance(other, SqrtQScalar):
-            if other.q != self.q:
-                raise ValueError(f"mixed base fields: sqrt({self.q}) vs sqrt({other.q})")
-            return other
-        return NotImplemented
-
-    def __eq__(self, other):
-        o = self._check(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.q))
-
-    def __add__(self, other):
-        o = self._check(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return SqrtQScalar(self.a + o.a, self.b + o.b, self.q)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SqrtQScalar(-self.a, -self.b, self.q)
-
-    def __sub__(self, other):
-        o = self._check(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return SqrtQScalar(self.a - o.a, self.b - o.b, self.q)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._check(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return SqrtQScalar(self.a * o.a + self.b * o.b * self.q,
-                           self.a * o.b + self.b * o.a, self.q)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._check(other)
-        if o is NotImplemented:
-            return NotImplemented
-        n = o.a * o.a - o.b * o.b * self.q
-        if not n:
-            if not o.a and not o.b:
-                raise ZeroDivisionError("division by zero in Q(sqrt(q))")
-            raise ArithmeticError("norm vanished on a nonzero element; q is not squarefree-compatible")
-        return self * SqrtQScalar(o.a / n, -o.b / n, self.q)
-
-    def __rtruediv__(self, other):
-        return SqrtQScalar.from_rat(other, self.q) / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return (SqrtQScalar.from_rat(1, self.q) / self) ** (-n)
-        out = SqrtQScalar.from_rat(1, self.q)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __repr__(self):
-        return f"SqrtQScalar({render_sqrtq(self)!r})"
-
-
-def evaluate_laurent_at_sqrt_q(p: LaurentPoly, q: int) -> SqrtQScalar:
-    a = Fraction(0)
-    b = Fraction(0)
-    for e, c in p.coeffs.items():
-        half, odd = divmod(e, 2)
-        t = Fraction(c) * (Fraction(q) ** half)
-        if odd:
-            b += t
-        else:
-            a += t
-    return SqrtQScalar(a, b, q)
-
-
-def evaluate_at_sqrt_q(x: QVScalar, q: int) -> SqrtQScalar:
-    """Exact value of x at v = sqrt(q); raises on a pole."""
-    den = evaluate_laurent_at_sqrt_q(x.den, q)
-    if den.is_zero():
-        raise ZeroDivisionError(f"pole at v = sqrt({q})")
-    return evaluate_laurent_at_sqrt_q(x.num, q) / den
-
-
 # --- rendering and parsing ----------------------------------------------
 
 def _render_term(c: Rat, e: int) -> str:
@@ -726,23 +586,6 @@ def render_scalar(x: QVScalar) -> str:
     if x.is_laurent():
         return render_laurent(x.num)
     return f"({render_laurent(x.num)})/({render_laurent(x.den)})"
-
-
-def render_sqrtq(x: SqrtQScalar) -> str:
-    if not x.b:
-        return str(x.a)
-    root = f"sqrt({x.q})"
-    if x.b == 1:
-        bpart = root
-    elif x.b == -1:
-        bpart = f"-{root}"
-    else:
-        bpart = f"{x.b}*{root}"
-    if not x.a:
-        return bpart
-    if x.b > 0:
-        return f"{x.a} + {bpart}"
-    return f"{x.a} - {bpart.lstrip('-')}"
 
 
 class _Tokens:

@@ -152,11 +152,6 @@ class UAlgebra:
         self._cross_memo[key] = out
         return out
 
-    def _reduce_word(self, w: PlainWord) -> Mapping[PlainWord, QVScalar]:
-        if not w:
-            return {(): QV_ONE}
-        return self.f.component(self.f.word_degree(w)).reduce({w: QV_ONE})
-
     def reduce_triples(self, raw: Mapping[Triple, QVScalar]) -> dict[Triple, QVScalar]:
         """Reduce both outer words; the middle entry (a torus exponent, or a
         weight in the idempotented form) passes through."""
@@ -164,8 +159,9 @@ class UAlgebra:
         for (ew, mu, fw), c in raw.items():
             if not c:
                 continue
-            for a, ca in self._reduce_word(ew).items():
-                for b, cb in self._reduce_word(fw).items():
+            left, right = self.f.reduce_word(ew), self.f.reduce_word(fw)
+            for a, ca in left.items():
+                for b, cb in right.items():
                     _add_into(out, (a, mu, b), c * ca * cb)
         return out
 

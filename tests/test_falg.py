@@ -299,17 +299,29 @@ def test_r_i_pinned_values():
 
 
 def test_r_i_leibniz():
+    def check(alg, i, x, y):
+        alpha = alg.degree({i: 1})
+        twist = v_power(alg.degree_dot(alpha, y.nu))
+        assert r_i(x * y, i) == (r_i(x, i) * y).scale(twist) + x * r_i(y, i)
+        twist_l = v_power(alg.degree_dot(alpha, x.nu))
+        assert left_r_i(x * y, i) == left_r_i(x, i) * y + (x * left_r_i(y, i)).scale(twist_l)
+
     rng = random.Random(11)
-    alpha2 = FA3.degree({2: 1})
     for _ in range(12):
         nux = rng.choice([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 1, 1)])
         nuy = rng.choice([(0, 1, 0), (1, 1, 0), (0, 1, 1), (1, 1, 1)])
         x = rng.choice(basis_elements(FA3, nux))
         y = rng.choice(basis_elements(FA3, nuy))
-        twist = v_power(FA3.degree_dot(alpha2, y.nu))
-        assert r_i(x * y, 2) == (r_i(x, 2) * y).scale(twist) + x * r_i(y, 2)
-        twist_l = v_power(FA3.degree_dot(alpha2, x.nu))
-        assert left_r_i(x * y, 2) == left_r_i(x, 2) * y + (x * left_r_i(y, 2)).scale(twist_l)
+        check(FA3, 2, x, y)
+    # d_i != 1: every basis pair of these bidegrees, at both indices
+    for datum in (B2, G2):
+        alg = FAlgebra(datum)
+        xs = [x for nu in ((1, 0), (0, 1), (1, 1), (2, 1)) for x in basis_elements(alg, nu)]
+        ys = [y for nu in ((1, 0), (0, 1), (1, 1), (1, 2)) for y in basis_elements(alg, nu)]
+        cases = [(i, x, y) for i in (1, 2) for x in xs for y in ys]
+        assert len(cases) == 84
+        for i, x, y in cases:
+            check(alg, i, x, y)
 
 
 def test_f_prime_pinned():

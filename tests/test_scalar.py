@@ -5,10 +5,10 @@ import pytest
 
 from qcontract import scalar
 from qcontract.scalar import (
-    LaurentPoly, QVScalar, QV_ONE, QV_V, QV_ZERO, SqrtQScalar, bar,
-    degree_at_infinity, evaluate_at_sqrt_q, in_one_plus_vinv,
+    LaurentPoly, QVScalar, QV_ONE, QV_V, QV_ZERO, bar,
+    degree_at_infinity, in_one_plus_vinv,
     in_regular_at_infinity, parse_scalar, quantum_binomial,
-    quantum_factorial, quantum_integer, qv, render_scalar, v_power,
+    quantum_factorial, quantum_integer, render_scalar, v_power,
 )
 
 
@@ -16,12 +16,12 @@ def L(coeffs):
     return QVScalar(LaurentPoly(coeffs))
 
 
-def rand_scalar(rng, maxdeg=4, allow_den=True):
+def rand_scalar(rng, maxdeg=4):
     def rand_poly():
         return LaurentPoly({rng.randint(-maxdeg, maxdeg): rng.randint(-5, 5)
                             for _ in range(rng.randint(0, 4))})
     num = rand_poly()
-    den = rand_poly() if allow_den else LaurentPoly({0: 1})
+    den = rand_poly()
     while den.is_zero():
         den = rand_poly()
     return QVScalar(num, den)
@@ -138,45 +138,6 @@ def test_pow_and_division():
     assert x ** -2 == QV_ONE / (x * x)
     with pytest.raises(ZeroDivisionError):
         QV_ONE / QV_ZERO
-
-
-def test_evaluate_at_sqrt_q_pinned():
-    assert evaluate_at_sqrt_q(v_power(2), 4) == SqrtQScalar.from_rat(4, 4)
-    assert evaluate_at_sqrt_q(QV_V, 2) == SqrtQScalar.sqrt_q(2)
-    assert evaluate_at_sqrt_q(quantum_integer(2, 1), 4) == SqrtQScalar.from_rat(Fraction(5, 2), 4)
-    assert evaluate_at_sqrt_q(v_power(-3), 9) == SqrtQScalar.from_rat(Fraction(1, 27), 9)
-
-
-def test_evaluate_is_ring_hom():
-    rng = random.Random(17)
-    for q in (2, 3, 4, 9):
-        for _ in range(60):
-            x, y = rand_scalar(rng, allow_den=False), rand_scalar(rng, allow_den=False)
-            ex, ey = evaluate_at_sqrt_q(x, q), evaluate_at_sqrt_q(y, q)
-            assert evaluate_at_sqrt_q(x + y, q) == ex + ey
-            assert evaluate_at_sqrt_q(x * y, q) == ex * ey
-
-
-def test_evaluate_pole_detected():
-    x = QV_ONE / (v_power(2) - qv(4))
-    with pytest.raises(ZeroDivisionError):
-        evaluate_at_sqrt_q(x, 4)
-
-
-def test_sqrtq_field_axioms():
-    rng = random.Random(19)
-    for q in (2, 3, 8):
-        for _ in range(80):
-            def r():
-                return SqrtQScalar(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
-                                   Fraction(rng.randint(-6, 6), rng.randint(1, 4)), q)
-            x, y, z = r(), r(), r()
-            assert (x + y) * z == x * z + y * z
-            if x:
-                assert x / x == SqrtQScalar.from_rat(1, q)
-    # perfect square folds to the rationals
-    s = SqrtQScalar(1, 3, 9)
-    assert s.b == 0 and s.a == 10
 
 
 def test_regular_at_infinity_membership():
