@@ -251,7 +251,7 @@ def contract_root_datum(rd: RootDatum, pair: ContractiblePair,
                         new_index: Symbol | None = None) -> RootDatum:
     """Same Y and X; the merged index gets the sums of roots and coroots."""
     hat = contract_cartan(rd.cartan, pair, new_index)
-    i0 = next(i for i in hat.indices if i not in rd.cartan.indices)
+    i0 = pair.merged_symbol() if new_index is None else new_index
     vp, vm = rd.root(pair.plus), rd.root(pair.minus)
     cp, cm = rd.coroot(pair.plus), rd.coroot(pair.minus)
     roots = {i: rd.root(i) for i in hat.indices if i != i0}
@@ -359,8 +359,7 @@ class WeylEmbedding:
         self.rd = rd
         self.pair = pair
         self.contracted = contract_root_datum(rd, pair, new_index)
-        self.merged = next(i for i in self.contracted.cartan.indices
-                           if i not in rd.cartan.indices)
+        self.merged = pair.merged_symbol() if new_index is None else new_index
         sp = simple_reflection(rd, pair.plus)
         sm = simple_reflection(rd, pair.minus)
         self.generator_images: dict[Symbol, WeylElement] = {

@@ -610,6 +610,17 @@ def left_f_i_membership(x: FElement, i) -> bool:
 
 # --- embeddings from a contracted datum -------------------------------------
 
+def merged_expansion(target: FAlgebra, pair: ContractiblePair, epsilon: int,
+                     dagger: bool = False) -> dict[PlainWord, QVScalar]:
+    """The merged generator as plain words of the pair: θ₊θ₋ − v^(−εd)θ₋θ₊,
+    or for ψ† the mirror θ₋θ₊ − v^(εd)θ₊θ₋, with d that of the pair."""
+    pp, pm = target.position(pair.plus), target.position(pair.minus)
+    d = target._d[pp]
+    if dagger:
+        return {(pm, pp): QV_ONE, (pp, pm): -v_power(epsilon * d)}
+    return {(pp, pm): QV_ONE, (pm, pp): -v_power(-epsilon * d)}
+
+
 class FEmbedding:
     """Generator substitution from the contracted algebra: ordinary indices
     pass through, the merged one maps to a two-term quantum commutator."""
@@ -631,13 +642,7 @@ class FEmbedding:
                 target.degree_bound)
         self.source = source
         self._d0 = source.cartan.d(merged)
-        pp, pm = target.position(pair.plus), target.position(pair.minus)
-        if dagger:
-            self._merged_expansion = {(pm, pp): QV_ONE,
-                                      (pp, pm): -v_power(epsilon * self._d0)}
-        else:
-            self._merged_expansion = {(pp, pm): QV_ONE,
-                                      (pm, pp): -v_power(-epsilon * self._d0)}
+        self._merged_expansion = merged_expansion(target, pair, epsilon, dagger)
         self._letter_map = {}
         for s in source.cartan.indices:
             if s != merged:

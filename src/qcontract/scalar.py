@@ -399,7 +399,10 @@ class QVScalar:
         return self + (-other)
 
     def __rsub__(self, other) -> QVScalar:
-        return _coerce(other) + (-self)
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other) -> QVScalar:
         other = _coerce(other)
@@ -418,7 +421,10 @@ class QVScalar:
         return QVScalar(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other) -> QVScalar:
-        return _coerce(other) / self
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
 
     def __pow__(self, n: int) -> QVScalar:
         if n < 0:

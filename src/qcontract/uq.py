@@ -21,7 +21,7 @@ from ._linalg import echelon_insert, rank, rref, residue, solve
 from .cartan import (CartanDatum, ContractiblePair, RootDatum,
                      contract_root_datum)
 from .falg import (FAlgebra, FElement, LinearCombination, _add_into,
-                   _degrees_up_to, canonical_basis, felement,
+                   _degrees_up_to, canonical_basis, felement, merged_expansion,
                    psi_dagger_epsilon, psi_epsilon, theta)
 from .scalar import (QV_ONE, QVScalar, bar as scalar_bar, qv,
                      quantum_factorial, quantum_integer, render_scalar,
@@ -215,20 +215,18 @@ def k_tilde_gen(algebra: UAlgebra, i, n: int = 1) -> UElement:
 
 def e_merged(algebra: UAlgebra, pair: ContractiblePair, epsilon: int) -> UElement:
     """Two-term quantum commutator of the raising pair generators."""
-    pp, pm = algebra.position(pair.plus), algebra.position(pair.minus)
-    d0 = algebra._d[pp]
-    raw = {((pp, pm), algebra.y_zero, ()): QV_ONE,
-           ((pm, pp), algebra.y_zero, ()): -v_power(-epsilon * d0)}
-    return UElement(algebra, algebra.reduce_triples(raw))
+    y0 = algebra.y_zero
+    return UElement(algebra, algebra.reduce_triples(
+        {(w, y0, ()): c
+         for w, c in merged_expansion(algebra.f, pair, epsilon).items()}))
 
 
 def f_merged(algebra: UAlgebra, pair: ContractiblePair, epsilon: int) -> UElement:
-    """Lowering-side merged generator; minus-first, opposite twist sign."""
-    pp, pm = algebra.position(pair.plus), algebra.position(pair.minus)
-    d0 = algebra._d[pp]
-    raw = {((), algebra.y_zero, (pm, pp)): QV_ONE,
-           ((), algebra.y_zero, (pp, pm)): -v_power(epsilon * d0)}
-    return UElement(algebra, algebra.reduce_triples(raw))
+    """Lowering-side merged generator: the mirrored (ψ†) expansion."""
+    y0 = algebra.y_zero
+    return UElement(algebra, algebra.reduce_triples(
+        {((), y0, w): c
+         for w, c in merged_expansion(algebra.f, pair, epsilon, True).items()}))
 
 
 def k_merged_vector(algebra: UAlgebra, pair: ContractiblePair) -> YVec:
@@ -314,24 +312,25 @@ def rho(x: UElement) -> UElement:
                      lambda ew: image(ew, True))
 
 
-def render_uelement(x: UElement) -> str:
+def _render_triples(x: LinearCombination, head: str, skip_zero: bool) -> str:
+    """Terms (c)*E[..]·head(m)}·F[..] in sorted order, m the middle entry;
+    a zero m is left out when skip_zero, and a term with no factor reads 1."""
     if not x.coords:
         return "0"
-    alg = x.algebra
-    syms = alg.cartan.indices
+    syms = x.algebra.cartan.indices
     chunks = []
-    for (ew, mu, fw) in sorted(x.coords):
-        c = x.coords[(ew, mu, fw)]
-        parts = []
-        if ew:
-            parts.append("".join(f"E[{syms[p]}]" for p in ew))
-        if any(mu):
-            parts.append("K{μ=(" + ",".join(str(a) for a in mu) + ")}")
-        if fw:
-            parts.append("".join(f"F[{syms[p]}]" for p in fw))
-        body = "·".join(parts) if parts else "1"
-        chunks.append(f"({render_scalar(c)})*{body}")
+    for (ew, mid, fw) in sorted(x.coords):
+        parts = ["".join(f"E[{syms[p]}]" for p in ew),
+                 "" if skip_zero and not any(mid)
+                 else head + "(" + ",".join(str(a) for a in mid) + ")}",
+                 "".join(f"F[{syms[p]}]" for p in fw)]
+        body = "·".join(p for p in parts if p) or "1"
+        chunks.append(f"({render_scalar(x.coords[(ew, mid, fw)])})*{body}")
     return " + ".join(chunks)
+
+
+def render_uelement(x: UElement) -> str:
+    return _render_triples(x, "K{μ=", True)
 
 
 # --- the contraction embedding ---------------------------------------------
@@ -354,8 +353,7 @@ class UEmbedding:
             self.source = source
         else:
             self.source = UAlgebra(self.datum, target.f.degree_bound)
-        self.merged = next(i for i in self.datum.cartan.indices
-                           if i not in target.cartan.indices)
+        self.merged = pair.merged_symbol() if new_index is None else new_index
         self.plus_map = psi_epsilon(target.f, pair, epsilon,
                                     merged_symbol=self.merged,
                                     source=self.source.f)
@@ -414,6 +412,36 @@ def _generators_with_images(emb: UEmbedding) -> list[tuple[str, UElement, UEleme
     images += [k_gen(emb.target, mu) for mu in _y_basis(emb.source)]
     return [(name, g, img)
             for (name, g), img in zip(_named_generators(emb.source), images)]
+
+
+class _Identities:
+    """Recorder of identities between linear combinations of any kind:
+    ``expect`` counts one and returns its verdict, a mismatch failing with
+    both sides rendered by ``str`` (a ``got`` of None: no preimage); ``miss``
+    counts one that could not be evaluated; ``report`` builds the report."""
+
+    def __init__(self):
+        self.checked = 0
+        self.failures: list[dict] = []
+
+    def expect(self, label: str, got: LinearCombination | None,
+               want: LinearCombination) -> bool:
+        self.checked += 1
+        ok = got is not None and got == want
+        if not ok:
+            self.failures.append({
+                "identity": label,
+                "got": "no preimage" if got is None else str(got),
+                "want": str(want)})
+        return ok
+
+    def miss(self, label: str, why: str) -> None:
+        self.checked += 1
+        self.failures.append({"identity": label, "got": why})
+
+    def report(self, **fields) -> dict:
+        return {**fields, "checked": self.checked,
+                "holds": not self.failures, "failures": self.failures}
 
 
 def check_relations(source: UAlgebra, target: UAlgebra,
@@ -630,18 +658,14 @@ def emb_co_check(emb: UEmbedding, nu_e: Degree, nu_f: Degree,
     omega_deg = tuple(int(a) for a in omega_deg)
     tau_t = emb.degree_map(tau)
     omega_t = emb.degree_map(omega_deg)
-    checked, failures = 0, []
+    ids = _Identities()
     for a in src.f.component(nu_e).basis:
         for b in src.f.component(nu_f).basis:
-            checked += 1
             x = UElement(src, {(a, src.y_zero, b): QV_ONE})
-            lhs = delta_component(delta(emb.apply(x)), tau_t, omega_t)
-            rhs = tensor_psi(emb, delta_component(delta(x), tau, omega_deg))
-            if lhs != rhs:
-                failures.append({"triple": [list(a), list(b)],
-                                 "diff": repr(lhs - rhs)})
-    return {"checked": checked, "block": [list(tau), list(omega_deg)],
-            "holds": not failures, "failures": failures}
+            ids.expect(f"block of the image of {[list(a), list(b)]}",
+                       delta_component(delta(emb.apply(x)), tau_t, omega_t),
+                       tensor_psi(emb, delta_component(delta(x), tau, omega_deg)))
+    return ids.report(block=[list(tau), list(omega_deg)])
 
 
 # --- the modified form -------------------------------------------------------
@@ -652,99 +676,82 @@ class UdotElement(LinearCombination):
 
     __slots__ = ()
 
+    def __str__(self):
+        return render_udot(self)
+
     def __repr__(self):
-        return f"UdotElement({render_udot(self)})"
+        return f"UdotElement({self})"
 
 
 def render_udot(x: UdotElement) -> str:
-    if not x.coords:
-        return "0"
-    syms = x.algebra.cartan.indices
-    chunks = []
-    for (ew, lam, fw) in sorted(x.coords):
-        c = x.coords[(ew, lam, fw)]
-        parts = []
-        if ew:
-            parts.append("".join(f"E[{syms[p]}]" for p in ew))
-        parts.append("1{λ=(" + ",".join(str(a) for a in lam) + ")}")
-        if fw:
-            parts.append("".join(f"F[{syms[p]}]" for p in fw))
-        chunks.append(f"({render_scalar(c)})*" + "·".join(parts))
-    return " + ".join(chunks)
+    return _render_triples(x, "1{λ=", False)
 
 
 def udot_idempotent(algebra: UAlgebra, lam) -> UdotElement:
     return UdotElement(algebra, {((), algebra.x_vector(lam), ()): QV_ONE})
 
 
+def _end_weight(alg: UAlgebra, t: Triple, left: bool) -> XVec:
+    """The weight λ with 1_λ·t = t (left) or t·1_λ = t (right), for a triple
+    t = E_e 1_m F_f: m + wt e on the left, m + wt f on the right."""
+    e, m, f = t
+    return _vadd(m, alg.degree_in_x(alg.f.word_degree(e if left else f)))
+
+
 def udot_multiply(x: UdotElement, y: UdotElement) -> UdotElement:
-    """Product in the idempotented form; mismatched middle weights vanish."""
+    """Product in the idempotented form: two terms meet only where the right
+    weight of the first is the left weight of the second."""
     if x.algebra is not y.algebra:
         raise ValueError("elements of different algebras")
     alg = x.algebra
-    wd = alg.f.word_degree
     raw: dict = {}
     for (a, lam, b), c1 in x.coords.items():
+        right = _end_weight(alg, (a, lam, b), False)
         for (p, sig, q), c2 in y.coords.items():
+            if _end_weight(alg, (p, sig, q), True) != right:
+                continue
             charge()
             for (xe, tau, xf), g in alg._cross(b, p).items():
-                m = _vsub(sig, alg.degree_in_x(wd(xf)))
-                if _vsub(lam, alg.degree_in_x(wd(xe))) != m:
-                    continue
+                m = _vsub(sig, alg.degree_in_x(alg.f.word_degree(xf)))
                 w = alg.datum.pair(tau, m)
                 _add_into(raw, (a + xe, m, xf + q), c1 * c2 * g * v_power(w))
     return UdotElement(alg, alg.reduce_triples(raw))
 
 
-def u_act_udot(u: UElement, x: UdotElement) -> UdotElement:
-    alg = x.algebra
-    if u.algebra is not alg:
-        raise ValueError("elements of different algebras")
-    wd = alg.f.word_degree
+def _at_weight(u: UElement, lam: XVec, left: bool) -> UdotElement:
+    """1_λ·u (left) or u·1_λ (right) in the idempotented form: a term
+    (e, μ, f) becomes v^<μ, m>·(e, m, f) with m = λ - wt e on the left and
+    m = λ - wt f on the right.  Terms that differ only in μ share a key."""
+    alg = u.algebra
     raw: dict = {}
-    for (e, mu, f), c1 in u.coords.items():
-        for (p, sig, q), c2 in x.coords.items():
-            charge()
-            for (xe, tau, xf), g in alg._cross(f, p).items():
-                m = _vsub(sig, alg.degree_in_x(wd(xf)))
-                w = alg.weight_pairing(mu, wd(xe)) \
-                    + alg.datum.pair(_vadd(mu, tau), m)
-                _add_into(raw, (e + xe, m, xf + q), c1 * c2 * g * v_power(w))
-    return UdotElement(alg, alg.reduce_triples(raw))
+    for (e, mu, f), c in u.coords.items():
+        m = _vsub(lam, alg.degree_in_x(alg.f.word_degree(e if left else f)))
+        _add_into(raw, (e, m, f), c * v_power(alg.datum.pair(mu, m)))
+    return UdotElement(alg, raw)
+
+
+def u_act_udot(u: UElement, x: UdotElement) -> UdotElement:
+    """u·x, the sum over the left weights λ of x of (u·1_λ)·x."""
+    lams = sorted({_end_weight(x.algebra, t, True) for t in x.coords})
+    return sum((udot_multiply(_at_weight(u, lam, False), x) for lam in lams),
+               UdotElement(x.algebra, {}))
 
 
 def udot_act_u(x: UdotElement, u: UElement) -> UdotElement:
-    alg = x.algebra
-    if u.algebra is not alg:
-        raise ValueError("elements of different algebras")
-    wd = alg.f.word_degree
-    raw: dict = {}
-    for (a, lam, b), c1 in x.coords.items():
-        for (p, mu, q), c2 in u.coords.items():
-            charge()
-            for (xe, tau, xf), g in alg._cross(b, p).items():
-                m = _vsub(lam, alg.degree_in_x(wd(xe)))
-                w = alg.datum.pair(tau, m) \
-                    + alg.datum.pair(mu, _vadd(m, alg.degree_in_x(wd(xf))))
-                _add_into(raw, (a + xe, m, xf + q), c1 * c2 * g * v_power(w))
-    return UdotElement(alg, alg.reduce_triples(raw))
+    """x·u, the sum over the right weights λ of x of x·(1_λ·u)."""
+    lams = sorted({_end_weight(x.algebra, t, False) for t in x.coords})
+    return sum((udot_multiply(x, _at_weight(u, lam, True)) for lam in lams),
+               UdotElement(x.algebra, {}))
 
 
 def pi_weight(x: UElement, lam_left, lam_right) -> UdotElement:
-    """Projection onto one weight block of the idempotented form."""
+    """Projection onto one weight block of the idempotented form: the
+    lam_left block of x·1_{lam_right}."""
     alg = x.algebra
     lam_left = alg.x_vector(lam_left)
-    lam_right = alg.x_vector(lam_right)
-    wd = alg.f.word_degree
-    raw: dict = {}
-    for (ew, mu, fw), c in x.coords.items():
-        de = alg.degree_in_x(wd(ew))
-        df = alg.degree_in_x(wd(fw))
-        if _vsub(lam_left, lam_right) != _vsub(de, df):
-            continue
-        m = _vsub(lam_right, df)
-        _add_into(raw, (ew, m, fw), c * v_power(alg.datum.pair(mu, m)))
-    return UdotElement(alg, raw)
+    y = _at_weight(x, alg.x_vector(lam_right), False)
+    return UdotElement(alg, {t: c for t, c in y.coords.items()
+                             if _end_weight(alg, t, True) == lam_left})
 
 
 def psi_udot(emb: UEmbedding, x: UdotElement) -> UdotElement:
@@ -762,34 +769,22 @@ def psi_dot_check(emb: UEmbedding, weights: Sequence) -> dict:
     comparison and each side counts as one checked identity."""
     src, tgt = emb.source, emb.target
     gens = _generators_with_images(emb)
-    failures = []
-    checked = 0
+    ids = _Identities()
     for lam in weights:
         lam = src.x_vector(lam)
         one_s, one_t = udot_idempotent(src, lam), udot_idempotent(tgt, lam)
-        base_pairs = [(one_s, one_t)] + [
-            (u_act_udot(g, one_s), u_act_udot(gi, one_t)) for _, g, gi in gens]
-        for xs, xt in base_pairs:
-            checked += 1
-            if psi_udot(emb, xs) != xt:
-                failures.append({"weight": list(lam),
-                                 "diff": render_udot(psi_udot(emb, xs) - xt)})
+        base = [(f"1{list(lam)}", one_s, one_t)] + [
+            (f"{name}·1{list(lam)}", u_act_udot(g, one_s), u_act_udot(gi, one_t))
+            for name, g, gi in gens]
+        for base_name, xs, xt in base:
+            if not ids.expect(f"image of {base_name}", psi_udot(emb, xs), xt):
                 continue
             for name, g, gi in gens:
-                checked += 2
-                left = psi_udot(emb, u_act_udot(g, xs))
-                right = u_act_udot(gi, psi_udot(emb, xs))
-                if left != right:
-                    failures.append({"weight": list(lam), "generator": name,
-                                     "side": "left",
-                                     "diff": render_udot(left - right)})
-                left = psi_udot(emb, udot_act_u(xs, g))
-                right = udot_act_u(psi_udot(emb, xs), gi)
-                if left != right:
-                    failures.append({"weight": list(lam), "generator": name,
-                                     "side": "right",
-                                     "diff": render_udot(left - right)})
-    return {"checked": checked, "holds": not failures, "failures": failures}
+                ids.expect(f"{name} on the left of {base_name}",
+                           psi_udot(emb, u_act_udot(g, xs)), u_act_udot(gi, xt))
+                ids.expect(f"{name} on the right of {base_name}",
+                           psi_udot(emb, udot_act_u(xs, g)), udot_act_u(xt, gi))
+    return ids.report()
 
 
 # --- braid operators ---------------------------------------------------------
@@ -885,24 +880,6 @@ class ComposedBraid:
         for op in reversed(self.ops):
             x = op.apply(x)
         return x
-
-
-class _Identities:
-    """Recorder of checked identities: each ``expect`` counts one, and a
-    mismatch is a failure with both sides rendered; a ``got`` of None means
-    no preimage was found."""
-
-    def __init__(self):
-        self.checked = 0
-        self.failures: list[dict] = []
-
-    def expect(self, label: str, got: UElement | None, want: UElement) -> None:
-        self.checked += 1
-        if got is None or got != want:
-            self.failures.append({
-                "identity": label,
-                "got": "no preimage" if got is None else render_uelement(got),
-                "want": render_uelement(want)})
 
 
 def braid_formula_gate(algebra: UAlgebra, pair: ContractiblePair) -> dict:
@@ -1054,8 +1031,7 @@ def braid_props_check(algebra: UAlgebra, pair: ContractiblePair) -> dict:
                             want = want.scale(_sign_power(twist, nj))
                         ids.expect(f"{kind} list {first + lowering} (e={e}, {tag}={j})",
                                    op.apply(gen), want)
-    return {"assumption": True, "checked": ids.checked,
-            "holds": not ids.failures, "failures": ids.failures}
+    return ids.report(assumption=True)
 
 
 def _end_vertex(cartan: CartanDatum, i) -> bool:
@@ -1091,23 +1067,6 @@ def _merged_powers(src: UAlgebra, merged, scaled) -> dict[int, int]:
     return out
 
 
-def chi_maps(emb: UEmbedding, sign: int) -> Callable[[UElement], UElement]:
-    """Image-side rescaling transported to source coordinates: diagonal on
-    normal-ordered triples, with per-letter factors."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    src = emb.source
-    powers = _merged_powers(src, emb.merged, lambda sym: sign == 1)
-    u = -sign * emb.epsilon * src._d[src.position(emb.merged)]
-
-    def apply(x: UElement) -> UElement:
-        if x.algebra is not src:
-            raise ValueError("element does not live in the source algebra")
-        return _rescale_letters(x, powers, u)
-
-    return apply
-
-
 def braid_on_V_check(emb: UEmbedding, e: int) -> dict:
     """On the image subalgebra, the rescaled merged-index symmetry agrees with
     the contracted algebra's own symmetry, generator by generator; requires
@@ -1130,22 +1089,28 @@ def braid_on_V_check(emb: UEmbedding, e: int) -> dict:
     kt0 = k_merged_vector(tgt, pair)
     ids = _Identities()
     gens = _named_generators(src)
+    d_m = src._d[src.position(emb.merged)]
+
+    def chi(x: UElement | None, sign: int) -> UElement | None:
+        """Image-side rescaling transported to source coordinates: diagonal
+        on normal-ordered triples, with per-letter factors."""
+        return None if x is None else _rescale_letters(
+            x, _merged_powers(src, emb.merged, lambda sym: sign == 1),
+            -sign * eps * d_m)
+
     for primed in (True, False):
         tilde = tilde_braid_i0(tgt, pair, e, primed)
-        chi = chi_maps(emb, e * eps if primed else -e * eps)
         own = braid_basic(src, emb.merged, e, primed)
+        kind = "primed" if primed else "doubleprime"
         for name, g in gens:
-            y = tilde.apply(emb.apply(g))
-            xhat = psi_preimage(emb_opp, y)
-            got = None if xhat is None else chi(xhat)
-            kind = "primed" if primed else "doubleprime"
+            got = chi(psi_preimage(emb_opp, tilde.apply(emb.apply(g))),
+                      e * eps if primed else -e * eps)
             ids.expect(f"{kind} agreement on {name} (e={e})", got, own.apply(g))
-    chi = chi_maps(emb, e * eps)
     tilde = tilde_braid_i0(tgt, pair, e, True)
 
     def v_op(x: UElement) -> UElement | None:
-        xhat = psi_preimage(emb_opp, tilde.apply(x))
-        return None if xhat is None else emb.apply(chi(xhat))
+        xhat = chi(psi_preimage(emb_opp, tilde.apply(x)), e * eps)
+        return None if xhat is None else emb.apply(xhat)
 
     ids.expect("closed form on the merged raising generator",
                v_op(e_merged(tgt, pair, eps)),
@@ -1187,8 +1152,7 @@ def braid_on_V_check(emb: UEmbedding, e: int) -> dict:
                     ids.expect(f"surviving-index agreement {kind} (j={j}, e={ee},"
                                f" {name})",
                                op.apply(emb.apply(g)), emb.apply(own.apply(g)))
-    return {"hypothesis": True, "checked": ids.checked,
-            "holds": not ids.failures, "failures": ids.failures}
+    return ids.report(hypothesis=True)
 
 
 # --- subquotient probe -------------------------------------------------------
@@ -1221,10 +1185,13 @@ def _probe_alphabet(tgt: UAlgebra, pair: ContractiblePair) -> list[tuple[str, UE
     return letters
 
 
-def _products_upto(tgt: UAlgebra, letters, max_total: int):
-    """Yield (element, total degree) over all words in the given letters."""
+def _products_upto(tgt: UAlgebra, letters, max_total: int) -> list[tuple[UElement, int]]:
+    """(element, total degree) of the nonzero words in the given letters of
+    total degree at most max_total, breadth first; the empty word comes
+    first, whatever the bound.  The entries of degree at most b < max_total
+    are, in order, the list at bound b."""
     frontier = [(u_one(tgt), 0)]
-    yield u_one(tgt), 0
+    out = list(frontier)
     while frontier:
         nxt = []
         for x, deg in frontier:
@@ -1233,24 +1200,31 @@ def _products_upto(tgt: UAlgebra, letters, max_total: int):
                     continue
                 charge()
                 y = u_multiply(x, letter)
-                if y.is_zero():
-                    continue
-                yield y, deg + w
-                nxt.append((y, deg + w))
+                if not y.is_zero():
+                    nxt.append((y, deg + w))
+        out += nxt
         frontier = nxt
+    return out
 
 
-def _crossing_ideal(tgt: UAlgebra, letters, max_total: int) -> list[dict]:
+def _crossing_ideal(letters, words: list[tuple[UElement, int]],
+                    max_total: int) -> list[dict]:
     """Coordinates of the nonzero products x1·g·x2 of total degree at most
     max_total, for the crossing letters g = E-E+ and F+F- and words x1, x2
-    in the probe alphabet."""
+    taken from ``words`` (the ``_products_upto`` list of the probe alphabet
+    at a bound of at least max_total - 2).  The empty word stands on either
+    side even where max_total leaves no room for g."""
     letter_map = {name: el for name, el, _ in letters}
     rows = []
     for gname in ("E-E+", "F+F-"):
         g = letter_map[gname]
-        for x1, d1 in _products_upto(tgt, letters, max_total - 2):
+        for x1, d1 in words:
+            if d1 > max(max_total - 2, 0):
+                continue
             left = u_multiply(x1, g)
-            for x2, d2 in _products_upto(tgt, letters, max_total - 2 - d1):
+            for x2, d2 in words:
+                if d2 > max(max_total - 2 - d1, 0):
+                    continue
                 charge()
                 y = u_multiply(left, x2)
                 if not y.is_zero():
@@ -1271,15 +1245,11 @@ def subquotient_phi_probe(target: UAlgebra, pair: ContractiblePair,
     d0 = amb._d[amb.position(pair.plus)]
     letters = _probe_alphabet(amb, pair)
     letter_map = {name: el for name, el, _ in letters}
-    sub_rows = []
-    mus: set[YVec] = set()
-    for x, deg in _products_upto(amb, letters, max_total):
-        sub_rows.append(x.coords)
-        for (_, mu, _f) in x.coords:
-            mus.add(mu)
-    ideal_base = _crossing_ideal(amb, letters, max_total)
-    for row in ideal_base:
-        mus.update(mu for (_, mu, _f) in row)
+    words = _products_upto(amb, letters, max_total)
+    sub_rows = [x.coords for x, _ in words]
+    ideal_base = _crossing_ideal(letters, words, max_total)
+    mus: set[YVec] = {mu for rows in (sub_rows, ideal_base)
+                      for row in rows for (_, mu, _f) in row}
     shifts: set[YVec] = {amb.y_zero}
     for row in ideal_base:
         for (_, have, _f) in row:
@@ -1399,9 +1369,7 @@ def _quotient_braid_agreement(emb: UEmbedding, ideal_base: list[dict]) -> dict:
                 kind = "primed" if primed else "doubleprime"
                 label = f"{kind} (e={e}) on {name}"
                 if sol is None:
-                    ids.checked += 1
-                    ids.failures.append({"identity": label,
-                                         "got": "no preimage modulo the ideal"})
+                    ids.miss(label, "no preimage modulo the ideal")
                     continue
                 xhat, unique = sol
                 if not unique:
@@ -1409,8 +1377,7 @@ def _quotient_braid_agreement(emb: UEmbedding, ideal_base: list[dict]) -> dict:
                 ids.expect(label, _rescale_letters(xhat, powers[primed],
                                                    (-e if primed else e) * d0),
                            own.apply(g))
-    return {"checked": ids.checked, "holds": not ids.failures,
-            "ambiguous": ambiguous, "failures": ids.failures}
+    return ids.report(ambiguous=ambiguous)
 
 
 def _candidate_images(emb: UEmbedding, bound: int, mus,
@@ -1662,10 +1629,6 @@ def action_matrix(mod: HWModule, x: UElement) -> list[dict[int, QVScalar]]:
     return cols
 
 
-def action_matrix_twisted(mod: HWModule, x: UElement) -> list[dict[int, QVScalar]]:
-    return action_matrix(mod, omega(x))
-
-
 class ModuleMap(LinearCombination):
     """Linear map out of a module, as a combination of matrix units keyed by
     (row, column) and tied to its domain module.  The product f * g is the
@@ -1846,8 +1809,8 @@ class TensorModule:
         alg = self.algebra
         cols: list[dict[int, QVScalar]] = [{} for _ in range(self.dim)]
         for (s, t), c in delta(x).coords.items():
-            left_cols = action_matrix_twisted(
-                self.left, UElement(alg, {s: QV_ONE}))
+            left_cols = action_matrix(
+                self.left, omega(UElement(alg, {s: QV_ONE})))
             right_cols = action_matrix(
                 self.right, UElement(alg, {t: QV_ONE}))
             for a in range(self.left.dim):
@@ -1863,16 +1826,12 @@ class TensorModule:
         return self.pair_index(0, 0)
 
 
-def tensor_module(algebra: UAlgebra, lam_left, lam_right) -> TensorModule:
-    return TensorModule(algebra, lam_left, lam_right)
-
-
 def psi_tensor_check(emb: UEmbedding, lam_left, lam_right) -> dict:
     """The induced map on tensor modules: propagate from the cyclic vector by
     generator actions, check well-definedness, injectivity, and that the
     separate-factor map matches."""
-    src_tm = tensor_module(emb.source, lam_left, lam_right)
-    tgt_tm = tensor_module(emb.target, lam_left, lam_right)
+    src_tm = TensorModule(emb.source, lam_left, lam_right)
+    tgt_tm = TensorModule(emb.target, lam_left, lam_right)
     n, m = src_tm.dim, tgt_tm.dim
     # E[i] and F[i] come first in the generator list, the K's last
     actions = [(src_tm.action(g), tgt_tm.action(gi)) for _, g, gi
@@ -2058,18 +2017,10 @@ def linear_tree_factorization_check(target: UAlgebra, chain: Sequence,
             y = op.apply(y)
         return y
 
-    failures = []
-    checked = 0
+    ids = _Identities()
     for name, g in _named_generators(emb.source):
-        checked += 1
-        lhs = emb.apply(g)
-        got = rhs(g)
-        if lhs != got:
-            failures.append({"generator": name,
-                             "lhs": render_uelement(lhs),
-                             "rhs": render_uelement(got)})
-    return {"hypothesis": True, "checked": checked,
-            "holds": not failures, "failures": failures}
+        ids.expect(f"factorization on {name}", rhs(g), emb.apply(g))
+    return ids.report(hypothesis=True)
 
 
 def naive_square_check(target: UAlgebra, i1, i2, i3, epsilon: int) -> dict:
@@ -2091,14 +2042,8 @@ def naive_square_check(target: UAlgebra, i1, i2, i3, epsilon: int) -> dict:
     relabel = GeneratorRelabel(emb_23.source, emb_12.source, mapping,
                                lambda mu: target.reflect_y(p2, mu))
     braid = braid_basic(target, i2, -epsilon, True)
-    failures = []
-    checked = 0
+    ids = _Identities()
     for name, g in _named_generators(emb_23.source):
-        checked += 1
-        lhs = braid.apply(emb_23.apply(g))
-        rhs = emb_12.apply(relabel.apply(g))
-        if lhs != rhs:
-            failures.append({"generator": name,
-                             "lhs": render_uelement(lhs),
-                             "rhs": render_uelement(rhs)})
-    return {"checked": checked, "holds": not failures, "failures": failures}
+        ids.expect(f"square on {name}", braid.apply(emb_23.apply(g)),
+                   emb_12.apply(relabel.apply(g)))
+    return ids.report()

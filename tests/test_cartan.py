@@ -138,6 +138,20 @@ def test_weyl_embedding_verify():
     assert len(images) == 6
 
 
+@pytest.mark.parametrize("new_index", [2, 3])
+def test_merged_index_may_reuse_a_pair_name(new_index):
+    rd = simply_connected_datum(A3)
+    pair = ContractiblePair(2, 3)
+    hat = contract_root_datum(rd, pair, new_index=new_index)
+    assert hat.cartan.indices == (1, new_index)
+    assert hat.root(new_index) == (-1, 1, 1)
+    assert hat.root(1) == rd.root(1)
+    emb = weyl_embedding(rd, pair, new_index)
+    assert emb.merged == new_index
+    assert emb.verify() == {"finite_type": True, "order": 6,
+                            "homomorphism": True, "injective": True}
+
+
 def test_weyl_embedding_verify_rejects_wrong_image():
     rd = simply_connected_datum(A3)
     emb = weyl_embedding(rd, ContractiblePair(2, 3))

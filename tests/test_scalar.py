@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -138,6 +139,18 @@ def test_pow_and_division():
     assert x ** -2 == QV_ONE / (x * x)
     with pytest.raises(ZeroDivisionError):
         QV_ONE / QV_ZERO
+
+
+def test_foreign_operands_raise_type_error_on_both_sides():
+    two = scalar.qv(2)
+    for other in (0.5, "a"):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(two, other)
+            with pytest.raises(TypeError):
+                op(other, two)
+    assert 1 - two == scalar.qv(-1)
+    assert 1 / two == scalar.qv(Fraction(1, 2))
 
 
 def test_regular_at_infinity_membership():

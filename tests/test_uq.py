@@ -341,6 +341,41 @@ def test_udot_weight_shifts():
         u_act_udot(e_gen(U2, 1), one_lam)
 
 
+@pytest.mark.parametrize("alg, seed", [(U2, 41), (UB2, 42), (U3, 43)])
+def test_udot_is_a_u_bimodule(alg, seed):
+    # the actions and the projection are checked against U_q's product and
+    # U̇'s own product, on seeded inputs with weights in [-2, 2]
+    rng = random.Random(seed)
+    gens = [g for _, g in uq._named_generators(alg)]
+    wd = alg.f.word_degree
+
+    def weight():
+        return tuple(rng.randint(-2, 2) for _ in range(alg.datum.rankX))
+
+    nonzero = 0
+    for _ in range(10):
+        u1 = rng.choice(gens) + u_multiply(rng.choice(gens), rng.choice(gens))
+        u2 = rng.choice(gens)
+        x = u_act_udot(rng.choice(gens), udot_idempotent(alg, weight())) \
+            + udot_idempotent(alg, weight())
+        lhs = u_act_udot(u1, u_act_udot(u2, x))
+        assert lhs == u_act_udot(u_multiply(u1, u2), x)
+        assert udot_act_u(udot_act_u(x, u1), u2) == \
+            udot_act_u(x, u_multiply(u1, u2))
+        assert udot_act_u(u_act_udot(u1, x), u2) == \
+            u_act_udot(u1, udot_act_u(x, u2))
+        lam_r = weight()
+        ew, _, fw = rng.choice(sorted(u1.coords))
+        lam_l = tuple(a + b - c for a, b, c in zip(
+            lam_r, alg.degree_in_x(wd(ew)), alg.degree_in_x(wd(fw))))
+        block = pi_weight(u1, lam_l, lam_r)
+        assert block == udot_multiply(
+            udot_idempotent(alg, lam_l),
+            u_act_udot(u1, udot_idempotent(alg, lam_r)))
+        nonzero += bool(lhs) + bool(block)
+    assert nonzero >= 10
+
+
 def test_psi_dot_check():
     for eps in (1, -1):
         emb = UEmbedding(U2, PAIR12, eps)
@@ -502,6 +537,16 @@ def test_braid_on_image_a3_hypothesis():
     assert not braid_on_V_check(emb, 1)["hypothesis"]
 
 
+@pytest.mark.parametrize("new_index", [2, 3])
+def test_embedding_merged_index_may_reuse_a_pair_name(new_index):
+    emb = UEmbedding(U3, PAIR23, 1, new_index=new_index)
+    assert emb.merged == new_index
+    assert emb.source.cartan.indices == (1, new_index)
+    assert embedding_relations_check(emb)["holds"]
+    rep = braid_on_V_check(emb, 1)
+    assert rep["hypothesis"] and rep["holds"], rep["failures"]
+
+
 # --- subquotient probe -------------------------------------------------------
 
 def test_subquotient_probe_a2():
@@ -565,7 +610,8 @@ def test_solve_mod_ideal_recovers_embedded_element(target, pair, seed):
     rng = random.Random(seed)
     emb = UEmbedding(target, pair, 1)
     src = emb.source
-    ideal = uq._crossing_ideal(target, uq._probe_alphabet(target, pair), 4)
+    letters = uq._probe_alphabet(target, pair)
+    ideal = uq._crossing_ideal(letters, uq._products_upto(target, letters, 4), 4)
     mus = [src.y_zero] + uq._y_basis(src)
     degrees = list(uq._degrees_up_to(src.rank, 2))
     for _ in range(6):
