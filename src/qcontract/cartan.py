@@ -209,8 +209,8 @@ class RootDatum:
         return len(self.pairing[0]) if self.pairing else 0
 
     def pair(self, y: Sequence[int], x: Sequence[int]) -> int:
-        return sum(self.pairing[a][b] * y[a] * x[b]
-                   for a in range(self.rankY) for b in range(self.rankX))
+        return sum(ya * sum(p * xb for p, xb in zip(row, x))
+                   for row, ya in zip(self.pairing, y) if ya)
 
     def coroot(self, i: Symbol) -> Vector:
         return self.simple_coroots_in_Y[i]

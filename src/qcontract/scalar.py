@@ -4,12 +4,22 @@ Laurent polynomials in the indeterminate v over the rationals, the fraction
 field Q(v) in a canonical form (so equality is structural), quantum
 integers/factorials/binomials, and the bar involution v -> v^-1.
 
-Every Q(v) construction puts its fraction into canonical form.  Numerator and
-denominator are written once as a rational times a primitive integer
-polynomial (dense coefficient lists), their gcd comes from the heuristic gcd
-of Char, Geddes and Gonnet (integer gcd at one evaluation point, certified by
-exact division over Z), and both are divided by it over Z.  Euclid's
-algorithm over the rationals runs only when the heuristic gives up.
+Every Q(v) value holds its fraction in canonical form.  The constructor
+``QVScalar(num, den)`` computes that form: numerator and denominator are
+written once as a rational times a primitive integer polynomial (dense
+coefficient lists), their gcd comes from the heuristic gcd of Char, Geddes
+and Gonnet (integer gcd at one evaluation point, certified by exact division
+over Z), and both are divided by it over Z.  Euclid's algorithm over the
+rationals runs only when the heuristic gives up.
+
+``QVScalar._of(num, den)`` wraps a fraction that is canonical already; the
+arithmetic uses it, with no gcd, where the form cannot change:
+  - c·v^k (``from_rat``, ``v_power``) and a sum or product of two Laurent
+    polynomials have denominator 1;
+  - a sum with zero is the other operand, and -n/d is canonical with n/d;
+  - a monomial c·v^k (c != 0) times n/d is c·v^k·n over d: c is a unit, and
+    d, with nonzero constant term, is coprime to v.  A quotient by c·v^k is
+    the product with c^-1·v^-k.
 
 No floating point anywhere; every identity checked downstream is exact.
 """
@@ -47,10 +57,6 @@ class LaurentPoly:
         raise AttributeError("LaurentPoly is immutable")
 
     # --- constructors -------------------------------------------------
-    @staticmethod
-    def const(c: Rat) -> LaurentPoly:
-        return LaurentPoly({0: c})
-
     @staticmethod
     def v_power(e: int, c: Rat = 1) -> LaurentPoly:
         return LaurentPoly({e: c})
@@ -111,7 +117,7 @@ class LaurentPoly:
         return LaurentPoly._of(d)
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
+        return LaurentPoly._of({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
         return self + (-other)
@@ -122,15 +128,19 @@ class LaurentPoly:
             return _L_ZERO
         if len(a) > len(b):
             a, b = b, a
-        d: dict[int, Rat] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                s = d.get(e, 0) + c1 * c2
-                if s:
-                    d[e] = s
-                elif e in d:
-                    del d[e]
+        if len(a) == 1:
+            (e1, c1), = a.items()
+            d = {e1 + e2: c1 * c2 for e2, c2 in b.items()}
+        else:
+            d = {}
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    e = e1 + e2
+                    s = d.get(e, 0) + c1 * c2
+                    if s:
+                        d[e] = s
+                    elif e in d:
+                        del d[e]
         if type(sum(d.values())) is not int:   # some Fraction, maybe integral
             d = {e: _norm_coeff(c) for e, c in d.items()}
         return LaurentPoly._of(d)
@@ -320,13 +330,14 @@ class QVScalar:
 
     Canonical form: numerator and denominator share no polynomial factor, the
     denominator is an ordinary polynomial with nonzero constant term, positive
-    leading coefficient and primitive integer content.  Equality and hashing
-    are structural.
+    leading coefficient and primitive integer content, and a denominator 1 is
+    the object ``_L_ONE``.  Equality is structural; a constant hashes as the
+    rational it equals.
 
-    The form is computed on primitive integer parts: a monomial denominator
-    folds into the numerator; otherwise the common factor is found by the
-    heuristic gcd (``_heu_gcd``), with Euclid over Q (``_poly_gcd``) as the
-    fallback, and divided out exactly over Z.
+    The constructor computes the form on primitive integer parts: a monomial
+    denominator folds into the numerator; otherwise the common factor is
+    found by the heuristic gcd (``_heu_gcd``), with Euclid over Q
+    (``_poly_gcd``) as the fallback, and divided out exactly over Z.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -342,12 +353,21 @@ class QVScalar:
 
     # --- constructors -------------------------------------------------
     @staticmethod
+    def _of(num: LaurentPoly, den: LaurentPoly = _L_ONE) -> QVScalar:
+        """Wrap a fraction that is in canonical form already."""
+        out = QVScalar.__new__(QVScalar)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        object.__setattr__(out, "_hash", None)
+        return out
+
+    @staticmethod
     def from_rat(c: Rat) -> QVScalar:
-        return QVScalar(LaurentPoly.const(c))
+        return QVScalar._of(LaurentPoly.v_power(0, c))
 
     @staticmethod
     def v_power(e: int, c: Rat = 1) -> QVScalar:
-        return QVScalar(LaurentPoly.v_power(e, c))
+        return QVScalar._of(LaurentPoly.v_power(e, c))
 
     # --- structure ----------------------------------------------------
     def is_zero(self) -> bool:
@@ -369,7 +389,8 @@ class QVScalar:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.num, self.den))
+            const = self.num.coeffs.keys() <= {0} and self.is_laurent()
+            h = hash(self.num.coeff(0) if const else (self.num, self.den))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -378,6 +399,12 @@ class QVScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.num.coeffs:
+            return self
+        if not self.num.coeffs:
+            return other
+        if self.den is _L_ONE and other.den is _L_ONE:
+            return QVScalar._of(self.num + other.num)
         if self.den is other.den or self.den == other.den:
             return QVScalar(self.num + other.num, self.den)
         return QVScalar(self.num * other.den + other.num * self.den,
@@ -386,11 +413,7 @@ class QVScalar:
     __radd__ = __add__
 
     def __neg__(self) -> QVScalar:
-        out = QVScalar.__new__(QVScalar)
-        object.__setattr__(out, "num", -self.num)
-        object.__setattr__(out, "den", self.den)
-        object.__setattr__(out, "_hash", None)
-        return out
+        return QVScalar._of(-self.num, self.den)
 
     def __sub__(self, other) -> QVScalar:
         other = _coerce(other)
@@ -408,7 +431,13 @@ class QVScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return QVScalar(self.num * other.num, self.den * other.den)
+        a, b = self, other
+        if a.den is not _L_ONE or len(a.num.coeffs) != 1:
+            a, b = b, a
+        # a is a Laurent monomial if either factor is one
+        if a.den is _L_ONE and (len(a.num.coeffs) == 1 or b.den is _L_ONE):
+            return QVScalar._of(a.num * b.num, b.den)
+        return QVScalar(a.num * b.num, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -418,6 +447,10 @@ class QVScalar:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero in Q(v)")
+        if other.den is _L_ONE and len(other.num.coeffs) == 1:
+            (e, c), = other.num.coeffs.items()
+            return QVScalar._of(self.num * LaurentPoly.v_power(-e, Fraction(1, c)),
+                                self.den)
         return QVScalar(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other) -> QVScalar:

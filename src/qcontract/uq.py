@@ -1262,16 +1262,16 @@ def subquotient_phi_probe(target: UAlgebra, pair: ContractiblePair,
                 ideal_rows.append(_k_shift(amb, sh, row))
     psi_rows = [img for _, img in _candidate_images(
         emb, max_total, mus, lambda de, df: sum(de) + sum(df) <= max_total)]
-    norms = sorted({_norm_key(amb, t)
-                    for rows in (sub_rows, ideal_rows, psi_rows)
-                    for t in rows if t})
+    groups: list[dict[Degree, list[dict]]] = [{}, {}, {}]
+    for by_norm, rows in zip(groups, (sub_rows, ideal_rows, psi_rows)):
+        for t in rows:
+            if t:
+                by_norm.setdefault(_norm_key(amb, t), []).append(t)
     blocks = {}
     surjective = True
     injective = True
-    for nk in norms:
-        sub = [t for t in sub_rows if t and _norm_key(amb, t) == nk]
-        idl = [t for t in ideal_rows if t and _norm_key(amb, t) == nk]
-        psi = [t for t in psi_rows if t and _norm_key(amb, t) == nk]
+    for nk in sorted(set().union(*groups)):
+        sub, idl, psi = (g.get(nk, []) for g in groups)
         r_sub = rank(sub)
         r_idl = rank(idl)
         r_psi = rank(psi)
@@ -1359,13 +1359,14 @@ def _quotient_braid_agreement(emb: UEmbedding, ideal_base: list[dict]) -> dict:
     gens = _named_generators(src)
     ids = _Identities()
     ambiguous = []
+    memo: dict = {}
     for primed in (True, False):
         for e in (1, -1):
             tilde = tilde_braid_i0(tgt, pair, e, primed)
             own = braid_basic(src, emb.merged, e, primed)
             for name, g in gens:
                 y = tilde.apply(emb.apply(g))
-                sol = _solve_mod_ideal(emb, y, ideal_base)
+                sol = _solve_mod_ideal(emb, y, ideal_base, memo)
                 kind = "primed" if primed else "doubleprime"
                 label = f"{kind} (e={e}) on {name}"
                 if sol is None:
@@ -1401,11 +1402,14 @@ def _candidate_images(emb: UEmbedding, bound: int, mus,
     return out
 
 
-def _solve_mod_ideal(emb: UEmbedding, y: UElement,
-                     ideal_base: list[dict]) -> tuple[UElement, bool] | None:
+def _solve_mod_ideal(emb: UEmbedding, y: UElement, ideal_base: list[dict],
+                     memo: dict | None = None) -> tuple[UElement, bool] | None:
     """Express y as an embedded element plus ideal terms; the embedded part
     is returned, flagged unique when the two spans meet trivially.  With no
     ideal rows this is the preimage under the embedding (``psi_preimage``).
+
+    The systems of one ideal_base share a memo: each row shifted by K_μ under
+    (row index, μ), and the rank of each candidate list under its key tuple.
 
     Only candidate images that can meet y or an ideal candidate are built.
     The image of a·K_μ·b is bihomogeneous of bidegree
@@ -1422,8 +1426,9 @@ def _solve_mod_ideal(emb: UEmbedding, y: UElement,
     norm = None
     if y.coords:
         norm = _norm_key(tgt, y.coords)
-    ideal_cands = []
-    for row in ideal_base:
+    memo = {} if memo is None else memo
+    keys = []
+    for i, row in enumerate(ideal_base):
         if not row:
             continue
         if norm is not None and _norm_key(tgt, row) != norm:
@@ -1434,7 +1439,10 @@ def _solve_mod_ideal(emb: UEmbedding, y: UElement,
             for have in base_mus:
                 shift_set.add(_vsub(want, have))
         for sh in sorted(shift_set):
-            ideal_cands.append(_k_shift(tgt, sh, row))
+            if (i, sh) not in memo:
+                memo[i, sh] = _k_shift(tgt, sh, row)
+            keys.append((i, sh))
+    ideal_cands = [memo[k] for k in keys]
     wd = tgt.f.word_degree
     live = {(wd(ew), wd(fw)) for t in (y.coords, *ideal_cands)
             for (ew, _, fw) in t}
@@ -1449,7 +1457,10 @@ def _solve_mod_ideal(emb: UEmbedding, y: UElement,
     if sol is None:
         return None
     xhat = {cands[j][0]: c for j, c in sol.items() if j < len(cands)}
-    unique = sum(j < len(imgs) for j in pivots) + rank(ideal_cands) == len(pivots)
+    keys = tuple(keys)
+    if keys not in memo:
+        memo[keys] = rank(ideal_cands)
+    unique = sum(j < len(imgs) for j in pivots) + memo[keys] == len(pivots)
     return UElement(src, xhat), unique
 
 

@@ -3,11 +3,12 @@ import random
 import pytest
 
 from qcontract.cartan import (
-    CartanDatum, ContractiblePair, WeylElement, contract_cartan,
+    CartanDatum, ContractiblePair, RootDatum, WeylElement, contract_cartan,
     contract_root_datum, enumerate_roots, positive_roots, simple_reflection,
     simply_connected_datum, simply_laced_cartan, validate_cartan,
     weyl_embedding, weyl_group, weyl_word,
 )
+from qcontract.uq import UAlgebra
 
 A2 = simply_laced_cartan((1, 2), [(1, 2)])
 A3 = simply_laced_cartan((1, 2, 3), [(1, 2), (2, 3)])
@@ -219,3 +220,33 @@ def test_json_roundtrip():
     js = rd.to_json()
     assert js["coroots_in_Y"]["1"] == [1, 0]
     assert js["roots_in_X"]["1"] == [2, -1]
+
+
+def _pair_by_definition(rd, y, x):
+    return sum(rd.pairing[a][b] * y[a] * x[b]
+               for a in range(len(rd.pairing)) for b in range(len(rd.pairing[0])))
+
+
+def test_pair_matches_the_double_sum():
+    c3 = CartanDatum((1, 2, 3), ((2, -1, 0), (-1, 2, -2), (0, -2, 4)))
+    # A2 on Y = X = Z^2 with the pairing ((1, 1), (0, 1)): coroots e_1, e_2
+    # and roots P^-1 times the Cartan columns
+    skew = RootDatum(A2, ((1, 1), (0, 1)), {1: (3, -1), 2: (-3, 2)},
+                     {1: (1, 0), 2: (0, 1)})
+    rng = random.Random(211)
+    for rd in (simply_connected_datum(A3), simply_connected_datum(c3),
+               contract_root_datum(simply_connected_datum(A3), ContractiblePair(2, 3)),
+               skew):
+        alg = UAlgebra(rd, 2)
+        roots = [rd.root(i) for i in rd.cartan.indices]
+        n = len(rd.pairing)
+        for _ in range(40):
+            y = tuple(rng.randint(-5, 5) for _ in range(n))
+            x = tuple(rng.randint(-5, 5) for _ in range(n))
+            assert rd.pair(y, x) == _pair_by_definition(rd, y, x)
+            nu = tuple(rng.randint(0, 3) for _ in roots)
+            wt = [sum(k * r[a] for k, r in zip(nu, roots)) for a in range(n)]
+            assert alg.weight_pairing(y, nu) == _pair_by_definition(rd, y, wt)
+        for i in rd.cartan.indices:
+            for j in rd.cartan.indices:
+                assert rd.pair(rd.coroot(i), rd.root(j)) == rd.cartan.cartan_entry(i, j)

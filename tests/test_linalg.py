@@ -167,7 +167,7 @@ def test_rref_matches_dense_hypothesis():
         extra = draw(st.lists(st.integers(0, nrows - 1), max_size=3))
         return rows + [list(rows[i]) for i in extra], draw(st.integers(0, ncols))
 
-    @hypothesis.settings(max_examples=30, deadline=None)
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
     @hypothesis.given(case())
     def check(arg):
         m, narrow = arg

@@ -310,3 +310,77 @@ def test_euclid_fallback_gives_same_canonical_form(monkeypatch):
         assert (y.num.coeffs, y.den.coeffs) == (x.num.coeffs, x.den.coeffs)
         _assert_sympy_canonical(sp, v, num, den, y)
     assert divmods
+
+
+def test_constant_hashes_as_the_rational_it_equals():
+    two = QVScalar(LaurentPoly({1: 2, 0: 2}), LaurentPoly({1: 1, 0: 1}))
+    assert two == 2 and hash(two) == hash(2)
+    assert len({QVScalar.from_rat(2), 2, Fraction(2), two}) == 1
+    for c in (0, -3, Fraction(1, 2), Fraction(-7, 3)):
+        x = QVScalar(LaurentPoly({0: c}))
+        seen = {c: "rational"}
+        seen[x] = "scalar"
+        assert seen == {c: "scalar"} and len({x, c}) == 1
+    assert len({QV_V, 1, QV_ONE / (QV_ONE + QV_V), QV_ZERO, 0}) == 4
+
+
+# --- fast paths against the canonicalising constructor -----------------------
+
+def _naive_mul(p, q):
+    out = {}
+    for e1, c1 in p.coeffs.items():
+        for e2, c2 in q.coeffs.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + Fraction(c1) * c2
+    return LaurentPoly(out)
+
+
+def _naive_add(p, q):
+    out = dict(p.coeffs)
+    for e, c in q.coeffs.items():
+        out[e] = out.get(e, 0) + Fraction(c)
+    return LaurentPoly(out)
+
+
+def _assert_same_form(got, want):
+    """Equal numerators and denominators, every integral coefficient an int,
+    and a denominator 1 held as the shared object."""
+    assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
+    for c in (*got.num.coeffs.values(), *got.den.coeffs.values()):
+        assert type(c) is int or c.denominator != 1, (got, c)
+    assert (got.den is scalar._L_ONE) == got.is_laurent()
+
+
+def test_fast_paths_match_the_constructor_hypothesis():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # Fraction coefficients whose products and sums are often integral
+    rat = (st.integers(-6, 6) | st.integers(-6, 6).map(Fraction)
+           | st.sampled_from([Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3),
+                              Fraction(-4, 3), Fraction(3, 4)]))
+    nonzero = rat.filter(bool)
+    poly = st.dictionaries(st.integers(-3, 3), rat, max_size=4).map(LaurentPoly)
+    monomial = st.builds(lambda e, c: LaurentPoly({e: c}), st.integers(-3, 3), nonzero)
+    fraction = st.tuples(poly, poly.filter(lambda p: len(p.coeffs) > 1))
+    scalars = st.one_of(
+        st.just(QVScalar(LaurentPoly())),
+        monomial.map(QVScalar),
+        poly.map(QVScalar),
+        fraction.map(lambda nd: QVScalar(*nd)))
+
+    @hyp.settings(max_examples=400, deadline=None, derandomize=True)
+    @hyp.given(scalars, scalars, rat, st.integers(-3, 3))
+    def check(a, b, c, e):
+        for x, y in ((a, b), (b, a)):
+            _assert_same_form(x * y, QVScalar(_naive_mul(x.num, y.num),
+                                              _naive_mul(x.den, y.den)))
+            _assert_same_form(x + y, QVScalar(
+                _naive_add(_naive_mul(x.num, y.den), _naive_mul(y.num, x.den)),
+                _naive_mul(x.den, y.den)))
+            if y:
+                _assert_same_form(x / y, QVScalar(_naive_mul(x.num, y.den),
+                                                  _naive_mul(x.den, y.num)))
+        _assert_same_form(-a, QVScalar(_naive_mul(a.num, LaurentPoly({0: -1})), a.den))
+        _assert_same_form(QVScalar.from_rat(c), QVScalar(LaurentPoly({0: c})))
+        _assert_same_form(v_power(e, c), QVScalar(LaurentPoly({e: c})))
+
+    check()
