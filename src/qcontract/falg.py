@@ -128,6 +128,7 @@ class FAlgebra:
         self._d = tuple(cartan.d(s) for s in cartan.indices)
         self._components: dict[Degree, GradedComponent] = {}
         self._gt_memo: dict[tuple[PlainWord, PlainWord], LaurentPoly] = {}
+        self._word_nf: dict[PlainWord, dict[PlainWord, QVScalar]] = {}
         self._proj: dict = {}
         self._pbw: tuple | None = None
 
@@ -151,10 +152,14 @@ class FAlgebra:
         return tuple(out)
 
     def reduce_word(self, w: PlainWord) -> dict[PlainWord, QVScalar]:
-        """Normal form of the single word w."""
-        if not w:
-            return {(): QV_ONE}
-        return self.component(self.word_degree(w)).reduce({w: QV_ONE})
+        """Normal form of the single word w, memoized on this algebra: the
+        dict returned is shared, so callers only read it."""
+        hit = self._word_nf.get(w)
+        if hit is None:
+            hit = ({(): QV_ONE} if not w else
+                   self.component(self.word_degree(w)).reduce({w: QV_ONE}))
+            self._word_nf[w] = hit
+        return hit
 
     def degree_dot(self, a: Degree, b: Degree) -> int:
         return sum(a[s] * self._dot[s][t] * b[t]
@@ -432,7 +437,7 @@ class TensorElement(LinearCombination):
             for (bl, br), cb in other.coords.items():
                 twist = alg.degree_dot(alg.word_degree(ar), alg.word_degree(bl))
                 left, right = alg.reduce_word(al + bl), alg.reduce_word(ar + br)
-                c = ca * cb * v_power(twist)
+                c = (ca * cb).shift(twist)
                 for wl, cl in left.items():
                     for wr, cr in right.items():
                         _add_into(out, (wl, wr), c * cl * cr)
@@ -476,7 +481,7 @@ def coproduct_r(x: FElement) -> TensorElement:
                 else:
                     right.append(w[k])
             lred, rred = alg.reduce_word(tuple(left)), alg.reduce_word(tuple(right))
-            cc = c * v_power(twist)
+            cc = c.shift(twist)
             for wl, cl in lred.items():
                 for wr, cr in rred.items():
                     _add_into(out, (wl, wr), cc * cl * cr)

@@ -154,7 +154,7 @@ class LaurentPoly:
         """Multiply by v^k."""
         if k == 0:
             return self
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
+        return LaurentPoly._of({e + k: c for e, c in self.coeffs.items()})
 
     def __pow__(self, n: int) -> LaurentPoly:
         if n < 0:
@@ -368,6 +368,13 @@ class QVScalar:
     @staticmethod
     def v_power(e: int, c: Rat = 1) -> QVScalar:
         return QVScalar._of(LaurentPoly.v_power(e, c))
+
+    def shift(self, k: int) -> QVScalar:
+        """Multiply by v^k.  The result is canonical as it stands: v is
+        coprime to a denominator with nonzero constant term."""
+        if k == 0:
+            return self
+        return QVScalar._of(self.num.shift(k), self.den)
 
     # --- structure ----------------------------------------------------
     def is_zero(self) -> bool:

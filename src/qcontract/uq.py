@@ -6,6 +6,13 @@ crossing lowering letters through raising words (producing torus terms on
 matching letters), moving torus factors left, and reducing both outer words
 through the graded Serre algebra.
 
+Moving K_mu past a word w twists by v^<mu, wt w>.  ``UAlgebra.root_pairs``
+memoizes <mu, alpha_p> for each simple root, so the twist is
+sum(r[p] for p in w), applied with ``QVScalar.shift`` rather than a product
+with a power of v.  The crossings (``_cross``), the root pairings and the
+normal forms of single words (``FAlgebra.reduce_word``) are memos owned by
+their algebra; the dicts they return are shared and only read.
+
 The module also provides the contraction embedding on the whole algebra, the
 coproduct and its bidegree blocks, the modified (idempotented) form, braid
 operators together with their contraction compatibilities, a rank probe for
@@ -70,6 +77,7 @@ class UAlgebra:
                          for p in range(self.rank))
         self._cross_one_memo: dict = {}
         self._cross_memo: dict = {}
+        self._root_pairs: dict[YVec, tuple[int, ...]] = {}
         self._gated: set = set()          # pairs whose braid formula gate passed
         self._modules: dict = {}          # highest weight -> HWModule
         self._braids: dict = {}           # (index, sign, primed) -> BraidOperator
@@ -101,6 +109,15 @@ class UAlgebra:
         """Pairing of a torus exponent with the weight of a letter degree."""
         return self.datum.pair(mu, self.degree_in_x(nu))
 
+    def root_pairs(self, mu: YVec) -> tuple[int, ...]:
+        """<mu, alpha_p> for each simple root, memoized per exponent: the
+        twist <mu, wt w> of a word w is sum(r[p] for p in w)."""
+        r = self._root_pairs.get(mu)
+        if r is None:
+            r = tuple(self.datum.pair(mu, a) for a in self._roots)
+            self._root_pairs[mu] = r
+        return r
+
     def k_tilde_vector(self, i, n: int = 1) -> YVec:
         p = self.position(i)
         return tuple(n * c for c in self._kt[p])
@@ -127,9 +144,10 @@ class UAlgebra:
                 d = self._d[i]
                 den = QV_ONE / (v_power(d) - v_power(-d))
                 kt = self._kt[i]
-                w = self.weight_pairing(kt, self.f.word_degree(rest))
-                _add_into(out, (rest, kt, ()), -v_power(w) * den)
-                _add_into(out, (rest, _neg(kt), ()), v_power(-w) * den)
+                r = self.root_pairs(kt)
+                w = sum(r[p] for p in rest)
+                _add_into(out, (rest, kt, ()), (-den).shift(w))
+                _add_into(out, (rest, _neg(kt), ()), den.shift(-w))
         self._cross_one_memo[key] = out
         return out
 
@@ -144,11 +162,11 @@ class UAlgebra:
         i, prefix = fw[-1], fw[:-1]
         out: dict[Triple, QVScalar] = {}
         for (a1, k1, f1), c1 in self._cross_one(i, ew).items():
+            r = self.root_pairs(k1)
             for (a2, k2, f2), c2 in self._cross(prefix, a1).items():
                 charge()
-                w = self.weight_pairing(k1, self.f.word_degree(f2))
                 _add_into(out, (a2, _vadd(k1, k2), f2 + f1),
-                          c1 * c2 * v_power(w))
+                          (c1 * c2).shift(sum(r[p] for p in f2)))
         self._cross_memo[key] = out
         return out
 
@@ -161,8 +179,9 @@ class UAlgebra:
                 continue
             left, right = self.f.reduce_word(ew), self.f.reduce_word(fw)
             for a, ca in left.items():
+                cl = c if ca is QV_ONE else c * ca
                 for b, cb in right.items():
-                    _add_into(out, (a, mu, b), c * ca * cb)
+                    _add_into(out, (a, mu, b), cl if cb is QV_ONE else cl * cb)
         return out
 
 
@@ -242,19 +261,27 @@ def divided_power(x: UElement, n: int, d: int) -> UElement:
 
 
 def u_multiply(x: UElement, y: UElement) -> UElement:
+    """Product of two elements in normal form.  For terms E_e1 K_m1 F_f1 and
+    E_e2 K_m2 F_f2, F_f1 E_e2 crosses to terms g·E_a K_t F_b (``_cross``);
+    K_m1 then moves right past E_a and K_m2 left past F_b, which twists the
+    term by v^(<m1, wt a> + <m2, wt b>).  Each twist is a sum of memoized
+    root pairings (``root_pairs``) applied as a shift of g, and a crossing
+    coefficient that is the object QV_ONE is not multiplied."""
     if x.algebra is not y.algebra:
         raise ValueError("elements of different algebras")
     alg = x.algebra
-    wd = alg.f.word_degree
+    rp = alg.root_pairs
+    ys = [(e2, m2, f2, c2, rp(m2)) for (e2, m2, f2), c2 in y.coords.items()]
     raw: dict[Triple, QVScalar] = {}
     for (e1, m1, f1), c1 in x.coords.items():
-        for (e2, m2, f2), c2 in y.coords.items():
+        r1 = rp(m1)
+        for e2, m2, f2, c2, r2 in ys:
             charge()
-            base = c1 * c2
+            base, m12 = c1 * c2, _vadd(m1, m2)
             for (a, t, b), g in alg._cross(f1, e2).items():
-                w = alg.weight_pairing(m1, wd(a)) + alg.weight_pairing(m2, wd(b))
-                mu = _vadd(_vadd(m1, t), m2)
-                _add_into(raw, (e1 + a, mu, b + f2), base * g * v_power(w))
+                w = sum(r1[p] for p in a) + sum(r2[p] for p in b)
+                _add_into(raw, (e1 + a, _vadd(m12, t), b + f2),
+                          (base if g is QV_ONE else base * g).shift(w))
     return UElement(alg, alg.reduce_triples(raw))
 
 
@@ -274,9 +301,10 @@ def _sandwich(alg: UAlgebra, parts, right: Callable[[PlainWord], UElement]) -> U
     for c, left, nu, w in parts:
         charge()
         raw = groups.setdefault(w, {})
+        r = alg.root_pairs(nu)
         for (a, m, b), x in left.coords.items():
-            k = alg.weight_pairing(nu, alg.f.word_degree(b))
-            _add_into(raw, (a, _vadd(m, nu), b), c * x * v_power(k))
+            _add_into(raw, (a, _vadd(m, nu), b),
+                      (c if x is QV_ONE else c * x).shift(sum(r[p] for p in b)))
     out: dict[Triple, QVScalar] = {}
     for w, raw in groups.items():
         for t, c in u_multiply(UElement(alg, raw), right(w)).coords.items():
@@ -713,8 +741,8 @@ def udot_multiply(x: UdotElement, y: UdotElement) -> UdotElement:
             charge()
             for (xe, tau, xf), g in alg._cross(b, p).items():
                 m = _vsub(sig, alg.degree_in_x(alg.f.word_degree(xf)))
-                w = alg.datum.pair(tau, m)
-                _add_into(raw, (a + xe, m, xf + q), c1 * c2 * g * v_power(w))
+                _add_into(raw, (a + xe, m, xf + q),
+                          (c1 * c2 * g).shift(alg.datum.pair(tau, m)))
     return UdotElement(alg, alg.reduce_triples(raw))
 
 
@@ -726,7 +754,7 @@ def _at_weight(u: UElement, lam: XVec, left: bool) -> UdotElement:
     raw: dict = {}
     for (e, mu, f), c in u.coords.items():
         m = _vsub(lam, alg.degree_in_x(alg.f.word_degree(e if left else f)))
-        _add_into(raw, (e, m, f), c * v_power(alg.datum.pair(mu, m)))
+        _add_into(raw, (e, m, f), c.shift(alg.datum.pair(mu, m)))
     return UdotElement(alg, raw)
 
 
@@ -1158,11 +1186,10 @@ def braid_on_V_check(emb: UEmbedding, e: int) -> dict:
 # --- subquotient probe -------------------------------------------------------
 
 def _k_shift(alg: UAlgebra, mu: YVec, terms: Mapping[Triple, QVScalar]) -> dict:
-    out = {}
-    for (ew, kv, fw), c in terms.items():
-        w = alg.weight_pairing(mu, alg.f.word_degree(ew))
-        out[(ew, _vadd(mu, kv), fw)] = c * v_power(w)
-    return out
+    """K_mu times terms: E_ew K_kv F_fw becomes v^<mu, wt ew> E_ew K_(mu+kv) F_fw."""
+    r = alg.root_pairs(mu)
+    return {(ew, _vadd(mu, kv), fw): c.shift(sum(r[p] for p in ew))
+            for (ew, kv, fw), c in terms.items()}
 
 
 def _probe_alphabet(tgt: UAlgebra, pair: ContractiblePair) -> list[tuple[str, UElement, int]]:
@@ -1255,13 +1282,15 @@ def subquotient_phi_probe(target: UAlgebra, pair: ContractiblePair,
         for (_, have, _f) in row:
             for want in mus:
                 shifts.add(_vsub(want, have))
+    memo: dict = {}
     ideal_rows = list(ideal_base)
-    for row in ideal_base:
+    for i, row in enumerate(ideal_base):
         for sh in sorted(shifts):
             if any(sh):
-                ideal_rows.append(_k_shift(amb, sh, row))
+                memo[i, sh] = _k_shift(amb, sh, row)
+                ideal_rows.append(memo[i, sh])
     psi_rows = [img for _, img in _candidate_images(
-        emb, max_total, mus, lambda de, df: sum(de) + sum(df) <= max_total)]
+        emb, max_total, mus, lambda de, df: sum(de) + sum(df) <= max_total, memo)]
     groups: list[dict[Degree, list[dict]]] = [{}, {}, {}]
     for by_norm, rows in zip(groups, (sub_rows, ideal_rows, psi_rows)):
         for t in rows:
@@ -1323,7 +1352,7 @@ def subquotient_phi_probe(target: UAlgebra, pair: ContractiblePair,
                    u_multiply(ee_pm, kem).scale(v_power(e * d0)))
     torus = hat.rank_y == amb.rank_y and all(
         emb.apply(k_gen(hat, mu)) == k_gen(amb, mu) for mu in _y_basis(hat))
-    quotient = _quotient_braid_agreement(emb, ideal_base)
+    quotient = _quotient_braid_agreement(emb, ideal_base, memo)
     report = {
         "label": "evidence",
         "blocks": blocks,
@@ -1345,10 +1374,13 @@ def _norm_key(alg: UAlgebra, terms: Mapping[Triple, QVScalar]) -> Degree:
     return _triple_norm(alg, t)
 
 
-def _quotient_braid_agreement(emb: UEmbedding, ideal_base: list[dict]) -> dict:
+def _quotient_braid_agreement(emb: UEmbedding, ideal_base: list[dict],
+                              memo: dict) -> dict:
     """Generator agreement of the decorated quotient symmetries: solve for the
     preimage modulo the ideal spanned by ideal_base, rescale per letter,
-    compare upstairs."""
+    compare upstairs.  Every system shares memo (see ``_solve_mod_ideal``),
+    which the probe has already filled with its shifted ideal rows and
+    candidate images."""
     tgt, src = emb.target, emb.source
     pair = emb.pair
     d0 = tgt._d[tgt.position(pair.plus)]
@@ -1359,7 +1391,6 @@ def _quotient_braid_agreement(emb: UEmbedding, ideal_base: list[dict]) -> dict:
     gens = _named_generators(src)
     ids = _Identities()
     ambiguous = []
-    memo: dict = {}
     for primed in (True, False):
         for e in (1, -1):
             tilde = tilde_braid_i0(tgt, pair, e, primed)
@@ -1382,11 +1413,13 @@ def _quotient_braid_agreement(emb: UEmbedding, ideal_base: list[dict]) -> dict:
 
 
 def _candidate_images(emb: UEmbedding, bound: int, mus,
-                      keep: Callable[[Degree, Degree], bool]) -> list[tuple]:
+                      keep: Callable[[Degree, Degree], bool],
+                      memo: dict) -> list[tuple]:
     """Each source triple (a, μ, b), with a and b basis words of degrees
     ν_e, ν_f up to bound and μ in mus, paired with the coordinates of its
     image; only bidegrees whose image degrees pass keep are built.  Ordered
-    by ν_e, ν_f, a, b, then sorted μ."""
+    by ν_e, ν_f, a, b, then sorted μ.  An image found in memo under its
+    triple is reused, and a new one is stored there."""
     src = emb.source
     degs = [(nu, emb.degree_map(nu)) for nu in _degrees_up_to(src.rank, bound)]
     out = []
@@ -1397,8 +1430,10 @@ def _candidate_images(emb: UEmbedding, bound: int, mus,
             for a in src.f.component(nu_e).basis:
                 for b in src.f.component(nu_f).basis:
                     for mu in sorted(mus):
-                        x = UElement(src, {(a, mu, b): QV_ONE})
-                        out.append(((a, mu, b), emb.apply(x).coords))
+                        t = (a, mu, b)
+                        if t not in memo:
+                            memo[t] = emb.apply(UElement(src, {t: QV_ONE})).coords
+                        out.append((t, memo[t]))
     return out
 
 
@@ -1409,7 +1444,8 @@ def _solve_mod_ideal(emb: UEmbedding, y: UElement, ideal_base: list[dict],
     ideal rows this is the preimage under the embedding (``psi_preimage``).
 
     The systems of one ideal_base share a memo: each row shifted by K_μ under
-    (row index, μ), and the rank of each candidate list under its key tuple.
+    (row index, μ), the rank of each candidate list under its key tuple, and
+    the image of each source triple a·K_μ·b under (a, μ, b).
 
     Only candidate images that can meet y or an ideal candidate are built.
     The image of a·K_μ·b is bihomogeneous of bidegree
@@ -1447,7 +1483,8 @@ def _solve_mod_ideal(emb: UEmbedding, y: UElement, ideal_base: list[dict],
     live = {(wd(ew), wd(fw)) for t in (y.coords, *ideal_cands)
             for (ew, _, fw) in t}
     cap = max((sum(d) for bideg in live for d in bideg), default=0)
-    cands = _candidate_images(emb, cap, mus, lambda de, df: (de, df) in live)
+    cands = _candidate_images(emb, cap, mus, lambda de, df: (de, df) in live,
+                              memo)
     imgs = [img for _, img in cands]
     # One solve over the columns imgs + ideal_cands gives the solution (free
     # variables zero) and its pivots, the columns independent of those

@@ -384,3 +384,30 @@ def test_fast_paths_match_the_constructor_hypothesis():
         _assert_same_form(v_power(e, c), QVScalar(LaurentPoly({e: c})))
 
     check()
+
+
+def test_shift_is_multiplication_by_a_power_of_v_hypothesis():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    rat = (st.integers(-6, 6)
+           | st.sampled_from([Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)]))
+    poly = st.dictionaries(st.integers(-3, 3), rat, max_size=4).map(LaurentPoly)
+    fraction = st.tuples(poly, poly.filter(lambda p: len(p.coeffs) > 1))
+    scalars = st.one_of(
+        st.just(QV_ZERO),
+        poly.map(QVScalar),
+        fraction.map(lambda nd: QVScalar(*nd)))
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True)
+    @hyp.given(scalars, st.integers(-4, 4))
+    def check(x, k):
+        got = x.shift(k)
+        _assert_same_form(got, x * v_power(k))
+        assert got == QVScalar(_naive_mul(x.num, LaurentPoly({k: 1})), x.den)
+        assert got.shift(-k) == x
+
+    check()
+    # pinned: a true fraction and zero
+    assert QVScalar(LaurentPoly({1: 1}), LaurentPoly({0: 1, 1: 1})).shift(-1) \
+        == QV_ONE / (QV_ONE + QV_V)
+    assert QV_ZERO.shift(3) == QV_ZERO

@@ -10,7 +10,7 @@ from qcontract.cartan import (
 )
 from qcontract import uq
 from qcontract._linalg import rank
-from qcontract.falg import FAlgebra, _pbw_data, theta
+from qcontract.falg import FAlgebra, FElement, _pbw_data, coproduct_r, theta
 from qcontract.scalar import (
     QV_ONE, QV_ZERO, quantum_integer, v_power,
 )
@@ -26,7 +26,7 @@ from qcontract.uq import (
     render_uelement, rho, subquotient_phi_probe, subset_root_datum,
     tensor_of, tensor_psi, tilde_braid_i0, u_act_udot, u_element,
     u_injectivity_report, u_multiply, u_one, udot_act_u, udot_idempotent,
-    udot_multiply, UEmbedding, UTensor,
+    udot_multiply, UdotElement, UEmbedding, UTensor,
 )
 
 A1 = simply_laced_cartan((1,), [])
@@ -154,6 +154,178 @@ def test_merged_generator_conjugations():
             f_merged(U2, PAIR12, eps).scale(-v_power(-eps))
         assert bar_U(e_merged(U2, PAIR12, eps)) == e_merged(U2, PAIR12, -eps)
         assert bar_U(f_merged(U2, PAIR12, eps)) == f_merged(U2, PAIR12, -eps)
+
+
+# --- the product kernel against a termwise reference --------------------------
+# The reference shares no memo with the kernel: it normal-orders a sequence of
+# letters one swap at a time, twists with weight_pairing and v_power, and
+# reduces each outer word with a fresh component reduce.
+
+UG2 = UAlgebra(simply_connected_datum(CartanDatum((1, 2), ((2, -3), (-3, 6)))), 6)
+
+
+def _ref_normal_order(alg, letters, c):
+    """Normal-ordered raw triples of c times the product of letters, each
+    ("E", p), ("K", mu) or ("F", p)."""
+    order = {"E": 0, "K": 1, "F": 2}
+    syms = alg.cartan.indices
+    out = {}
+    stack = [(tuple(letters), c)]
+    while stack:
+        seq, c = stack.pop()
+        for k in range(len(seq) - 1):
+            (s, x), (t, y) = seq[k], seq[k + 1]
+            head, tail = seq[:k], seq[k + 2:]
+            if s == t == "K":
+                stack.append((head + (("K", uq._vadd(x, y)),) + tail, c))
+                break
+            if order[s] <= order[t]:
+                continue
+            swapped = head + (seq[k + 1], seq[k]) + tail
+            if s == "K":     # K_x E_y = v^<x, alpha_y> E_y K_x
+                w = alg.weight_pairing(x, alg.f.word_degree((y,)))
+                stack.append((swapped, c * v_power(w)))
+            elif t == "K":   # F_x K_y = v^<y, alpha_x> K_y F_x
+                w = alg.weight_pairing(y, alg.f.word_degree((x,)))
+                stack.append((swapped, c * v_power(w)))
+            else:            # F_x E_y = E_y F_x - delta_xy (Kt - Kt^-1)/(v_x - v_x^-1)
+                stack.append((swapped, c))
+                if x == y:
+                    d = alg.cartan.d(syms[x])
+                    kt = alg.k_tilde_vector(syms[x])
+                    den = QV_ONE / (v_power(d) - v_power(-d))
+                    stack.append((head + (("K", kt),) + tail, -c * den))
+                    stack.append((head + (("K", uq._neg(kt)),) + tail, c * den))
+            break
+        else:
+            ks = [x for s, x in seq if s == "K"]
+            key = (tuple(x for s, x in seq if s == "E"),
+                   ks[0] if ks else alg.y_zero,
+                   tuple(x for s, x in seq if s == "F"))
+            out[key] = out.get(key, QV_ZERO) + c
+    return out
+
+
+def _ref_reduce(alg, raw):
+    def nf(w):
+        if not w:
+            return {(): QV_ONE}
+        return alg.f.component(alg.f.word_degree(w)).reduce({w: QV_ONE})
+
+    out = {}
+    for (ew, mid, fw), c in raw.items():
+        for a, ca in nf(ew).items():
+            for b, cb in nf(fw).items():
+                out[a, mid, b] = out.get((a, mid, b), QV_ZERO) + c * ca * cb
+    return out
+
+
+def _ref_letters(t):
+    ew, mu, fw = t
+    return [("E", p) for p in ew] + [("K", mu)] + [("F", p) for p in fw]
+
+
+def _ref_sum(alg, cls, pieces):
+    """cls on the reduced sum of (letters, coefficient) pieces."""
+    raw = {}
+    for letters, c in pieces:
+        for t, d in _ref_normal_order(alg, letters, c).items():
+            raw[t] = raw.get(t, QV_ZERO) + d
+    return cls(alg, _ref_reduce(alg, raw))
+
+
+def _ref_u_multiply(x, y):
+    return _ref_sum(x.algebra, UElement, (
+        (_ref_letters(s) + _ref_letters(t), c * d)
+        for s, c in x.coords.items() for t, d in y.coords.items()))
+
+
+def _ref_omega(x):
+    return _ref_sum(x.algebra, UElement, (
+        ([("F", p) for p in ew] + [("K", uq._neg(mu))] + [("E", p) for p in fw], c)
+        for (ew, mu, fw), c in x.coords.items()))
+
+
+def _ref_rho(x):
+    """rho(E_p) = v^d_p Kt_p F_p and rho(F_p) = v^-d_p E_p Kt_p^-1, reversed."""
+    alg = x.algebra
+    syms = alg.cartan.indices
+
+    def pieces():
+        for (ew, mu, fw), c in x.coords.items():
+            letters = []
+            for p in reversed(fw):
+                kt = alg.k_tilde_vector(syms[p])
+                letters += [("E", p), ("K", uq._neg(kt))]
+                c = c * v_power(-alg.cartan.d(syms[p]))
+            letters.append(("K", mu))
+            for p in reversed(ew):
+                letters += [("K", alg.k_tilde_vector(syms[p])), ("F", p)]
+                c = c * v_power(alg.cartan.d(syms[p]))
+            yield letters, c
+
+    return _ref_sum(alg, UElement, pieces())
+
+
+def _ref_weight(alg, w):
+    return alg.degree_in_x(alg.f.word_degree(w))
+
+
+def _ref_udot_multiply(x, y):
+    """E_a 1_lam F_b times E_p 1_sig F_q, for lam + wt b = sig + wt p: cross
+    F_b E_p to terms g E_xe K_tau F_xf, then K_tau F_xf 1_sig is
+    v^<tau, m> 1_m F_xf with m = sig - wt xf."""
+    alg = x.algebra
+    raw = {}
+    for (a, lam, b), c1 in x.coords.items():
+        for (p, sig, q), c2 in y.coords.items():
+            if uq._vadd(lam, _ref_weight(alg, b)) != uq._vadd(sig, _ref_weight(alg, p)):
+                continue
+            letters = [("F", i) for i in b] + [("E", i) for i in p]
+            for (xe, tau, xf), g in _ref_normal_order(alg, letters, c1 * c2).items():
+                m = uq._vsub(sig, _ref_weight(alg, xf))
+                key = (a + xe, m, xf + q)
+                raw[key] = raw.get(key, QV_ZERO) + g * v_power(alg.datum.pair(tau, m))
+    return UdotElement(alg, _ref_reduce(alg, raw))
+
+
+def _rand_udot_pair(alg, rng):
+    """Two idempotented elements, most of whose term pairs meet."""
+    def word():
+        return tuple(rng.randrange(alg.rank) for _ in range(rng.randint(0, 2)))
+
+    def coeff():
+        return v_power(rng.randint(-2, 2), rng.randint(-2, 2) or 1)
+
+    xs, ys = {}, {}
+    for _ in range(3):
+        a, b, p, q = word(), word(), word(), word()
+        lam = tuple(rng.randint(-2, 2) for _ in range(alg.datum.rankX))
+        xs[a, lam, b] = coeff()
+        sig = uq._vsub(uq._vadd(lam, _ref_weight(alg, b)), _ref_weight(alg, p))
+        ys[p, sig if rng.random() < 0.8 else lam, q] = coeff()
+    return UdotElement(alg, xs), UdotElement(alg, ys)
+
+
+@pytest.mark.parametrize("alg, seed", [(U2, 71), (UB2, 72), (UG2, 73)],
+                         ids=["A2", "B2", "G2"])
+def test_product_kernel_matches_the_termwise_reference(alg, seed):
+    rng = random.Random(seed)
+    nonzero = 0
+    for _ in range(15):
+        x, y = rand_element(alg, rng), rand_element(alg, rng)
+        prod = u_multiply(x, y)
+        assert prod == _ref_u_multiply(x, y)
+        assert omega(x) == _ref_omega(x)
+        assert rho(x) == _ref_rho(x)
+        mu = tuple(rng.randint(-2, 2) for _ in range(alg.rank_y))
+        assert UElement(alg, uq._k_shift(alg, mu, x.coords)) == \
+            _ref_u_multiply(k_gen(alg, mu), x)
+        xd, yd = _rand_udot_pair(alg, rng)
+        dprod = udot_multiply(xd, yd)
+        assert dprod == _ref_udot_multiply(xd, yd)
+        nonzero += bool(prod) + bool(dprod)
+    assert nonzero >= 25
 
 
 # --- the embedding -----------------------------------------------------------
@@ -483,10 +655,38 @@ def test_algebra_caches_die_with_the_algebra():
     assert _pbw_data(alg.f) is _pbw_data(alg.f)
     assert braid_basic(alg, 1, -1, False).apply(
         braid_basic(alg, 1, 1).apply(e_gen(alg, 1))) == e_gen(alg, 1)
+    # the word normal forms and the root pairings are memos of this algebra
+    # alone: a fresh algebra of the same datum starts with both empty
+    assert alg.f.reduce_word((0, 0)) is alg.f.reduce_word((0, 0))
+    assert alg.root_pairs((1,)) is alg.root_pairs((1,)) == (2,)
+    assert alg.f._word_nf and alg._root_pairs
+    other = UAlgebra(simply_connected_datum(A1), 4)
+    assert not other.f._word_nf and not other._root_pairs
     refs = [weakref.ref(alg), weakref.ref(alg.f)]
     del alg
     gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+@pytest.mark.parametrize("alg", [U2, UB2], ids=["A2", "B2"])
+def test_word_normal_forms_stay_unmutated(alg):
+    # the memo hands one dict to every caller; after a batch of products,
+    # braid images and coproducts, each entry still equals a fresh reduction
+    rng = random.Random(17)
+    op = braid_basic(alg, 1, 1, True)
+    for _ in range(5):
+        x, y = rand_element(alg, rng), rand_element(alg, rng)
+        u_multiply(x, op.apply(y))
+        rho(omega(x))
+        delta(x)
+        r = coproduct_r(FElement(alg.f, (1, 1), alg.f.reduce_word((0, 1))))
+        r * r
+    nf = alg.f._word_nf
+    assert len(nf) > 20
+    for w, got in nf.items():
+        fresh = ({(): QV_ONE} if not w else
+                 alg.f.component(alg.f.word_degree(w)).reduce({w: QV_ONE}))
+        assert got == fresh, w
 
 
 def test_braid_neighbor_assumption():
