@@ -213,10 +213,15 @@ class FAlgebra:
 
     @cached_property
     def _serre_relators(self) -> list[tuple[dict[PlainWord, QVScalar], Degree]]:
-        """Each ordered pair's relator on plain words, with its degree."""
+        """Each ordered pair's relator on plain words, with its degree,
+        scaled to coefficient 1 at its greatest word (theta_i^(2) leaves
+        1/[2] there otherwise): the row space is unchanged, and every row
+        it seeds in _build_component is inserted with a unit lead."""
         rels = [self.expand_free(self.serre_relator_free(i, j))
                 for i in self.cartan.indices for j in self.cartan.indices if i != j]
-        return [(rel, self.word_degree(next(iter(rel)))) for rel in rels]
+        leads = [max(rel) for rel in rels]
+        return [({w: c / rel[lead] for w, c in rel.items()}, self.word_degree(lead))
+                for rel, lead in zip(rels, leads)]
 
     def component(self, nu, check_form: bool = False) -> GradedComponent:
         nu = self.degree(nu)

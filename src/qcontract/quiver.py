@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from . import _budget
 from ._gf import GF, Mat, gl_order
@@ -420,93 +420,6 @@ def mu_contraction(contr: QuiverContraction, dims: Dims, field: GF,
     return tuple(out)
 
 
-# --- orbit tables -----------------------------------------------------------
-
-def _primitive_element(field: GF) -> int:
-    q = field.q
-    for g in range(2, q):
-        x, order = g, 1
-        while x != 1:
-            x = field.mul(x, g)
-            order += 1
-        if order == q - 1:
-            return g
-    return 1
-
-
-def gl_generators(field: GF, n: int) -> list[Mat]:
-    """Transvections plus one diagonal unit: a generating set of GL_n(F_q)."""
-    if n == 0:
-        return []
-    gens: list[Mat] = []
-    u = _primitive_element(field)
-    if u != 1:
-        gens.append(tuple(tuple((u if r == c == 0 else (1 if r == c else 0))
-                                for c in range(n)) for r in range(n)))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                for c in range(1, field.q):
-                    gens.append(tuple(tuple((1 if r == s else 0) + (c if (r, s) == (i, j) else 0)
-                                            for s in range(n)) for r in range(n)))
-    return gens
-
-
-class RepSpace:
-    """E^F with its G^F-orbit table (generator closure, lex-least reps)."""
-
-    def __init__(self, quiver: Quiver, dims: Dims, field: GF):
-        self.quiver = quiver
-        self.dims = dict(dims)
-        self.field = field
-        self.points = rep_points(quiver, dims, field)
-        self._gens = self._group_generators()
-        self._orbit_rep: dict[Point, Point] = {}
-        self._orbit_size: dict[Point, int] = {}
-        self._build_orbits()
-
-    def _group_generators(self) -> list[tuple[GPoint, GPoint]]:
-        q = self.quiver
-        out = []
-        for k, v in enumerate(q.vertices):
-            for m in gl_generators(self.field, self.dims[v]):
-                g = tuple(m if t == k else self.field.mat_id(self.dims[w])
-                          for t, w in enumerate(q.vertices))
-                ginv = tuple(self.field.mat_inv(c) for c in g)
-                out.append((g, ginv))
-        return out
-
-    def _build_orbits(self):
-        for start in sorted(self.points):
-            if start in self._orbit_rep:
-                continue
-            orbit = {start}
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for g, ginv in self._gens:
-                        _budget.charge()
-                        y = act(self.field, self.quiver, g, x, ginv)
-                        if y not in orbit:
-                            orbit.add(y)
-                            nxt.append(y)
-                frontier = nxt
-            rep = min(orbit)
-            for x in orbit:
-                self._orbit_rep[x] = rep
-            self._orbit_size[rep] = len(orbit)
-
-    def orbit_rep(self, x: Point) -> Point:
-        return self._orbit_rep[x]
-
-    def orbit_reps(self) -> list[Point]:
-        return sorted(self._orbit_size)
-
-    def orbit_size(self, rep: Point) -> int:
-        return self._orbit_size[rep]
-
-
 # --- block structure for a graded subspace ---------------------------------
 # Convention: the subspace W takes the first omega_v coordinates at each
 # vertex, the quotient T the remaining tau_v, so stabilizing points look like
@@ -690,7 +603,8 @@ def _coset_table(field: GF, group: Iterable[Mat], subgroup: Iterable[Mat]
     and t = m^-1 g.  A coset of prod_v S_v has the tuple of per-vertex minima
     as its least element, and as s -> g s^-1 is injective, the least member
     of the class of (g, x) under (g, x) ~ (g s^-1, s.x) is (m, t.x).  Each
-    coset is walked twice, for m and as mS: 2|G_v| matrix products."""
+    coset is walked twice, for m and as mS: 2|G_v| matrix products, once per
+    report; the class loop only looks entries up."""
     pairs = [(s, field.mat_inv(s)) for s in subgroup]
     table: dict[Mat, tuple[Mat, Mat, Mat]] = {}
     for g in group:
@@ -706,16 +620,26 @@ def _edge_ends(quiver: Quiver) -> list[tuple[int, int]]:
     return [(pos[h.target], pos[h.source]) for h in quiver.edges]
 
 
-def _table_rep(field: GF, ends: Sequence[tuple[int, int]], tables: Sequence[dict],
-               memo: dict, g: GPoint, x: Point) -> tuple[GPoint, Point]:
-    """(m, t.x) from per-vertex coset tables; the product t_target x_h
-    t_source^-1 is computed once per distinct key, kept in ``memo``."""
+def _class_map(field: GF, ends: Sequence[tuple[int, int]], tables: Sequence[dict],
+               memo: dict, g: GPoint) -> Callable[[Point], tuple[GPoint, Point]]:
+    """x -> (m, t.x), the least member of the class of (g, x), from one frame
+    of g built once: the table minima m and the (t_target, t_source^-1) pair
+    of every edge.  Each product t_target x_h t_source^-1 is computed once
+    per distinct (t_target, x_h, t_source^-1), kept in ``memo``."""
     cols = [table[gv] for table, gv in zip(tables, g)]
-    keys = [(cols[a][1], xh, cols[b][2]) for (a, b), xh in zip(ends, x)]
-    for key in keys:
-        if key not in memo:
-            memo[key] = field.mat_mul(field.mat_mul(key[0], key[1]), key[2])
-    return tuple(c[0] for c in cols), tuple(map(memo.__getitem__, keys))
+    m = tuple(c[0] for c in cols)
+    frame = [(cols[a][1], cols[b][2]) for a, b in ends]
+
+    def apply(x: Point) -> tuple[GPoint, Point]:
+        out = []
+        for (t, tinv), xh in zip(frame, x):
+            key = (t, xh, tinv)
+            y = memo.get(key)
+            if y is None:
+                y = memo[key] = field.mat_mul(field.mat_mul(t, xh), tinv)
+            out.append(y)
+        return m, tuple(out)
+    return apply
 
 
 def _p_prime_report(contr: QuiverContraction, tau: Dims, omega: Dims, field: GF,
@@ -723,10 +647,13 @@ def _p_prime_report(contr: QuiverContraction, tau: Dims, omega: Dims, field: GF,
     """Induction-side bundle: fibers of the map from classes of (g, x) modulo
     the unipotent stabilizer, x in s_heart (the keys of mu, which maps them to
     their contractions), to pairs (contracted class, class modulo the full
-    block stabilizer), against a target built on hat_s = hat S_W.  The cost
-    is one per-vertex coset table each for U, Q, hat-U and hat-Q (2 sum_v |G_v|
-    matrix products each), plus one edge product per distinct
-    (t_target, x_h, t_source^-1) over all classes, kept in a memo of this call."""
+    block stabilizer), against a target built on hat_s = hat S_W.  Every
+    class is visited, so `constant` and `surjective` rest on full
+    enumeration.  The cost is one per-vertex coset table each for U, Q, hat-U
+    and hat-Q (2 sum_v |G_v| matrix products each), one frame per
+    representative of G/U, and per class one Q-class lookup and one fiber
+    count; the contracted class is computed once per distinct (g-hat, x-hat),
+    and every distinct edge product t_target x_h t_source^-1 once per call."""
     q = contr.quiver
     hat = contr.hat_quiver
     hat_omega = contr.contracted_dims(omega)
@@ -735,6 +662,8 @@ def _p_prime_report(contr: QuiverContraction, tau: Dims, omega: Dims, field: GF,
     u_of, q_of = _vertex_tables(field, q.vertices, omega, tau)
     hat_u_of, hat_q_of = _vertex_tables(field, hat.vertices, hat_omega, hat_tau)
     ends, hat_ends = _edge_ends(q), _edge_ends(hat)
+    # one memo for the U, Q, hat-U and hat-Q class maps: a key fixes its
+    # product, whichever table its t came from
     memo: dict[tuple[Mat, Mat, Mat], Mat] = {}
 
     def minima(tables: list[dict]) -> Iterable[GPoint]:
@@ -745,14 +674,22 @@ def _p_prime_report(contr: QuiverContraction, tau: Dims, omega: Dims, field: GF,
     # classes of (g, x) modulo the unipotent radical: U preserves s_heart, so
     # each class has exactly one member (m, x) with m a minimum of G/U
     fibers: dict[tuple, int] = {}
+    hat_classes: dict[GPoint, tuple[Callable, dict[Point, tuple]]] = {}
     e2_of: dict = {}
     for g in minima(u_of):
+        _budget.charge(len(mu))
         ghat = contr.project_group(g)
+        if ghat not in hat_classes:
+            hat_classes[ghat] = (_class_map(field, hat_ends, hat_u_of, memo, ghat), {})
+        hat_u, hat_cls = hat_classes[ghat]
+        q_class = _class_map(field, ends, q_of, memo, g)
         for x, xh in mu.items():
-            _budget.charge()
-            e1_hat = _table_rep(field, hat_ends, hat_u_of, memo, ghat, xh)
-            e2 = _table_rep(field, ends, q_of, memo, g, x)
-            e2_of.setdefault(e2, (ghat, xh))
+            e1_hat = hat_cls.get(xh)
+            if e1_hat is None:
+                e1_hat = hat_cls[xh] = hat_u(xh)
+            e2 = q_class(x)
+            if e2 not in e2_of:
+                e2_of[e2] = (ghat, xh)
             key = (e1_hat, e2)
             fibers[key] = fibers.get(key, 0) + 1
     sizes = set(fibers.values())
@@ -760,14 +697,21 @@ def _p_prime_report(contr: QuiverContraction, tau: Dims, omega: Dims, field: GF,
 
     # the fiber-product target: hat classes mod hat-U (one (m, xhat) each, as
     # hat-U preserves hat S_W) paired with classes mod Q that agree inside
-    # the hat classes mod hat-Q
-    e1_hat_all = {(m, xhat) for m in minima(hat_u_of) for xhat in hat_s}
-    _budget.charge(len(e1_hat_all))
-    push = {e: _table_rep(field, hat_ends, hat_q_of, memo, *e) for e in e1_hat_all}
-    e2_push = {e2: _table_rep(field, hat_ends, hat_q_of, memo, *gx) for e2, gx in e2_of.items()}
-    full_target = {(e1_hat, e2)
-                   for e1_hat in e1_hat_all for e2 in e2_push
-                   if push[e1_hat] == e2_push[e2]}
+    # the hat classes mod hat-Q, joined on that hat-Q class
+    hat_minima = list(minima(hat_u_of))
+    _budget.charge(len(hat_minima) * len(hat_s))
+    hat_q: dict[GPoint, Callable] = {}
+
+    def pushed(g: GPoint, x: Point) -> tuple[GPoint, Point]:
+        if g not in hat_q:
+            hat_q[g] = _class_map(field, hat_ends, hat_q_of, memo, g)
+        return hat_q[g](x)
+
+    by_push: dict[tuple, list] = {}
+    for e2, gx in e2_of.items():
+        by_push.setdefault(pushed(*gx), []).append(e2)
+    full_target = {((m, xhat), e2) for m in hat_minima for xhat in hat_s
+                   for e2 in by_push.get(pushed(m, xhat), ())}
 
     observed = next(iter(sizes)) if len(sizes) == 1 else None
     return {
@@ -777,13 +721,3 @@ def _p_prime_report(contr: QuiverContraction, tau: Dims, omega: Dims, field: GF,
         "matches": observed == expected,
         "surjective": set(fibers) == full_target,
     }
-
-
-def _unipotent_points(quiver: Quiver, sub: Dims, quot: Dims, field: GF) -> list[GPoint]:
-    """The whole unipotent radical U = prod_v U_v."""
-    return _product(*_vertex_blocks(field, quiver.vertices, sub, quot)[1])
-
-
-def _stabilizer_points(quiver: Quiver, sub: Dims, quot: Dims, field: GF) -> list[GPoint]:
-    """The whole block stabilizer Q = prod_v Q_v."""
-    return _product(*_vertex_blocks(field, quiver.vertices, sub, quot)[2])

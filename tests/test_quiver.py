@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+import brute_reference
 from qcontract import _budget, quiver
 from qcontract._gf import gf
 from qcontract.cartan import ContractiblePair, contract_cartan
 from qcontract.quiver import (
-    AdmissibleAutomorphism, OrbitPair, Quiver, RepSpace, act, block_quot,
+    AdmissibleAutomorphism, OrbitPair, Quiver, act, block_quot,
     block_sub, contract_quiver, count_fiber_lemma_checks, group_order,
     group_points, heart_subset, is_heart, is_sub_stable, make_quiver,
     mu_contraction, mu_fiber_report, quiver_cartan, rep_points, sub_stable_points,
@@ -203,8 +204,8 @@ def _vertex_table_points(dims, F):
 ENUMERATIONS = {
     "group_points": lambda d, F: group_points(A2Q, d, F),
     "sub_stable_points": lambda d, F: sub_stable_points(A2Q, d, d, F),
-    "unipotent_points": lambda d, F: quiver._unipotent_points(A2Q, d, d, F),
-    "stabilizer_points": lambda d, F: quiver._stabilizer_points(A2Q, d, d, F),
+    "unipotent_points": lambda d, F: brute_reference.unipotent_points(A2Q, d, d, F),
+    "stabilizer_points": lambda d, F: brute_reference.stabilizer_points(A2Q, d, d, F),
     "vertex_tables": _vertex_table_points,
 }
 
@@ -407,12 +408,56 @@ def test_fiber_lemma_report_pinned_with_a_zero_dimensional_vertex(q, kappa, p_pr
                    "p_prime": {"constant": True, "observed": p_prime, "expected": p_prime,
                                "matches": True, "surjective": True}}
 
+
+@pytest.mark.parametrize("quiver_, pair, tau, omega", [
+    (A3Q, ((1,), (2,)), (1, 1, 1), (1, 1, 1)),
+    (A3Q, ((2,), (3,)), (1, 1, 1), (1, 1, 1)),
+    (D4Q, (("c",), (1,)), (1, 1, 1, 1), (1, 1, 0, 1)),
+])
+def test_fiber_lemma_report_pinned_with_a_contracted_edge(quiver_, pair, tau, omega):
+    # the contracted quiver keeps an edge, so the contracted classes of p'
+    # differ from point to point (on A2 there is one contracted point)
+    contr = contract_quiver(quiver_, AdmissibleAutomorphism.identity(quiver_),
+                            OrbitPair(*pair))
+    assert contr.hat_quiver.edges
+    rep = count_fiber_lemma_checks(contr, dict(zip(quiver_.vertices, tau)),
+                                   dict(zip(quiver_.vertices, omega)), gf(2))
+    assert rep == {"cartesian_top_squares": True, "kappa_fiber_constant": True,
+                   "kappa_fiber_observed": 2, "kappa_fiber_formula": 4,
+                   "kappa_fiber_matches": False, "kappa_surjective": True,
+                   "p_prime": {"constant": True, "observed": 1, "expected": 1,
+                               "matches": True, "surjective": True}}
+
+
+@pytest.mark.parametrize("q, tau, omega, used, mat_muls", [
+    (2, (1, 1), (1, 1), 64, 76),
+    (3, (1, 1), (1, 1), 3311, 960),
+    (2, (1, 1), (2, 2), 43113, 3744),
+    (4, (1, 1), (1, 1), 73678, 7992),
+])
+def test_fiber_lemma_work_is_pinned(q, tau, omega, used, mat_muls, monkeypatch):
+    # one budget unit per class, and one GF product per distinct edge
+    # product of the report: both counts are pinned
+    calls = []
+    orig = type(gf(q)).mat_mul
+    monkeypatch.setattr(type(gf(q)), "mat_mul",
+                        lambda self, a, b: calls.append(None) or orig(self, a, b))
+    contr = contract_quiver(A2Q, AdmissibleAutomorphism.identity(A2Q), OrbitPair((1,), (2,)))
+    saved = _budget.active_budget()
+    try:
+        budget = _budget.set_budget(10 ** 6)
+        count_fiber_lemma_checks(contr, dict(zip(A2Q.vertices, tau)),
+                                 dict(zip(A2Q.vertices, omega)), gf(q))
+    finally:
+        _budget.set_budget(saved.limit)
+    assert (budget.used, len(calls)) == (used, mat_muls)
+
+
 def test_p_prime_report_never_enumerates_the_whole_group(monkeypatch):
     def whole_group(*args):
         raise AssertionError("the fiber report enumerated a whole group")
 
-    for name in ("group_points", "_unipotent_points", "_stabilizer_points"):
-        monkeypatch.setattr(quiver, name, whole_group)
+    monkeypatch.setattr(quiver, "group_points", whole_group)
     test_fiber_lemma_report_pinned()
     test_fiber_lemma_report_pinned_f3()
 
@@ -439,7 +484,7 @@ def _lex_least_member(F, g, x, subgroup):
 def test_coset_table_gives_the_lex_least_class_member(q, tau, omega, sample, subgroup):
     F = gf(q)
     nu = {v: tau[v] + omega[v] for v in A2Q.vertices}
-    sub = getattr(quiver, f"_{subgroup}_points")(A2Q, omega, tau, F)
+    sub = getattr(brute_reference, f"{subgroup}_points")(A2Q, omega, tau, F)
     g_all = group_points(A2Q, nu, F)
     tables = quiver._vertex_tables(F, A2Q.vertices, omega, tau)[subgroup == "stabilizer"]
     assert [set(t) for t in tables] == [set(F.general_linear(nu[v])) for v in A2Q.vertices]
@@ -450,7 +495,8 @@ def test_coset_table_gives_the_lex_least_class_member(q, tau, omega, sample, sub
         pairs = random.Random(q).sample(pairs, sample)
     ends, memo = quiver._edge_ends(A2Q), {}
     for g, x in pairs:
-        assert quiver._table_rep(F, ends, tables, memo, g, x) == _lex_least_member(F, g, x, with_inv)
+        class_of = quiver._class_map(F, ends, tables, memo, g)
+        assert class_of(x) == _lex_least_member(F, g, x, with_inv)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -458,18 +504,18 @@ def test_unipotent_radical_preserves_the_stable_heart(q):
     F = gf(q)
     dims = {1: 1, 2: 1}
     heart = set(_stable_heart(dims, dims, F))
-    for u in quiver._unipotent_points(A2Q, dims, dims, F):
+    for u in brute_reference.unipotent_points(A2Q, dims, dims, F):
         assert {act(F, A2Q, u, x) for x in heart} == heart
 
 
 def test_rep_space_orbits():
     F2 = gf(2)
-    space = RepSpace(A2Q, {1: 2, 2: 2}, F2)
+    space = brute_reference.RepSpace(A2Q, {1: 2, 2: 2}, F2)
     # orbits of a single 2x2 matrix under row/column action = rank classes
     sizes = sorted(space.orbit_size(r) for r in space.orbit_reps())
     assert sizes == [1, 6, 9]
     assert sum(sizes) == len(space.points) == 16
-    again = RepSpace(A2Q, {1: 2, 2: 2}, F2)
+    again = brute_reference.RepSpace(A2Q, {1: 2, 2: 2}, F2)
     assert space.orbit_reps() == again.orbit_reps()
     for x in space.points:
         assert space.orbit_rep(x) in space.points
