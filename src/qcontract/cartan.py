@@ -4,7 +4,7 @@ single index and the induced embedding of Weyl groups.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -15,10 +15,48 @@ Symbol = Hashable
 Vector = tuple[int, ...]
 
 
+class Record:
+    """Immutable value record: the fields are a subclass's own annotations,
+    set positionally before ``__post_init__``.  Equality needs the exact
+    type; the hash is the field tuple's, so a dict field makes it unhashable."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._values = operator.attrgetter(*cls._fields)
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} "
+                            f"fields, got {len(values)}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r} of an immutable record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of an immutable record")
+
+
 # --- Cartan data ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class CartanDatum:
+class CartanDatum(Record):
     """Finite index set with a symmetric integer pairing i.j."""
 
     indices: tuple[Symbol, ...]
@@ -134,8 +172,7 @@ def simply_laced_cartan(indices: Iterable[Symbol], edges: Iterable[tuple[Symbol,
 
 # --- contractible pairs and contraction ---------------------------------
 
-@dataclass(frozen=True)
-class ContractiblePair:
+class ContractiblePair(Record):
     plus: Symbol
     minus: Symbol
 
@@ -180,8 +217,7 @@ def contract_cartan(datum: CartanDatum, pair: ContractiblePair,
 
 # --- root data -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(Record):
     """Perfect pairing on Y x X with marked simple roots and coroots."""
 
     cartan: CartanDatum

@@ -14,14 +14,13 @@ in the Cartan datum's index symbols.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
 from . import _budget
 from ._linalg import (echelon_insert, echelon_reduce, nullspace, rank,
                       residue, rref, solve)
-from .cartan import CartanDatum, ContractiblePair, contract_cartan
+from .cartan import CartanDatum, ContractiblePair, Record, contract_cartan
 from .scalar import (
     QVScalar, QV_ONE, QV_ZERO, LaurentPoly, bar as scalar_bar,
     in_one_plus_vinv, is_integer_laurent, laurent_negative_part,
@@ -87,13 +86,12 @@ class LinearCombination:
         return hash(tuple(sorted(self.coords.items())))
 
 
-@dataclass(frozen=True)
-class GradedComponent:
+class GradedComponent(Record):
     nu: Degree
     words: tuple[PlainWord, ...]     # every word of degree nu, ascending
     basis: tuple[PlainWord, ...]     # complement of the ideal's leading terms
     rewrite: Mapping[PlainWord, Mapping[PlainWord, QVScalar]]
-    gram_kernel_dim: int | None = None
+    gram_kernel_dim: int | None
 
     @property
     def dim(self) -> int:

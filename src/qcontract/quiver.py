@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from . import _budget
 from ._gf import GF, Mat, gl_order
-from .cartan import CartanDatum
+from .cartan import CartanDatum, Record
 
 Symbol = Hashable
 Point = tuple[Mat, ...]        # one matrix per edge, in quiver.edges order
@@ -23,15 +22,13 @@ GPoint = tuple[Mat, ...]       # one invertible matrix per vertex, in order
 Dims = Mapping[Symbol, int]
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Record):
     id: str
     source: Symbol
     target: Symbol
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(Record):
     vertices: tuple[Symbol, ...]
     edges: tuple[Edge, ...]
 
@@ -159,8 +156,7 @@ def quiver_cartan(quiver: Quiver, auto: AdmissibleAutomorphism) -> CartanDatum:
     return CartanDatum(symbols, tuple(tuple(r) for r in m))
 
 
-@dataclass(frozen=True)
-class OrbitPair:
+class OrbitPair(Record):
     plus: tuple[Symbol, ...]
     minus: tuple[Symbol, ...]
 
@@ -649,18 +645,18 @@ def _p_prime_report(contr: QuiverContraction, tau: Dims, omega: Dims, field: GF,
     their contractions), to pairs (contracted class, class modulo the full
     block stabilizer), against a target built on hat_s = hat S_W.  Every
     class is visited, so `constant` and `surjective` rest on full
-    enumeration.  The cost is one per-vertex coset table each for U, Q, hat-U
-    and hat-Q (2 sum_v |G_v| matrix products each), one frame per
-    representative of G/U, and per class one Q-class lookup and one fiber
-    count; the contracted class is computed once per distinct (g-hat, x-hat),
-    and every distinct edge product t_target x_h t_source^-1 once per call."""
+    enumeration.  The cost is one per-vertex coset table each for U and Q
+    (2 sum_v |G_v| matrix products each; hat-U and hat-Q reuse the kept
+    vertices' tables), one frame per representative of G/U, and per class
+    one Q-class lookup and one fiber count; the contracted class is computed
+    once per distinct (g-hat, x-hat), and every distinct edge product
+    t_target x_h t_source^-1 once per call."""
     q = contr.quiver
     hat = contr.hat_quiver
-    hat_omega = contr.contracted_dims(omega)
-    hat_tau = contr.contracted_dims(tau)
-
     u_of, q_of = _vertex_tables(field, q.vertices, omega, tau)
-    hat_u_of, hat_q_of = _vertex_tables(field, hat.vertices, hat_omega, hat_tau)
+    # every hat vertex is a kept vertex with the same (omega_v, tau_v), so
+    # the hat tables are the kept vertices' tables
+    hat_u_of, hat_q_of = contr.project_group(u_of), contr.project_group(q_of)
     ends, hat_ends = _edge_ends(q), _edge_ends(hat)
     # one memo for the U, Q, hat-U and hat-Q class maps: a key fixes its
     # product, whichever table its t came from

@@ -430,10 +430,10 @@ def test_fiber_lemma_report_pinned_with_a_contracted_edge(quiver_, pair, tau, om
 
 
 @pytest.mark.parametrize("q, tau, omega, used, mat_muls", [
-    (2, (1, 1), (1, 1), 64, 76),
-    (3, (1, 1), (1, 1), 3311, 960),
-    (2, (1, 1), (2, 2), 43113, 3744),
-    (4, (1, 1), (1, 1), 73678, 7992),
+    (2, (1, 1), (1, 1), 54, 52),
+    (3, (1, 1), (1, 1), 3248, 768),
+    (2, (1, 1), (2, 2), 42917, 3072),
+    (4, (1, 1), (1, 1), 73458, 7272),
 ])
 def test_fiber_lemma_work_is_pinned(q, tau, omega, used, mat_muls, monkeypatch):
     # one budget unit per class, and one GF product per distinct edge
