@@ -505,9 +505,12 @@ def count_fiber_lemma_checks(contr: QuiverContraction, tau: Dims, omega: Dims,
 
     The restriction-side map sends a stable point of the open stratum to the
     triple (contracted point, quotient component, sub component); its fibers
-    are counted against the claimed field-power formula.  The observed value
-    is reported next to the formula; they are not forced to agree.  Only the
-    identity automorphism is supported here.
+    are counted against the claimed field-power formula over every stable
+    point.  The observed value is reported next to the formula; they are not
+    forced to agree.  The induction side (``p_prime``) enumerates only the
+    classes [g, x]_U with g in the block stabilizer Q and infers the rest by
+    G-equivariance; see ``_p_prime_report``.  Only the identity automorphism
+    is supported here.
     """
     if not contr.auto.is_identity():
         raise NotImplementedError("fiber reports cover the untwisted case only")
@@ -572,12 +575,11 @@ def count_fiber_lemma_checks(contr: QuiverContraction, tau: Dims, omega: Dims,
 def _vertex_blocks(field: GF, vertices: Sequence[Symbol], sub: Dims, quot: Dims
                    ) -> list[tuple[list[int], Iterator[Iterable[Mat]]]]:
     """Per vertex, with w = sub_v and t = quot_v: the counts and lazy pools of
-    G_v = GL(w + t), of its unipotent radical U_v = [[I, *], [0, I]] and of
-    its block stabilizer Q_v = [[A, *], [0, D]] (A, D invertible)."""
+    the unipotent radical U_v = [[I, *], [0, I]] of GL(w + t) and of its
+    block stabilizer Q_v = [[A, *], [0, D]] (A, D invertible)."""
     q, gl, mid = field.q, field.general_linear, field.all_matrices
     wts = [(sub[v], quot[v]) for v in vertices]
-    return [([gl_order(w + t, q) for w, t in wts], (gl(w + t) for w, t in wts)),
-            ([q ** (w * t) for w, t in wts],
+    return [([q ** (w * t) for w, t in wts],
              (_upper_blocks([field.mat_id(w)], mid(w, t), [field.mat_id(t)], w) for w, t in wts)),
             ([gl_order(w, q) * q ** (w * t) * gl_order(t, q) for w, t in wts],
              (_upper_blocks(gl(w), mid(w, t), gl(t), w) for w, t in wts))]
@@ -585,12 +587,13 @@ def _vertex_blocks(field: GF, vertices: Sequence[Symbol], sub: Dims, quot: Dims
 
 def _vertex_tables(field: GF, vertices: Sequence[Symbol], sub: Dims, quot: Dims
                    ) -> tuple[list[dict], list[dict]]:
-    """Per vertex, the coset tables of U_v and Q_v in G_v, all charged first."""
+    """Per vertex, the coset tables of U_v and Q_v in Q_v (the Q-table is one
+    coset), all charged first."""
     blocks = _vertex_blocks(field, vertices, sub, quot)
     _charge_first(sum(sum(sizes) for sizes, _ in blocks))
-    gs, us, qs = ([list(p) for p in pools] for _, pools in blocks)
-    return ([_coset_table(field, g, s) for g, s in zip(gs, us)],
-            [_coset_table(field, g, s) for g, s in zip(gs, qs)])
+    us, qs = ([list(p) for p in pools] for _, pools in blocks)
+    return ([_coset_table(field, qv, uv) for qv, uv in zip(qs, us)],
+            [_coset_table(field, qv[:1], qv) for qv in qs])
 
 
 def _coset_table(field: GF, group: Iterable[Mat], subgroup: Iterable[Mat]
@@ -599,8 +602,8 @@ def _coset_table(field: GF, group: Iterable[Mat], subgroup: Iterable[Mat]
     and t = m^-1 g.  A coset of prod_v S_v has the tuple of per-vertex minima
     as its least element, and as s -> g s^-1 is injective, the least member
     of the class of (g, x) under (g, x) ~ (g s^-1, s.x) is (m, t.x).  Each
-    coset is walked twice, for m and as mS: 2|G_v| matrix products, once per
-    report; the class loop only looks entries up."""
+    coset is walked twice, for m and as mS: 2|group| matrix products, once
+    per report; the class loop only looks entries up."""
     pairs = [(s, field.mat_inv(s)) for s in subgroup]
     table: dict[Mat, tuple[Mat, Mat, Mat]] = {}
     for g in group:
@@ -640,17 +643,31 @@ def _class_map(field: GF, ends: Sequence[tuple[int, int]], tables: Sequence[dict
 
 def _p_prime_report(contr: QuiverContraction, tau: Dims, omega: Dims, field: GF,
                     mu: dict[Point, Point], hat_s: list[Point]) -> dict:
-    """Induction-side bundle: fibers of the map from classes of (g, x) modulo
-    the unipotent stabilizer, x in s_heart (the keys of mu, which maps them to
-    their contractions), to pairs (contracted class, class modulo the full
-    block stabilizer), against a target built on hat_s = hat S_W.  Every
-    class is visited, so `constant` and `surjective` rest on full
-    enumeration.  The cost is one per-vertex coset table each for U and Q
-    (2 sum_v |G_v| matrix products each; hat-U and hat-Q reuse the kept
-    vertices' tables), one frame per representative of G/U, and per class
-    one Q-class lookup and one fiber count; the contracted class is computed
-    once per distinct (g-hat, x-hat), and every distinct edge product
-    t_target x_h t_source^-1 once per call."""
+    """Induction-side bundle: fibers of the map from classes [g, x]_U of
+    (g, x) modulo the unipotent stabilizer, x in s_heart (the keys of mu,
+    which maps them to their contractions), to pairs (contracted class
+    [g-hat, x-hat]_U-hat, class [g, x]_Q modulo the full block stabilizer),
+    against the fiber-product target built on hat_s = hat S_W.
+
+    Only the slice g in Q is enumerated.  G acts on the left on the classes
+    mod U and mod Q, and on the contracted classes through ``project_group``;
+    the map and its target are G-equivariant, so fibers along one G-orbit
+    of the target have one size.  Every orbit meets the slice of targets
+    whose class mod Q is [q, x]_Q with q in Q (G acts transitively on G/Q),
+    and [g, x]_U maps into that slice only if g is in Q.  So the fiber sizes
+    (`constant`, `observed`) and `surjective` read over the slice are those
+    over all of G: the classes [g, x]_U with g outside Q are inferred, not
+    visited.  On the hat side a hat class (m, x-hat) mod U-hat agrees with
+    a slice class only if its class mod Q-hat is [q-hat, y-hat] with q-hat
+    in Q-hat, that is only if m is in Q-hat; so the hat classes walked are
+    those of Q-hat/U-hat.
+
+    The cost is one per-vertex coset table each for U and Q keyed by Q_v
+    (the Q-table is one coset; 2 sum_v |Q_v| matrix products each; hat-U and
+    hat-Q reuse the kept vertices' tables), one frame per representative of
+    Q/U, and per class one Q-class lookup and one fiber count; the
+    contracted class is computed once per distinct (g-hat, x-hat), and
+    every distinct edge product t_target x_h t_source^-1 once per call."""
     q = contr.quiver
     hat = contr.hat_quiver
     u_of, q_of = _vertex_tables(field, q.vertices, omega, tau)
@@ -663,12 +680,13 @@ def _p_prime_report(contr: QuiverContraction, tau: Dims, omega: Dims, field: GF,
     memo: dict[tuple[Mat, Mat, Mat], Mat] = {}
 
     def minima(tables: list[dict]) -> Iterable[GPoint]:
-        # in the order a walk of G in group_points order meets the cosets
+        # in the order a walk of the table keys meets the cosets
         return itertools.product(*(dict.fromkeys(m for m, _, _ in t.values())
                                    for t in tables))
 
-    # classes of (g, x) modulo the unipotent radical: U preserves s_heart, so
-    # each class has exactly one member (m, x) with m a minimum of G/U
+    # classes of (g, x), g in Q, modulo the unipotent radical: U preserves
+    # s_heart, so each class has exactly one member (m, x) with m a minimum
+    # of Q/U
     fibers: dict[tuple, int] = {}
     hat_classes: dict[GPoint, tuple[Callable, dict[Point, tuple]]] = {}
     e2_of: dict = {}
@@ -691,9 +709,10 @@ def _p_prime_report(contr: QuiverContraction, tau: Dims, omega: Dims, field: GF,
     sizes = set(fibers.values())
     expected = math.prod(gl_order(d[v], field.q) for d in (tau, omega) for v in contr.pair.minus)
 
-    # the fiber-product target: hat classes mod hat-U (one (m, xhat) each, as
-    # hat-U preserves hat S_W) paired with classes mod Q that agree inside
-    # the hat classes mod hat-Q, joined on that hat-Q class
+    # the fiber-product target over the slice: hat classes mod hat-U with m
+    # in hat-Q (one (m, xhat) each, as hat-U preserves hat S_W) paired with
+    # slice classes mod Q that agree inside the hat classes mod hat-Q, joined
+    # on that hat-Q class
     hat_minima = list(minima(hat_u_of))
     _budget.charge(len(hat_minima) * len(hat_s))
     hat_q: dict[GPoint, Callable] = {}

@@ -1,20 +1,77 @@
 """Whole-group enumerations for the quiver tests: the unipotent radical and
-the block stabilizer listed element by element, and G-orbits on E_V by
-closure under a generating set of G_V.  The library never lists these
-groups; the tests use them as oracles for its per-vertex coset tables."""
+the block stabilizer listed element by element, G-orbits on E_V by closure
+under a generating set of G_V, and the p' fiber report from a walk of every
+class of G x_U S_heart.  The library never lists these groups; the tests use
+them as oracles for its per-vertex coset tables and its block-stabilizer
+slice."""
+import itertools
+import math
+from collections import Counter, defaultdict
+
 from qcontract import _budget
 from qcontract._gf import GF, Mat
-from qcontract.quiver import GPoint, Point, _product, _vertex_blocks, act, rep_points
+from qcontract.quiver import (
+    GPoint, Point, _class_map, _coset_table, _edge_ends, _product, _vertex_blocks,
+    act, is_heart, mu_contraction, rep_points, sub_stable_points,
+)
 
 
 def unipotent_points(quiver, sub, quot, field: GF) -> list[GPoint]:
     """The whole unipotent radical U = prod_v U_v."""
-    return _product(*_vertex_blocks(field, quiver.vertices, sub, quot)[1])
+    return _product(*_vertex_blocks(field, quiver.vertices, sub, quot)[0])
 
 
 def stabilizer_points(quiver, sub, quot, field: GF) -> list[GPoint]:
     """The whole block stabilizer Q = prod_v Q_v."""
-    return _product(*_vertex_blocks(field, quiver.vertices, sub, quot)[2])
+    return _product(*_vertex_blocks(field, quiver.vertices, sub, quot)[1])
+
+
+def p_prime_full(contr, tau, omega, field: GF) -> dict:
+    """The p' part of ``count_fiber_lemma_checks`` with every class of
+    G x_U S_heart visited: coset tables keyed by the whole G_v = GL(w + t),
+    one representative per coset of G/U, and the fiber-product target over
+    every hat class of G-hat x_U-hat S-hat."""
+    q, hat, pair = contr.quiver, contr.hat_quiver, contr.pair
+    nu = {v: tau[v] + omega[v] for v in q.vertices}
+    mu = {x: mu_contraction(contr, nu, field, x)
+          for x in sub_stable_points(q, omega, tau, field) if is_heart(q, pair, field, x)}
+    hat_s = sub_stable_points(hat, contr.contracted_dims(omega),
+                              contr.contracted_dims(tau), field)
+    us, qs = ([list(p) for p in pools]
+              for _, pools in _vertex_blocks(field, q.vertices, omega, tau))
+    gs = [field.general_linear(nu[v]) for v in q.vertices]
+    u_of = [_coset_table(field, g, u) for g, u in zip(gs, us)]
+    q_of = [_coset_table(field, g, s) for g, s in zip(gs, qs)]
+    hat_u_of, hat_q_of = contr.project_group(u_of), contr.project_group(q_of)
+    ends, hat_ends = _edge_ends(q), _edge_ends(hat)
+    memo: dict = {}
+
+    def minima(tables):
+        return itertools.product(*({m for m, _, _ in t.values()} for t in tables))
+
+    def hat_q(g, x):
+        return _class_map(field, hat_ends, hat_q_of, memo, g)(x)
+
+    fibers = Counter()
+    for g in minima(u_of):
+        hat_u = _class_map(field, hat_ends, hat_u_of, memo, contr.project_group(g))
+        q_class = _class_map(field, ends, q_of, memo, g)
+        for x, xh in mu.items():
+            fibers[hat_u(xh), q_class(x)] += 1
+    # a class mod Q is (m, y) with y in S_heart; it pushes to the hat-Q
+    # class of (m-hat, mu(y))
+    by_push = defaultdict(set)
+    for e2 in {e2 for _, e2 in fibers}:
+        by_push[hat_q(contr.project_group(e2[0]), mu[e2[1]])].add(e2)
+    target = {((m, xhat), e2) for m in minima(hat_u_of) for xhat in hat_s
+              for e2 in by_push.get(hat_q(m, xhat), ())}
+    sizes = set(fibers.values())
+    observed = next(iter(sizes)) if len(sizes) == 1 else None
+    expected = math.prod(len(field.general_linear(d[v])) for d in (tau, omega)
+                         for v in pair.minus)
+    return {"constant": observed is not None, "observed": observed,
+            "expected": expected, "matches": observed == expected,
+            "surjective": set(fibers) == target}
 
 
 def primitive_element(field: GF) -> int:

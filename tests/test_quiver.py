@@ -4,7 +4,7 @@ import pytest
 
 import brute_reference
 from qcontract import _budget, quiver
-from qcontract._gf import gf
+from qcontract._gf import GF, gf
 from qcontract.cartan import ContractiblePair, contract_cartan
 from qcontract.quiver import (
     AdmissibleAutomorphism, OrbitPair, Quiver, act, block_quot,
@@ -192,13 +192,16 @@ def test_budget_guard():
 
 
 def _vertex_table_points(dims, F):
-    """What the per-vertex coset tables hold: each element of G_v once, as a
-    key, and each element of U_v and of Q_v once, as some t_v.  The quotient
-    is one-dimensional at each vertex, which keeps the tables small."""
+    """What the per-vertex coset tables hold: each element of Q_v once, as a
+    key (the U-table and the Q-table share their keys, and the Q-table is
+    one coset, so its t_v run over Q_v too), and each element of U_v once,
+    as some t_v.  The quotient is one-dimensional at each vertex, which
+    keeps the tables small."""
     u_of, q_of = quiver._vertex_tables(F, A2Q.vertices, dims, dict.fromkeys(dims, 1))
-    return [("G", k, g) for k, table in enumerate(u_of) for g in table] + [
-        (name, k, t) for name, tables in (("U", u_of), ("Q", q_of))
-        for k, table in enumerate(tables) for t in {t for _, t, _ in table.values()}]
+    assert [set(t) for t in u_of] == [set(t) for t in q_of] == [
+        {t for _, t, _ in table.values()} for table in q_of]
+    return [("Q", k, g) for k, table in enumerate(u_of) for g in table] + [
+        ("U", k, t) for k, table in enumerate(u_of) for t in {t for _, t, _ in table.values()}]
 
 
 ENUMERATIONS = {
@@ -430,14 +433,14 @@ def test_fiber_lemma_report_pinned_with_a_contracted_edge(quiver_, pair, tau, om
 
 
 @pytest.mark.parametrize("q, tau, omega, used, mat_muls", [
-    (2, (1, 1), (1, 1), 54, 52),
-    (3, (1, 1), (1, 1), 3248, 768),
-    (2, (1, 1), (2, 2), 42917, 3072),
-    (4, (1, 1), (1, 1), 73458, 7272),
-])
+    (2, (1, 1), (1, 1), 24, 20),
+    (3, (1, 1), (1, 1), 260, 480),
+    (2, (1, 1), (2, 2), 1073, 1920),
+    (4, (1, 1), (1, 1), 3078, 6120),
+], ids=["F2-1,1-1,1", "F3-1,1-1,1", "F2-1,1-2,2", "F4-1,1-1,1"])
 def test_fiber_lemma_work_is_pinned(q, tau, omega, used, mat_muls, monkeypatch):
-    # one budget unit per class, and one GF product per distinct edge
-    # product of the report: both counts are pinned
+    # one budget unit per class of the block-stabilizer slice, and one GF
+    # product per distinct edge product of the report: both counts are pinned
     calls = []
     orig = type(gf(q)).mat_mul
     monkeypatch.setattr(type(gf(q)), "mat_mul",
@@ -458,8 +461,46 @@ def test_p_prime_report_never_enumerates_the_whole_group(monkeypatch):
         raise AssertionError("the fiber report enumerated a whole group")
 
     monkeypatch.setattr(quiver, "group_points", whole_group)
+    # nor the whole G_v = GL(omega_v + tau_v) at a vertex where both parts
+    # are nonzero: p' walks the block stabilizer Q_v, which needs GL(omega_v)
+    # and GL(tau_v) only
+    general_linear = GF.general_linear
+
+    def forbid(size):
+        def gl(self, n):
+            if n == size:
+                raise AssertionError(f"the fiber report enumerated GL({n})")
+            return general_linear(self, n)
+        monkeypatch.setattr(GF, "general_linear", gl)
+
+    forbid(2)
     test_fiber_lemma_report_pinned()
     test_fiber_lemma_report_pinned_f3()
+    forbid(3)
+    test_fiber_lemma_report_pinned_beyond_one_dimension(2, (1, 1), (2, 2), (4, 16), 6)
+
+
+@pytest.mark.parametrize("quiver_, pair, tau, omega, q", [
+    (A2Q, ((1,), (2,)), (1, 1), (1, 1), 2),
+    (A2Q, ((1,), (2,)), (1, 1), (1, 1), 3),
+    (A2Q, ((1,), (2,)), (1, 1), (1, 1), 4),
+    (A2Q, ((1,), (2,)), (1, 1), (2, 2), 2),
+    (A2Q, ((1,), (2,)), (2, 2), (1, 1), 2),
+    (A3Q, ((2,), (3,)), (0, 1, 1), (0, 1, 1), 2),
+    (A3Q, ((1,), (2,)), (1, 1, 1), (1, 1, 1), 2),
+    (A3Q, ((2,), (3,)), (1, 1, 1), (1, 1, 1), 2),
+    (D4Q, (("c",), (1,)), (1, 1, 1, 1), (1, 1, 0, 1), 2),
+    (A2Q, ((1,), (2,)), (1, 1), (1, 1), 5),
+], ids=["A2-F2", "A2-F3", "A2-F4", "A2-F2-1,1-2,2", "A2-F2-2,2-1,1", "A3-F2-zero-vertex",
+        "A3-F2-pair-1,2", "A3-F2-pair-2,3", "D4-F2", "A2-F5"])
+def test_p_prime_slice_matches_the_full_walk(quiver_, pair, tau, omega, q):
+    # p' reads the classes over the slice g in Q only; by G-equivariance its
+    # report equals that of a walk of every class of G x_U S_heart
+    contr = contract_quiver(quiver_, AdmissibleAutomorphism.identity(quiver_),
+                            OrbitPair(*pair))
+    tau, omega = dict(zip(quiver_.vertices, tau)), dict(zip(quiver_.vertices, omega))
+    assert (count_fiber_lemma_checks(contr, tau, omega, gf(q))["p_prime"]
+            == brute_reference.p_prime_full(contr, tau, omega, gf(q)))
 
 
 def _stable_heart(tau, omega, F):
@@ -483,11 +524,10 @@ def _lex_least_member(F, g, x, subgroup):
 @pytest.mark.parametrize("subgroup", ["unipotent", "stabilizer"])
 def test_coset_table_gives_the_lex_least_class_member(q, tau, omega, sample, subgroup):
     F = gf(q)
-    nu = {v: tau[v] + omega[v] for v in A2Q.vertices}
     sub = getattr(brute_reference, f"{subgroup}_points")(A2Q, omega, tau, F)
-    g_all = group_points(A2Q, nu, F)
+    g_all = brute_reference.stabilizer_points(A2Q, omega, tau, F)
     tables = quiver._vertex_tables(F, A2Q.vertices, omega, tau)[subgroup == "stabilizer"]
-    assert [set(t) for t in tables] == [set(F.general_linear(nu[v])) for v in A2Q.vertices]
+    assert [set(t) for t in tables] == [{g[k] for g in g_all} for k in range(len(A2Q.vertices))]
     with_inv = [(s, tuple(F.mat_inv(m) for m in s)) for s in sub]
     heart = _stable_heart(tau, omega, F)
     pairs = [(g, x) for g in g_all for x in heart]
