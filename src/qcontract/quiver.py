@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from collections import Counter
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from . import _budget
 from ._gf import GF, Mat, gl_order
@@ -330,6 +331,31 @@ def act(field: GF, quiver: Quiver, g: GPoint, x: Point,
                  for (a, b), xh in zip(_edge_ends(quiver), x))
 
 
+def point_orbits(field: GF, quiver: Quiver, gens: Sequence[tuple[GPoint, GPoint]],
+                 points: Sequence[Point]) -> list[list[Point]]:
+    """The orbits on ``points`` (a union of orbits) of the group generated by
+    the (g, g^-1) pairs ``gens``, by breadth-first closure (Holt, Eick and
+    O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 4).  Each
+    orbit starts at its first point in ``points`` order.  Every point meets
+    every generator once, and that count is charged before the walk."""
+    _charge_first(len(gens) * len(points))
+    seen: set[Point] = set()
+    out = []
+    for start in points:
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit = [start]
+        for x in orbit:  # grows while it is walked
+            for g, g_inv in gens:
+                y = act(field, quiver, g, x, g_inv)
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+        out.append(orbit)
+    return out
+
+
 def twisted_frobenius_fixed(points: Iterable[Point], quiver: Quiver,
                             auto: AdmissibleAutomorphism, field: GF,
                             base_q: int) -> list[Point]:
@@ -439,6 +465,42 @@ def sub_stable_points(quiver: Quiver, sub: Dims, quot: Dims, field: GF) -> list[
                                    field.all_matrices(tt, ts), ws) for ws, wt, ts, tt in blocks))
 
 
+def levi_points(quiver: Quiver, sub: Dims, quot: Dims, field: GF) -> list[GPoint]:
+    """The Levi factor L = prod_v GL(sub_v) x GL(quot_v), block-diagonal.  The
+    block stabilizer is Q = L U and L meets U trivially, so L is a
+    transversal of Q/U."""
+    wts = [(sub[v], quot[v]) for v in quiver.vertices]
+    gl = field.general_linear
+    return _product([gl_order(w, field.q) * gl_order(t, field.q) for w, t in wts],
+                    (_upper_blocks(gl(w), [zero_mat(w, t)], gl(t), w) for w, t in wts))
+
+
+def stabilizer_generators(quiver: Quiver, sub: Dims, quot: Dims,
+                          field: GF) -> list[tuple[GPoint, GPoint]]:
+    """(g, g^-1) for a generating set of the block stabilizer Q = prod_v Q_v.
+    At one vertex g is the identity with entry (r, c) set to e in F_q^*, for
+    every (r, c) outside the lower-left block (the identity itself left
+    out); it is the identity at every other vertex.  The diagonal units and
+    transvections generate GL(sub_v) and GL(quot_v), and the upper-right
+    transvections generate U_v.  With quot = 0 they generate prod_v GL(sub_v)."""
+    def elementary(n: int, r: int, c: int, e: int) -> Mat:
+        return tuple(tuple(e if (i, j) == (r, c) else int(i == j) for j in range(n))
+                     for i in range(n))
+
+    ids = [field.mat_id(sub[v] + quot[v]) for v in quiver.vertices]
+    out = []
+    for k, v in enumerate(quiver.vertices):
+        w, n = sub[v], sub[v] + quot[v]
+        for r, c in itertools.product(range(n), repeat=2):
+            if r >= w > c:
+                continue
+            for e in range(2 if r == c else 1, field.q):
+                e_inv = field.inv(e) if r == c else field.neg(e)
+                out.append(tuple((*ids[:k], elementary(n, r, c, x), *ids[k + 1:])
+                                 for x in (e, e_inv)))
+    return out
+
+
 def block_sub(quiver: Quiver, sub: Dims, x: Point) -> Point:
     """x^W: the action on the subspace (upper-left blocks)."""
     return tuple(tuple(row[:sub[h.source]] for row in xh[:sub[h.target]])
@@ -507,10 +569,11 @@ def count_fiber_lemma_checks(contr: QuiverContraction, tau: Dims, omega: Dims,
     triple (contracted point, quotient component, sub component); its fibers
     are counted against the claimed field-power formula over every stable
     point.  The observed value is reported next to the formula; they are not
-    forced to agree.  The induction side (``p_prime``) enumerates only the
-    classes [g, x]_U with g in the block stabilizer Q and infers the rest by
-    G-equivariance; see ``_p_prime_report``.  Only the identity automorphism
-    is supported here.
+    forced to agree.  The induction side (``p_prime``) visits, for one
+    point y of each orbit of the block stabilizer Q on the stable heart, the
+    classes [l, l^-1.y]_U with l in the Levi factor L, and infers the rest
+    by G- and Q-equivariance; see ``_p_prime_report``.  Only the identity
+    automorphism is supported here.
     """
     if not contr.auto.is_identity():
         raise NotImplementedError("fiber reports cover the untwisted case only")
@@ -568,49 +631,8 @@ def count_fiber_lemma_checks(contr: QuiverContraction, tau: Dims, omega: Dims,
         "kappa_fiber_formula": formula,
         "kappa_fiber_matches": observed == formula,
         "kappa_surjective": set(fibers) == target,
-        "p_prime": _p_prime_report(contr, tau, omega, field, mu, hat_s),
+        "p_prime": _p_prime_report(contr, tau, omega, field, mu),
     }
-
-
-def _vertex_blocks(field: GF, vertices: Sequence[Symbol], sub: Dims, quot: Dims
-                   ) -> list[tuple[list[int], Iterator[Iterable[Mat]]]]:
-    """Per vertex, with w = sub_v and t = quot_v: the counts and lazy pools of
-    the unipotent radical U_v = [[I, *], [0, I]] of GL(w + t) and of its
-    block stabilizer Q_v = [[A, *], [0, D]] (A, D invertible)."""
-    q, gl, mid = field.q, field.general_linear, field.all_matrices
-    wts = [(sub[v], quot[v]) for v in vertices]
-    return [([q ** (w * t) for w, t in wts],
-             (_upper_blocks([field.mat_id(w)], mid(w, t), [field.mat_id(t)], w) for w, t in wts)),
-            ([gl_order(w, q) * q ** (w * t) * gl_order(t, q) for w, t in wts],
-             (_upper_blocks(gl(w), mid(w, t), gl(t), w) for w, t in wts))]
-
-
-def _vertex_tables(field: GF, vertices: Sequence[Symbol], sub: Dims, quot: Dims
-                   ) -> tuple[list[dict], list[dict]]:
-    """Per vertex, the coset tables of U_v and Q_v in Q_v (the Q-table is one
-    coset), all charged first."""
-    blocks = _vertex_blocks(field, vertices, sub, quot)
-    _charge_first(sum(sum(sizes) for sizes, _ in blocks))
-    us, qs = ([list(p) for p in pools] for _, pools in blocks)
-    return ([_coset_table(field, qv, uv) for qv, uv in zip(qs, us)],
-            [_coset_table(field, qv[:1], qv) for qv in qs])
-
-
-def _coset_table(field: GF, group: Iterable[Mat], subgroup: Iterable[Mat]
-                 ) -> dict[Mat, tuple[Mat, Mat, Mat]]:
-    """One vertex factor: g -> (m, t, t^-1), m the lex-least element of gS
-    and t = m^-1 g.  A coset of prod_v S_v has the tuple of per-vertex minima
-    as its least element, and as s -> g s^-1 is injective, the least member
-    of the class of (g, x) under (g, x) ~ (g s^-1, s.x) is (m, t.x).  Each
-    coset is walked twice, for m and as mS: 2|group| matrix products, once
-    per report; the class loop only looks entries up."""
-    pairs = [(s, field.mat_inv(s)) for s in subgroup]
-    table: dict[Mat, tuple[Mat, Mat, Mat]] = {}
-    for g in group:
-        if g not in table:
-            m = min(field.mat_mul(g, s) for s, _ in pairs)
-            table.update((field.mat_mul(m, s), (m, s, sinv)) for s, sinv in pairs)
-    return table
 
 
 def _edge_ends(quiver: Quiver) -> list[tuple[int, int]]:
@@ -619,120 +641,53 @@ def _edge_ends(quiver: Quiver) -> list[tuple[int, int]]:
     return [(pos[h.target], pos[h.source]) for h in quiver.edges]
 
 
-def _class_map(field: GF, ends: Sequence[tuple[int, int]], tables: Sequence[dict],
-               memo: dict, g: GPoint) -> Callable[[Point], tuple[GPoint, Point]]:
-    """x -> (m, t.x), the least member of the class of (g, x), from one frame
-    of g built once: the table minima m and the (t_target, t_source^-1) pair
-    of every edge.  Each product t_target x_h t_source^-1 is computed once
-    per distinct (t_target, x_h, t_source^-1), kept in ``memo``."""
-    cols = [table[gv] for table, gv in zip(tables, g)]
-    m = tuple(c[0] for c in cols)
-    frame = [(cols[a][1], cols[b][2]) for a, b in ends]
-
-    def apply(x: Point) -> tuple[GPoint, Point]:
-        out = []
-        for (t, tinv), xh in zip(frame, x):
-            key = (t, xh, tinv)
-            y = memo.get(key)
-            if y is None:
-                y = memo[key] = field.mat_mul(field.mat_mul(t, xh), tinv)
-            out.append(y)
-        return m, tuple(out)
-    return apply
 
 
 def _p_prime_report(contr: QuiverContraction, tau: Dims, omega: Dims, field: GF,
-                    mu: dict[Point, Point], hat_s: list[Point]) -> dict:
-    """Induction-side bundle: fibers of the map from classes [g, x]_U of
-    (g, x) modulo the unipotent stabilizer, x in s_heart (the keys of mu,
-    which maps them to their contractions), to pairs (contracted class
-    [g-hat, x-hat]_U-hat, class [g, x]_Q modulo the full block stabilizer),
-    against the fiber-product target built on hat_s = hat S_W.
+                    mu: dict[Point, Point]) -> dict:
+    """Induction-side bundle: fibers of the map from classes [g, x]_U, x in
+    the stable heart S (the keys of mu, which maps them to their
+    contractions), to pairs (contracted class [g-hat, mu(x)]_U-hat, class
+    [g, x]_Q), against the fiber-product target: the pairs whose images
+    modulo Q-hat agree.
 
-    Only the slice g in Q is enumerated.  G acts on the left on the classes
-    mod U and mod Q, and on the contracted classes through ``project_group``;
-    the map and its target are G-equivariant, so fibers along one G-orbit
-    of the target have one size.  Every orbit meets the slice of targets
-    whose class mod Q is [q, x]_Q with q in Q (G acts transitively on G/Q),
-    and [g, x]_U maps into that slice only if g is in Q.  So the fiber sizes
-    (`constant`, `observed`) and `surjective` read over the slice are those
-    over all of G: the classes [g, x]_U with g outside Q are inferred, not
-    visited.  On the hat side a hat class (m, x-hat) mod U-hat agrees with
-    a slice class only if its class mod Q-hat is [q-hat, y-hat] with q-hat
-    in Q-hat, that is only if m is in Q-hat; so the hat classes walked are
-    those of Q-hat/U-hat.
-
-    The cost is one per-vertex coset table each for U and Q keyed by Q_v
-    (the Q-table is one coset; 2 sum_v |Q_v| matrix products each; hat-U and
-    hat-Q reuse the kept vertices' tables), one frame per representative of
-    Q/U, and per class one Q-class lookup and one fiber count; the
-    contracted class is computed once per distinct (g-hat, x-hat), and
-    every distinct edge product t_target x_h t_source^-1 once per call."""
-    q = contr.quiver
-    hat = contr.hat_quiver
-    u_of, q_of = _vertex_tables(field, q.vertices, omega, tau)
+    The map and its target are G-equivariant (G acts on the hat side through
+    ``project_group``); every G-orbit of the target meets the slice
+    [q, x]_Q with q in Q, and [g, x]_U lands there only if g is in Q.  There
+    Q = L U with the Levi factor L (``levi_points``) meeting U trivially, so
+    each class is [l, x]_U for exactly one (l, x) in L x S; its class mod Q
+    is [1, l.x]_Q and its contracted class (l-hat, mu(x)).  So over [1, y]_Q
+    lie the classes [l, l^-1.y]_U, one per l, and the target pairs
+    (m, m^-1.mu(y)) with m in the hat Levi factor.  Both sides are also
+    Q-equivariant, so the fiber sizes (``constant``, ``observed``) and
+    ``surjective`` are read over one y per Q-orbit of S (``point_orbits``
+    under ``stabilizer_generators``): |gens| x |S| actions for the orbits,
+    then |L| + |L-hat| actions per orbit."""
+    q, hat = contr.quiver, contr.hat_quiver
+    levi = levi_points(q, omega, tau, field)
+    hat_levi = levi_points(hat, contr.contracted_dims(omega), contr.contracted_dims(tau),
+                           field)
     # every hat vertex is a kept vertex with the same (omega_v, tau_v), so
-    # the hat tables are the kept vertices' tables
-    hat_u_of, hat_q_of = contr.project_group(u_of), contr.project_group(q_of)
-    ends, hat_ends = _edge_ends(q), _edge_ends(hat)
-    # one memo for the U, Q, hat-U and hat-Q class maps: a key fixes its
-    # product, whichever table its t came from
-    memo: dict[tuple[Mat, Mat, Mat], Mat] = {}
+    # these inverses cover the hat Levi factor too
+    inv = {m: field.mat_inv(m) for m in {m for l in levi for m in l}}
+    gens = stabilizer_generators(q, omega, tau, field)
+    reps = [orbit[0] for orbit in point_orbits(field, q, gens, list(mu))]
+    _charge_first(len(reps) * (len(levi) + len(hat_levi)))
 
-    def minima(tables: list[dict]) -> Iterable[GPoint]:
-        # in the order a walk of the table keys meets the cosets
-        return itertools.product(*(dict.fromkeys(m for m, _, _ in t.values())
-                                   for t in tables))
-
-    # classes of (g, x), g in Q, modulo the unipotent radical: U preserves
-    # s_heart, so each class has exactly one member (m, x) with m a minimum
-    # of Q/U
-    fibers: dict[tuple, int] = {}
-    hat_classes: dict[GPoint, tuple[Callable, dict[Point, tuple]]] = {}
-    e2_of: dict = {}
-    for g in minima(u_of):
-        _budget.charge(len(mu))
-        ghat = contr.project_group(g)
-        if ghat not in hat_classes:
-            hat_classes[ghat] = (_class_map(field, hat_ends, hat_u_of, memo, ghat), {})
-        hat_u, hat_cls = hat_classes[ghat]
-        q_class = _class_map(field, ends, q_of, memo, g)
-        for x, xh in mu.items():
-            e1_hat = hat_cls.get(xh)
-            if e1_hat is None:
-                e1_hat = hat_cls[xh] = hat_u(xh)
-            e2 = q_class(x)
-            if e2 not in e2_of:
-                e2_of[e2] = (ghat, xh)
-            key = (e1_hat, e2)
-            fibers[key] = fibers.get(key, 0) + 1
-    sizes = set(fibers.values())
+    sizes: set[int] = set()
+    surjective = True
+    for y in reps:
+        fibers = Counter((contr.project_group(l), mu[act(field, q, tuple(map(inv.get, l)), y, l)])
+                         for l in levi)
+        target = {(m, act(field, hat, tuple(map(inv.get, m)), mu[y], m)) for m in hat_levi}
+        sizes.update(fibers.values())
+        surjective = surjective and fibers.keys() == target
     expected = math.prod(gl_order(d[v], field.q) for d in (tau, omega) for v in contr.pair.minus)
-
-    # the fiber-product target over the slice: hat classes mod hat-U with m
-    # in hat-Q (one (m, xhat) each, as hat-U preserves hat S_W) paired with
-    # slice classes mod Q that agree inside the hat classes mod hat-Q, joined
-    # on that hat-Q class
-    hat_minima = list(minima(hat_u_of))
-    _budget.charge(len(hat_minima) * len(hat_s))
-    hat_q: dict[GPoint, Callable] = {}
-
-    def pushed(g: GPoint, x: Point) -> tuple[GPoint, Point]:
-        if g not in hat_q:
-            hat_q[g] = _class_map(field, hat_ends, hat_q_of, memo, g)
-        return hat_q[g](x)
-
-    by_push: dict[tuple, list] = {}
-    for e2, gx in e2_of.items():
-        by_push.setdefault(pushed(*gx), []).append(e2)
-    full_target = {((m, xhat), e2) for m in hat_minima for xhat in hat_s
-                   for e2 in by_push.get(pushed(m, xhat), ())}
-
     observed = next(iter(sizes)) if len(sizes) == 1 else None
     return {
         "constant": observed is not None,
         "observed": observed,
         "expected": expected,
         "matches": observed == expected,
-        "surjective": set(fibers) == full_target,
+        "surjective": surjective,
     }

@@ -9,8 +9,9 @@ from qcontract.cartan import ContractiblePair, contract_cartan
 from qcontract.quiver import (
     AdmissibleAutomorphism, OrbitPair, Quiver, act, block_quot,
     block_sub, contract_quiver, count_fiber_lemma_checks, group_order,
-    group_points, heart_subset, is_heart, is_sub_stable, make_quiver,
-    mu_contraction, mu_fiber_report, quiver_cartan, rep_points, sub_stable_points,
+    group_points, heart_subset, is_heart, is_sub_stable, levi_points, make_quiver,
+    mu_contraction, mu_fiber_report, point_orbits, quiver_cartan, rep_points,
+    stabilizer_generators, sub_stable_points,
     twisted_frobenius_fixed, twisted_frobenius_fixed_group,
 )
 
@@ -191,25 +192,12 @@ def test_budget_guard():
         _budget.set_budget(saved.limit)
 
 
-def _vertex_table_points(dims, F):
-    """What the per-vertex coset tables hold: each element of Q_v once, as a
-    key (the U-table and the Q-table share their keys, and the Q-table is
-    one coset, so its t_v run over Q_v too), and each element of U_v once,
-    as some t_v.  The quotient is one-dimensional at each vertex, which
-    keeps the tables small."""
-    u_of, q_of = quiver._vertex_tables(F, A2Q.vertices, dims, dict.fromkeys(dims, 1))
-    assert [set(t) for t in u_of] == [set(t) for t in q_of] == [
-        {t for _, t, _ in table.values()} for table in q_of]
-    return [("Q", k, g) for k, table in enumerate(u_of) for g in table] + [
-        ("U", k, t) for k, table in enumerate(u_of) for t in {t for _, t, _ in table.values()}]
-
-
 ENUMERATIONS = {
     "group_points": lambda d, F: group_points(A2Q, d, F),
     "sub_stable_points": lambda d, F: sub_stable_points(A2Q, d, d, F),
     "unipotent_points": lambda d, F: brute_reference.unipotent_points(A2Q, d, d, F),
     "stabilizer_points": lambda d, F: brute_reference.stabilizer_points(A2Q, d, d, F),
-    "vertex_tables": _vertex_table_points,
+    "levi_points": lambda d, F: levi_points(A2Q, d, d, F),
 }
 
 
@@ -383,6 +371,8 @@ def test_fiber_lemma_report_pinned_f3():
     (2, (1, 1), (2, 2), (4, 16), 6),
     (2, (2, 2), (1, 1), (4, 16), 6),
     (4, (1, 1), (1, 1), (4, 16), 9),
+    (2, (2, 2), (2, 2), (16, 256), 36),
+    (3, (1, 1), (2, 2), (9, 81), 96),
 ])
 def test_fiber_lemma_report_pinned_beyond_one_dimension(q, tau, omega, kappa, p_prime):
     ident = AdmissibleAutomorphism.identity(A2Q)
@@ -433,14 +423,15 @@ def test_fiber_lemma_report_pinned_with_a_contracted_edge(quiver_, pair, tau, om
 
 
 @pytest.mark.parametrize("q, tau, omega, used, mat_muls", [
-    (2, (1, 1), (1, 1), 24, 20),
-    (3, (1, 1), (1, 1), 260, 480),
-    (2, (1, 1), (2, 2), 1073, 1920),
-    (4, (1, 1), (1, 1), 3078, 6120),
+    (2, (1, 1), (1, 1), 21, 10),
+    (3, (1, 1), (1, 1), 170, 224),
+    (2, (1, 1), (2, 2), 423, 456),
+    (4, (1, 1), (1, 1), 757, 1170),
 ], ids=["F2-1,1-1,1", "F3-1,1-1,1", "F2-1,1-2,2", "F4-1,1-1,1"])
 def test_fiber_lemma_work_is_pinned(q, tau, omega, used, mat_muls, monkeypatch):
-    # one budget unit per class of the block-stabilizer slice, and one GF
-    # product per distinct edge product of the report: both counts are pinned
+    # p' charges one budget unit per (generator, stable point) step of the
+    # Q-orbit walk and per Levi element over each orbit, and makes two GF
+    # products per edge of each action: both counts are pinned
     calls = []
     orig = type(gf(q)).mat_mul
     monkeypatch.setattr(type(gf(q)), "mat_mul",
@@ -462,8 +453,8 @@ def test_p_prime_report_never_enumerates_the_whole_group(monkeypatch):
 
     monkeypatch.setattr(quiver, "group_points", whole_group)
     # nor the whole G_v = GL(omega_v + tau_v) at a vertex where both parts
-    # are nonzero: p' walks the block stabilizer Q_v, which needs GL(omega_v)
-    # and GL(tau_v) only
+    # are nonzero: p' walks the Levi factor, which needs GL(omega_v) and
+    # GL(tau_v) only
     general_linear = GF.general_linear
 
     def forbid(size):
@@ -491,16 +482,65 @@ def test_p_prime_report_never_enumerates_the_whole_group(monkeypatch):
     (A3Q, ((2,), (3,)), (1, 1, 1), (1, 1, 1), 2),
     (D4Q, (("c",), (1,)), (1, 1, 1, 1), (1, 1, 0, 1), 2),
     (A2Q, ((1,), (2,)), (1, 1), (1, 1), 5),
+    (A3Q, ((2,), (3,)), (0, 1, 1), (2, 1, 1), 2),
 ], ids=["A2-F2", "A2-F3", "A2-F4", "A2-F2-1,1-2,2", "A2-F2-2,2-1,1", "A3-F2-zero-vertex",
-        "A3-F2-pair-1,2", "A3-F2-pair-2,3", "D4-F2", "A2-F5"])
+        "A3-F2-pair-1,2", "A3-F2-pair-2,3", "D4-F2", "A2-F5", "A3-F2-free-vertex-2,1,1"])
 def test_p_prime_slice_matches_the_full_walk(quiver_, pair, tau, omega, q):
-    # p' reads the classes over the slice g in Q only; by G-equivariance its
-    # report equals that of a walk of every class of G x_U S_heart
+    # p' reads the classes over one point per Q-orbit of S_heart only; by
+    # G- and Q-equivariance its report equals that of a walk of every class
+    # of G x_U S_heart.  The last case has a contracted edge and a Levi
+    # factor with elements of order 3 (GL_2(F_2) at the free vertex), so a
+    # target built with m in place of m^-1 fails there
     contr = contract_quiver(quiver_, AdmissibleAutomorphism.identity(quiver_),
                             OrbitPair(*pair))
     tau, omega = dict(zip(quiver_.vertices, tau)), dict(zip(quiver_.vertices, omega))
     assert (count_fiber_lemma_checks(contr, tau, omega, gf(q))["p_prime"]
             == brute_reference.p_prime_full(contr, tau, omega, gf(q)))
+
+
+@pytest.mark.parametrize("quiver_, tau, omega, q", [
+    (A2Q, (1, 1), (1, 1), 2),
+    (A2Q, (1, 1), (1, 1), 3),
+    (A2Q, (1, 1), (1, 1), 4),
+    (A3Q, (0, 1, 1), (0, 1, 1), 3),
+    (A2Q, (0, 0), (2, 1), 3),
+], ids=["A2-F2", "A2-F3", "A2-F4", "A3-F3-zero-vertex", "A2-F3-tau-0"])
+def test_stabilizer_generators_generate_the_block_stabilizer(quiver_, tau, omega, q):
+    F = gf(q)
+    tau, omega = dict(zip(quiver_.vertices, tau)), dict(zip(quiver_.vertices, omega))
+    gens = stabilizer_generators(quiver_, omega, tau, F)
+    for g, g_inv in gens:
+        assert all(F.mat_mul(a, b) == F.mat_id(len(a)) for a, b in zip(g, g_inv))
+    identity = tuple(F.mat_id(omega[v] + tau[v]) for v in quiver_.vertices)
+    closure, seen = [identity], {identity}
+    for h in closure:  # grows while it is walked
+        for g, _ in gens:
+            gh = tuple(F.mat_mul(a, b) for a, b in zip(g, h))
+            if gh not in seen:
+                seen.add(gh)
+                closure.append(gh)
+    # with tau = 0 the block stabilizer is the whole group
+    whole = (group_points(quiver_, omega, F) if not any(tau.values())
+             else brute_reference.stabilizer_points(quiver_, omega, tau, F))
+    assert sorted(closure) == sorted(whole)
+
+
+@pytest.mark.parametrize("quiver_, pair, tau, omega, orbits", [
+    (A3Q, ((2,), (3,)), (1, 1, 1), (1, 1, 1), 5),
+    (D4Q, (("c",), (1,)), (1, 1, 1, 1), (1, 1, 0, 1), 10),
+], ids=["A3-pair-2,3", "D4"])
+def test_point_orbits_are_the_block_stabilizer_orbits(quiver_, pair, tau, omega, orbits):
+    # the orbit walk under the generators partitions the stable heart as
+    # the whole brute-force block stabilizer does
+    F = gf(2)
+    tau, omega = dict(zip(quiver_.vertices, tau)), dict(zip(quiver_.vertices, omega))
+    heart = [x for x in sub_stable_points(quiver_, omega, tau, F)
+             if is_heart(quiver_, OrbitPair(*pair), F, x)]
+    walked = point_orbits(F, quiver_, stabilizer_generators(quiver_, omega, tau, F), heart)
+    whole = brute_reference.stabilizer_points(quiver_, omega, tau, F)
+    assert len(walked) == orbits
+    assert ({frozenset(o) for o in walked}
+            == {frozenset(act(F, quiver_, g, x) for g in whole) for x in heart})
 
 
 def _stable_heart(tau, omega, F):
@@ -526,7 +566,10 @@ def test_coset_table_gives_the_lex_least_class_member(q, tau, omega, sample, sub
     F = gf(q)
     sub = getattr(brute_reference, f"{subgroup}_points")(A2Q, omega, tau, F)
     g_all = brute_reference.stabilizer_points(A2Q, omega, tau, F)
-    tables = quiver._vertex_tables(F, A2Q.vertices, omega, tau)[subgroup == "stabilizer"]
+    us, qs = ([list(p) for p in pools] for _, pools in
+              brute_reference.vertex_blocks(F, A2Q.vertices, omega, tau))
+    tables = [brute_reference.coset_table(F, qv, sv)
+              for qv, sv in zip(qs, qs if subgroup == "stabilizer" else us)]
     assert [set(t) for t in tables] == [{g[k] for g in g_all} for k in range(len(A2Q.vertices))]
     with_inv = [(s, tuple(F.mat_inv(m) for m in s)) for s in sub]
     heart = _stable_heart(tau, omega, F)
@@ -535,7 +578,7 @@ def test_coset_table_gives_the_lex_least_class_member(q, tau, omega, sample, sub
         pairs = random.Random(q).sample(pairs, sample)
     ends, memo = quiver._edge_ends(A2Q), {}
     for g, x in pairs:
-        class_of = quiver._class_map(F, ends, tables, memo, g)
+        class_of = brute_reference.class_map(F, ends, tables, memo, g)
         assert class_of(x) == _lex_least_member(F, g, x, with_inv)
 
 
