@@ -965,6 +965,66 @@ def test_tensor_module_check():
     assert rep["holds"] and rep["dims"] == [1, 1]
 
 
+# observed, not adjudicated: the separate-factor map does not match on these
+# two squares, although module_hom_check holds on each factor
+TENSOR_FACTOR_MISMATCH = {(1, (1, 0), (1, 0)), (-1, (0, 1), (0, 1))}
+FUNDAMENTAL_DIMS_A2 = {(0, 0): (1, 1), (1, 0): (2, 3), (0, 1): (2, 3)}
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+@pytest.mark.parametrize("left", list(FUNDAMENTAL_DIMS_A2))
+@pytest.mark.parametrize("right", list(FUNDAMENTAL_DIMS_A2))
+def test_tensor_module_check_pinned_on_a2(eps, left, right):
+    rep = psi_tensor_check(UEmbedding(U2, PAIR12, eps), left, right)
+    (ls, lt), (rs, rt) = FUNDAMENTAL_DIMS_A2[left], FUNDAMENTAL_DIMS_A2[right]
+    matches = (eps, left, right) not in TENSOR_FACTOR_MISMATCH
+    assert rep == {"dims": [ls * rs, lt * rt], "well_defined": True,
+                   "spans": True, "injective": True,
+                   "factor_map_matches": matches, "holds": matches}
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+@pytest.mark.parametrize("pair", [PAIR12, PAIR23])
+def test_tensor_module_check_pinned_on_a3(eps, pair):
+    rep = psi_tensor_check(UEmbedding(U3, pair, eps), (0, 0, 1), (1, 0, 0))
+    assert rep == {"dims": [9, 16], "well_defined": True, "spans": True,
+                   "injective": True, "factor_map_matches": True,
+                   "holds": True}
+
+
+# each basis class of the contracted module goes to one class of the full
+# module, times a unit written for ε = 1 as (plain, twisted); ε = -1 bars it
+HOM_IMAGES_A3 = [
+    (PAIR12, (1, 0, 0), True, False, [3, 4],
+     {"[]": (0, "1", "1"), "[0]": (2, "1", "-v^-1"), "[1, 0]": (3, "1", "-v^-1")}),
+    (PAIR12, (0, 1, 0), False, True, [3, 6],
+     {"[]": (0, "1", "1"), "[0]": (3, "-v", "1"), "[1, 0]": (4, "-v", "1")}),
+    (PAIR12, (0, 0, 1), True, True, [3, 4],
+     {"[]": (0, "1", "1"), "[1]": (1, "1", "1"), "[0, 1]": (3, "-v", "1")}),
+    (PAIR23, (1, 0, 0), True, True, [3, 4],
+     {"[]": (0, "1", "1"), "[0]": (1, "1", "1"), "[1, 0]": (3, "1", "-v^-1")}),
+    (PAIR23, (0, 1, 0), True, False, [3, 6],
+     {"[]": (0, "1", "1"), "[1]": (2, "1", "-v^-1"), "[0, 1]": (4, "1", "-v^-1")}),
+    (PAIR23, (0, 0, 1), False, True, [3, 4],
+     {"[]": (0, "1", "1"), "[1]": (2, "-v", "1"), "[0, 1]": (3, "-v", "1")}),
+]
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+@pytest.mark.parametrize("pair,lam,hyp_minus,hyp_plus,dims,images", HOM_IMAGES_A3)
+def test_module_hom_check_pinned_on_a3(eps, pair, lam, hyp_minus, hyp_plus,
+                                       dims, images):
+    rep = module_hom_check(UEmbedding(U3, pair, eps), lam)
+    bar = {"1": "1", "-v": "-v^-1", "-v^-1": "-v"}
+    unit = (lambda c: c) if eps == 1 else bar.get
+    assert rep == {
+        "dims": dims, "hypothesis_minus": hyp_minus, "hypothesis_plus": hyp_plus,
+        **{side: {"well_defined": True, "intertwines": True, "injective": True,
+                  "images": {w: {str(k): unit(cs[s])} for w, (k, *cs) in images.items()}}
+           for s, side in enumerate(("plain", "twisted"))},
+        "holds": True, "failures": []}
+
+
 # --- linear chains -----------------------------------------------------------
 
 def test_subset_root_datum():
