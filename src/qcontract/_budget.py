@@ -1,8 +1,11 @@
 """Coarse work budget shared by the enumeration-heavy operations.
 
 The budget counts coarse steps (orbit elements visited, matrix rows reduced,
-words expanded), not machine instructions.  Exceeding it raises
-BudgetExceeded, which the command line maps to its own exit code.
+words expanded), not machine instructions.  A charge that would exceed it
+raises BudgetExceeded and counts nothing, so a caller charges a closed-form
+count before it builds anything.  No command line exists yet
+(``qcontract.cli`` is declared in pyproject.toml but not written), so the
+exception propagates to whoever called the check.
 """
 from __future__ import annotations
 
@@ -25,9 +28,10 @@ class Budget:
         self.used = 0
 
     def charge(self, n: int = 1) -> None:
-        self.used += n
-        if self.used > self.limit:
-            raise BudgetExceeded(f"work budget exhausted: {self.used} > {self.limit}")
+        used = self.used + n
+        if used > self.limit:
+            raise BudgetExceeded(f"work budget exhausted: {self.used} + {n} > {self.limit}")
+        self.used = used
 
 
 _active = Budget()

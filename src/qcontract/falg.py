@@ -40,6 +40,14 @@ def _add_into(acc: dict, key, c: QVScalar) -> None:
         acc.pop(key, None)
 
 
+def _add_outer(acc: dict, c: QVScalar, left: Mapping, right: Mapping) -> None:
+    """acc += c * (left ⊗ right), keyed by pairs (left key, right key)."""
+    for kl, cl in left.items():
+        cl = c * cl
+        for kr, cr in right.items():
+            _add_into(acc, (kl, kr), cl * cr)
+
+
 class LinearCombination:
     """Sparse combination of basis keys with nonzero Q(v) coefficients, tied
     to one algebra.  Subclasses add their products, bar and rendering;
@@ -440,10 +448,7 @@ class TensorElement(LinearCombination):
             for (bl, br), cb in other.coords.items():
                 twist = alg.degree_dot(alg.word_degree(ar), alg.word_degree(bl))
                 left, right = alg.reduce_word(al + bl), alg.reduce_word(ar + br)
-                c = (ca * cb).shift(twist)
-                for wl, cl in left.items():
-                    for wr, cr in right.items():
-                        _add_into(out, (wl, wr), c * cl * cr)
+                _add_outer(out, (ca * cb).shift(twist), left, right)
         return TensorElement(alg, out)
 
     def bar(self) -> "TensorElement":
@@ -459,9 +464,7 @@ class TensorElement(LinearCombination):
 
 def tensor(x: FElement, y: FElement) -> TensorElement:
     out: dict[tuple[PlainWord, PlainWord], QVScalar] = {}
-    for u, cu in x.coords.items():
-        for w, cw in y.coords.items():
-            out[(u, w)] = cu * cw
+    _add_outer(out, QV_ONE, x.coords, y.coords)
     return TensorElement(x.algebra, out)
 
 
@@ -483,11 +486,8 @@ def coproduct_r(x: FElement) -> TensorElement:
                     left.append(w[k])
                 else:
                     right.append(w[k])
-            lred, rred = alg.reduce_word(tuple(left)), alg.reduce_word(tuple(right))
-            cc = c.shift(twist)
-            for wl, cl in lred.items():
-                for wr, cr in rred.items():
-                    _add_into(out, (wl, wr), cc * cl * cr)
+            _add_outer(out, c.shift(twist), alg.reduce_word(tuple(left)),
+                       alg.reduce_word(tuple(right)))
     return TensorElement(alg, out)
 
 
@@ -812,11 +812,8 @@ def restriction_compat_check(emb: FEmbedding, nu, tau, omega) -> dict:
             inner = coproduct_r(x.bar()).bar().component(tau, omega)
         rhs_coords: dict[tuple[PlainWord, PlainWord], QVScalar] = {}
         for (wl, wr), c in inner.coords.items():
-            left = emb.apply(FElement(alg, tau, {wl: QV_ONE}))
-            right = emb.apply(FElement(alg, omega, {wr: QV_ONE}))
-            for ul, cl in left.coords.items():
-                for ur, cr in right.coords.items():
-                    _add_into(rhs_coords, (ul, ur), c * cl * cr)
+            _add_outer(rhs_coords, c, emb.apply(FElement(alg, tau, {wl: QV_ONE})).coords,
+                       emb.apply(FElement(alg, omega, {wr: QV_ONE})).coords)
         results.append(lhs == TensorElement(tgt, rhs_coords))
     return {"nu": nu, "tau": tau, "omega": omega, "conjugated": not plain,
             "dagger": emb.dagger, "epsilon": emb.epsilon,

@@ -274,20 +274,10 @@ def zero_mat(rows: int, cols: int) -> Mat:
     return tuple((0,) * cols for _ in range(rows))
 
 
-def _charge_first(total: int) -> None:
-    """Charge a closed-form count before its lazy pools build anything."""
-    budget = _budget.active_budget()
-    if total > budget.limit - budget.used:
-        raise _budget.BudgetExceeded(
-            f"enumeration needs {total} points, budget has "
-            f"{budget.limit - budget.used} left")
-    budget.charge(total)
-
-
 def _product(sizes: Sequence[int], pools: Iterable[Iterable[Mat]]) -> list[tuple[Mat, ...]]:
     """Every tuple taking one matrix from each pool, in order, charged the
     count prod(sizes) before the first pool is consumed."""
-    _charge_first(math.prod(sizes))
+    _budget.charge(math.prod(sizes))
     out: list[tuple[Mat, ...]] = [()]
     for pool in pools:
         pool = list(pool)
@@ -310,16 +300,10 @@ def group_points(quiver: Quiver, dims: Dims, field: GF) -> list[GPoint]:
 
 def group_order(quiver: Quiver, dims: Dims, q: int,
                 auto: AdmissibleAutomorphism | None = None) -> int:
-    """#G^F by the product formula; twisted orbits contribute GL over F_{q^k}."""
-    if auto is None or auto.is_identity():
-        out = 1
-        for v in quiver.vertices:
-            out *= gl_order(dims[v], q)
-        return out
-    out = 1
-    for orb in auto.vertex_orbits():
-        out *= gl_order(dims[orb[0]], q ** len(orb))
-    return out
+    """#G^F by the product formula: each vertex orbit of ``auto`` (singletons
+    when it is None) contributes GL(dims) over F_{q^|orbit|}."""
+    orbits = auto.vertex_orbits() if auto is not None else [(v,) for v in quiver.vertices]
+    return math.prod(gl_order(dims[orb[0]], q ** len(orb)) for orb in orbits)
 
 
 def act(field: GF, quiver: Quiver, g: GPoint, x: Point,
@@ -338,7 +322,7 @@ def point_orbits(field: GF, quiver: Quiver, gens: Sequence[tuple[GPoint, GPoint]
     O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 4).  Each
     orbit starts at its first point in ``points`` order.  Every point meets
     every generator once, and that count is charged before the walk."""
-    _charge_first(len(gens) * len(points))
+    _budget.charge(len(gens) * len(points))
     seen: set[Point] = set()
     out = []
     for start in points:
@@ -356,31 +340,33 @@ def point_orbits(field: GF, quiver: Quiver, gens: Sequence[tuple[GPoint, GPoint]
     return out
 
 
-def twisted_frobenius_fixed(points: Iterable[Point], quiver: Quiver,
-                            auto: AdmissibleAutomorphism, field: GF,
-                            base_q: int) -> list[Point]:
-    """Points with x_{a(h)} equal to the entrywise base_q power of x_h."""
-    idx = {h.id: k for k, h in enumerate(quiver.edges)}
-    pairs = [(k, idx[auto.edge_map[h.id]]) for k, h in enumerate(quiver.edges)]
+def _frobenius_fixed(tuples: Iterable[tuple[Mat, ...]], slots: Sequence,
+                     image: Mapping, field: GF, base_q: int) -> list:
+    """The tuples (one matrix per slot) whose matrix at image[s] is the
+    entrywise base_q power of their matrix at s, for every slot s."""
+    pos = {s: k for k, s in enumerate(slots)}
+    pairs = [(k, pos[image[s]]) for k, s in enumerate(slots)]
     out = []
-    for x in points:
+    for x in tuples:
         _budget.charge()
         if all(x[b] == field.frobenius_mat(x[a], base_q) for a, b in pairs):
             out.append(x)
     return out
 
 
+def twisted_frobenius_fixed(points: Iterable[Point], quiver: Quiver,
+                            auto: AdmissibleAutomorphism, field: GF,
+                            base_q: int) -> list[Point]:
+    """Points with x_{a(h)} equal to the entrywise base_q power of x_h."""
+    return _frobenius_fixed(points, [h.id for h in quiver.edges], auto.edge_map,
+                            field, base_q)
+
+
 def twisted_frobenius_fixed_group(gs: Iterable[GPoint], quiver: Quiver,
                                   auto: AdmissibleAutomorphism, field: GF,
                                   base_q: int) -> list[GPoint]:
-    pos = {v: k for k, v in enumerate(quiver.vertices)}
-    pairs = [(k, pos[auto.vertex_map[v]]) for k, v in enumerate(quiver.vertices)]
-    out = []
-    for g in gs:
-        _budget.charge()
-        if all(g[b] == field.frobenius_mat(g[a], base_q) for a, b in pairs):
-            out.append(g)
-    return out
+    """Group points with g_{a(v)} equal to the entrywise base_q power of g_v."""
+    return _frobenius_fixed(gs, quiver.vertices, auto.vertex_map, field, base_q)
 
 
 # --- the open stratum and the contraction map ------------------------------
@@ -407,8 +393,15 @@ def heart_subset(points: Iterable[Point], quiver: Quiver, pair: OrbitPair,
 
 def mu_contraction(contr: QuiverContraction, dims: Dims, field: GF,
                    x: Point) -> Point:
-    """Componentwise contraction of a point of the open stratum."""
+    """Componentwise contraction of a point of the open stratum, where every
+    crossing component is invertible; a point outside it is refused before
+    any product is formed."""
     q = contr.quiver
+    for h, xh in zip(q.edges, x):
+        if h.source in contr.pair.plus and h.target in contr.pair.minus \
+                and not field.is_invertible(xh):
+            raise ValueError(f"point is outside the open stratum: "
+                             f"component {h.id} is singular")
     idx = {h.id: k for k, h in enumerate(q.edges)}
     hat_dims = contr.contracted_dims(dims)
     out = []
@@ -428,17 +421,7 @@ def mu_contraction(contr: QuiverContraction, dims: Dims, field: GF,
                 out.append(field.mat_mul(x[idx[h2.id]], x[idx[h1.id]]))
         else:
             _, h1, h2 = org
-            x1 = x[idx[h1.id]]
-            if not field.is_invertible(x1):
-                raise ValueError(f"point is outside the open stratum: "
-                                 f"component {h1.id} is singular")
-            out.append(field.mat_mul(field.mat_inv(x1), x[idx[h2.id]]))
-    # the crossing components themselves must be invertible even if unused
-    for h, xh in zip(q.edges, x):
-        if h.source in contr.pair.plus and h.target in contr.pair.minus:
-            if not field.is_invertible(xh):
-                raise ValueError(f"point is outside the open stratum: "
-                                 f"component {h.id} is singular")
+            out.append(field.mat_mul(field.mat_inv(x[idx[h1.id]]), x[idx[h2.id]]))
     return tuple(out)
 
 
@@ -672,7 +655,7 @@ def _p_prime_report(contr: QuiverContraction, tau: Dims, omega: Dims, field: GF,
     inv = {m: field.mat_inv(m) for m in {m for l in levi for m in l}}
     gens = stabilizer_generators(q, omega, tau, field)
     reps = [orbit[0] for orbit in point_orbits(field, q, gens, list(mu))]
-    _charge_first(len(reps) * (len(levi) + len(hat_levi)))
+    _budget.charge(len(reps) * (len(levi) + len(hat_levi)))
 
     sizes: set[int] = set()
     surjective = True

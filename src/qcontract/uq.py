@@ -28,7 +28,7 @@ from ._linalg import echelon_insert, rank, rref, residue, solve
 from .cartan import (CartanDatum, ContractiblePair, RootDatum,
                      contract_root_datum)
 from .falg import (FAlgebra, FElement, LinearCombination, _add_into,
-                   _degrees_up_to, canonical_basis, felement, merged_expansion,
+                   _add_outer, _degrees_up_to, canonical_basis, felement, merged_expansion,
                    psi_dagger_epsilon, psi_epsilon, theta)
 from .scalar import (QV_ONE, QVScalar, bar as scalar_bar, qv,
                      quantum_factorial, quantum_integer, render_scalar,
@@ -600,9 +600,7 @@ def tensor_of(x: UElement, y: UElement) -> UTensor:
     if x.algebra is not y.algebra:
         raise ValueError("tensor factors over different algebras")
     out: dict[tuple[Triple, Triple], QVScalar] = {}
-    for s, cs in x.coords.items():
-        for t, ct in y.coords.items():
-            _add_into(out, (s, t), cs * ct)
+    _add_outer(out, QV_ONE, x.coords, y.coords)
     return UTensor(x.algebra, out)
 
 
@@ -616,9 +614,7 @@ def _tensor_mul(t1: UTensor, t2: UTensor) -> UTensor:
                               UElement(alg, {u1: QV_ONE}))
             right = u_multiply(UElement(alg, {s2: QV_ONE}),
                                UElement(alg, {u2: QV_ONE}))
-            for a, ca in left.coords.items():
-                for b, cb in right.coords.items():
-                    _add_into(out, (a, b), c * d * ca * cb)
+            _add_outer(out, c * d, left.coords, right.coords)
     return UTensor(alg, out)
 
 
@@ -667,11 +663,8 @@ def tensor_psi(emb: UEmbedding, t: UTensor) -> UTensor:
     """Apply the embedding to both tensor factors."""
     out: dict[tuple[Triple, Triple], QVScalar] = {}
     for (s1, s2), c in t.coords.items():
-        a = emb.apply(UElement(emb.source, {s1: QV_ONE}))
-        b = emb.apply(UElement(emb.source, {s2: QV_ONE}))
-        for u, cu in a.coords.items():
-            for w, cw in b.coords.items():
-                _add_into(out, (u, w), c * cu * cw)
+        _add_outer(out, c, emb.apply(UElement(emb.source, {s1: QV_ONE})).coords,
+                   emb.apply(UElement(emb.source, {s2: QV_ONE})).coords)
     return UTensor(emb.target, out)
 
 
@@ -1528,7 +1521,7 @@ class HWModule:
         self.weights = [
             _vsub(self.lam, algebra.degree_in_x(nu)) for nu, _ in self.basis]
         self._e_word_memo: dict = {}
-        self._f_col_memo: dict = {}
+        self._generators: dict[tuple[int, bool], ModuleMap] = {}
 
     def _build(self):
         alg = self.algebra
@@ -1588,23 +1581,23 @@ class HWModule:
         return FElement(self.algebra.f, nu, {w: QV_ONE})
 
     # --- generator actions ------------------------------------------------
-    def f_action(self, i, coords: Mapping[int, QVScalar]) -> dict[int, QVScalar]:
-        p = self.algebra.position(i)
-        out: dict[int, QVScalar] = {}
-        for idx, c in coords.items():
-            key = (p, idx)
-            col = self._f_col_memo.get(key)
-            if col is None:
-                x = self.rep_element(idx)
-                th = FElement(self.algebra.f,
-                              tuple(1 if q == p else 0
-                                    for q in range(self.algebra.rank)),
+    def generator(self, p: int, raising: bool) -> ModuleMap:
+        """E_p (raising) or F_p, at letter position p, built once: F_p sends
+        the class of b to the class of theta_p b, and E_p acts on the class
+        of a word as ``_e_word`` says."""
+        op = self._generators.get((p, raising))
+        if op is None:
+            f = self.algebra.f
+            if raising:
+                cols = {idx: self._e_word(p, f.component(nu).basis[c])
+                        for idx, (nu, c) in enumerate(self.basis)}
+            else:
+                th = FElement(f, tuple(int(q == p) for q in range(self.algebra.rank)),
                               {(p,): QV_ONE})
-                col = self.project(th * x)
-                self._f_col_memo[key] = col
-            for tgt, val in col.items():
-                _add_into(out, tgt, c * val)
-        return out
+                cols = {idx: self.project(th * self.rep_element(idx))
+                        for idx in range(self.dim)}
+            op = self._generators[(p, raising)] = ModuleMap.of_columns(self, cols)
+        return op
 
     def _e_word(self, p: int, w: PlainWord) -> dict[int, QVScalar]:
         key = (p, w)
@@ -1616,8 +1609,7 @@ class HWModule:
             out: dict[int, QVScalar] = {}
         else:
             j, rest = w[0], w[1:]
-            inner = self._e_word(p, rest)
-            out = self.f_action(alg.cartan.indices[j], inner)
+            out = self.generator(j, False)(self._e_word(p, rest))
             if j == p:
                 rest_deg = alg.f.word_degree(rest)
                 wt = _vsub(self.lam, alg.degree_in_x(rest_deg))
@@ -1631,20 +1623,11 @@ class HWModule:
         self._e_word_memo[key] = out
         return out
 
-    def e_action(self, i, coords: Mapping[int, QVScalar]) -> dict[int, QVScalar]:
-        p = self.algebra.position(i)
-        out: dict[int, QVScalar] = {}
-        for idx, c in coords.items():
-            nu, col = self.basis[idx]
-            w = self.algebra.f.component(nu).basis[col]
-            for tgt, val in self._e_word(p, w).items():
-                _add_into(out, tgt, c * val)
-        return out
-
-    def k_action(self, mu, coords: Mapping[int, QVScalar]) -> dict[int, QVScalar]:
+    def torus(self, mu) -> ModuleMap:
+        """K_mu: v^<mu, wt> on each weight vector."""
         mu = self.algebra.y_vector(mu)
-        return {idx: c * v_power(self.algebra.datum.pair(mu, self.weights[idx]))
-                for idx, c in coords.items()}
+        return ModuleMap(self, {(idx, idx): v_power(self.algebra.datum.pair(mu, wt))
+                                for idx, wt in enumerate(self.weights)})
 
 
 def build_module(algebra: UAlgebra, lam) -> HWModule:
@@ -1655,40 +1638,26 @@ def build_module(algebra: UAlgebra, lam) -> HWModule:
     return mod
 
 
-def action_matrix(mod: HWModule, x: UElement) -> list[dict[int, QVScalar]]:
-    """Columns of the action of a normal-ordered element."""
-    alg = mod.algebra
-    cols: list[dict[int, QVScalar]] = [{} for _ in range(mod.dim)]
-    for (ew, mu, fw), c in x.coords.items():
-        for idx in range(mod.dim):
-            vec: dict[int, QVScalar] = {idx: QV_ONE}
-            for p in reversed(fw):
-                vec = mod.f_action(alg.cartan.indices[p], vec)
-                if not vec:
-                    break
-            if vec and any(mu):
-                vec = mod.k_action(mu, vec)
-            for p in reversed(ew):
-                if not vec:
-                    break
-                vec = mod.e_action(alg.cartan.indices[p], vec)
-            for tgt, val in vec.items():
-                _add_into(cols[idx], tgt, c * val)
-    return cols
-
-
 class ModuleMap(LinearCombination):
     """Linear map out of a module, as a combination of matrix units keyed by
     (row, column) and tied to its domain module.  The product f * g is the
     composite f∘g, so sums and composites of generator actions are linear
-    maps of the module that compare with ``==``."""
+    maps of the module that compare with ``==``; f(vec) is the image of a
+    sparse vector {basis key: coefficient}."""
 
     __slots__ = ()
 
     @classmethod
-    def of_columns(cls, domain, cols: Sequence[Mapping[int, QVScalar]]) -> "ModuleMap":
-        return cls(domain, {(r, c): x for c, col in enumerate(cols)
-                            for r, x in col.items()})
+    def of_columns(cls, domain, cols: Mapping) -> "ModuleMap":
+        """The map sending basis vector k of ``domain`` to ``cols[k]``."""
+        return cls(domain, {(r, k): x for k, col in cols.items() for r, x in col.items()})
+
+    def __call__(self, vec: Mapping) -> dict:
+        out: dict = {}
+        for (r, k), x in self.coords.items():
+            if k in vec:
+                _add_into(out, r, vec[k] * x)
+        return out
 
     def __mul__(self, other: "ModuleMap") -> "ModuleMap":
         by_col: dict[int, list[tuple[int, QVScalar]]] = {}
@@ -1706,7 +1675,17 @@ class ModuleMap(LinearCombination):
 
 
 def module_operator(mod: HWModule, x: UElement) -> ModuleMap:
-    return ModuleMap.of_columns(mod, action_matrix(mod, x))
+    """The action of a normal-ordered element: each triple (e, mu, f) acts
+    as the composite E_e K_mu F_f of generator maps."""
+    total = ModuleMap(mod, {})
+    for (ew, mu, fw), c in x.coords.items():
+        op = mod.torus(mu)
+        for p in fw:
+            op = op * mod.generator(p, False)
+        for p in reversed(ew):
+            op = mod.generator(p, True) * op
+        total = total + op.scale(c)
+    return total
 
 
 def module_relations_check(mod: HWModule) -> dict:
@@ -1721,25 +1700,21 @@ def module_relations_check(mod: HWModule) -> dict:
     the residual map) with ``checked`` summed over the families and the
     ``character`` verdict folded into ``holds``."""
     alg = mod.algebra
-    indices = alg.cartan.indices
-    op = lambda x: module_operator(mod, x)
-    report = check_relations(alg, alg, {i: op(e_gen(alg, i)) for i in indices},
-                             {i: op(f_gen(alg, i)) for i in indices},
-                             lambda mu: op(k_gen(alg, mu)))
+    e_maps = {i: mod.generator(p, True) for p, i in enumerate(alg.cartan.indices)}
+    f_maps = {i: mod.generator(p, False) for p, i in enumerate(alg.cartan.indices)}
+    report = check_relations(alg, alg, e_maps, f_maps, mod.torus)
     report["checked"] = sum(f["checked"] for f in report["families"].values())
-    report["character"] = all(
-        op(k_gen(alg, mu)) == ModuleMap(mod, {
-            (idx, idx): v_power(alg.datum.pair(mu, wt))
-            for idx, wt in enumerate(mod.weights)})
-        for mu in _y_basis(alg))
+    report["character"] = all(module_operator(mod, k_gen(alg, mu)) == mod.torus(mu)
+                              for mu in _y_basis(alg))
     report["holds"] = report["holds"] and report["character"]
     return report
 
 
-def _induced_columns(fmap, src_mod: HWModule, tgt_mod: HWModule) -> list[dict[int, QVScalar]]:
-    """Columns of the map of module quotients induced by a map of f."""
-    return [tgt_mod.project(fmap.apply(src_mod.rep_element(idx)))
-            for idx in range(src_mod.dim)]
+def _induced_map(fmap, src_mod: HWModule, tgt_mod: HWModule) -> ModuleMap:
+    """The map of module quotients induced by a map of f."""
+    return ModuleMap.of_columns(src_mod, {
+        idx: tgt_mod.project(fmap.apply(src_mod.rep_element(idx)))
+        for idx in range(src_mod.dim)})
 
 
 def module_hom_check(emb: UEmbedding, lam) -> dict:
@@ -1767,23 +1742,21 @@ def module_hom_check(emb: UEmbedding, lam) -> dict:
                 row[basis[-lead]] = QV_ONE
                 if tgt_mod.project(fmap.apply(FElement(emb.source.f, nu, row))):
                     well = False
-        phi = _induced_columns(fmap, src_mod, tgt_mod)
-        phi_map = ModuleMap.of_columns(src_mod, phi)
+        phi = _induced_map(fmap, src_mod, tgt_mod)
         inter = True
         for name, g, gi in _generators_with_images(emb):
             if twisted:
                 g, gi = omega(g), omega(gi)
-            if phi_map * module_operator(src_mod, g) \
-                    != module_operator(tgt_mod, gi) * phi_map:
+            if phi * module_operator(src_mod, g) != module_operator(tgt_mod, gi) * phi:
                 inter = False
                 failures.append({"side": label, "generator": name})
-        inj = rank(phi) == src_mod.dim
+        cols = [phi({idx: QV_ONE}) for idx in range(src_mod.dim)]
+        inj = rank(cols) == src_mod.dim
         images = {}
-        for idx in range(src_mod.dim):
-            nu, col = src_mod.basis[idx]
+        for (nu, col), image in zip(src_mod.basis, cols):
             w = emb.source.f.component(nu).basis[col]
             images[str(list(w))] = {str(k): render_scalar(c)
-                                    for k, c in sorted(phi[idx].items())}
+                                    for k, c in sorted(image.items())}
         report[label] = {"well_defined": well, "intertwines": inter,
                          "injective": inj, "images": images}
     report["holds"] = all(report[side]["well_defined"]
@@ -1840,38 +1813,30 @@ def module_canonical_check(emb: UEmbedding, lam) -> dict:
 # --- tensor modules ----------------------------------------------------------
 
 class TensorModule:
-    """Twisted module tensor ordinary module, with the coproduct action."""
+    """Twisted module tensor ordinary module, with the coproduct action; its
+    basis keys are the pairs (a, b) of factor basis indices."""
 
     def __init__(self, algebra: UAlgebra, lam_left, lam_right):
         self.algebra = algebra
         self.left = build_module(algebra, lam_left)
         self.right = build_module(algebra, lam_right)
-        self.lam_left = self.left.lam
-        self.lam_right = self.right.lam
         self.dim = self.left.dim * self.right.dim
 
-    def pair_index(self, a: int, b: int) -> int:
-        return a * self.right.dim + b
-
-    def action(self, x: UElement) -> list[dict[int, QVScalar]]:
+    def action(self, x: UElement) -> ModuleMap:
         alg = self.algebra
-        cols: list[dict[int, QVScalar]] = [{} for _ in range(self.dim)]
+        out = ModuleMap(self, {})
         for (s, t), c in delta(x).coords.items():
-            left_cols = action_matrix(
-                self.left, omega(UElement(alg, {s: QV_ONE})))
-            right_cols = action_matrix(
-                self.right, UElement(alg, {t: QV_ONE}))
-            for a in range(self.left.dim):
-                for b in range(self.right.dim):
-                    src = self.pair_index(a, b)
-                    for ta, va in left_cols[a].items():
-                        for tb, vb in right_cols[b].items():
-                            _add_into(cols[src],
-                                      self.pair_index(ta, tb), c * va * vb)
-        return cols
+            out = out + _kron(
+                self, module_operator(self.left, omega(UElement(alg, {s: QV_ONE}))),
+                module_operator(self.right, UElement(alg, {t: QV_ONE}))).scale(c)
+        return out
 
-    def cyclic_index(self) -> int:
-        return self.pair_index(0, 0)
+
+def _kron(domain: TensorModule, f: ModuleMap, g: ModuleMap) -> ModuleMap:
+    """f ⊗ g on the pair basis of ``domain``."""
+    acc: dict = {}
+    _add_outer(acc, QV_ONE, f.coords, g.coords)
+    return ModuleMap(domain, {((r, s), (k, l)): x for ((r, k), (s, l)), x in acc.items()})
 
 
 def psi_tensor_check(emb: UEmbedding, lam_left, lam_right) -> dict:
@@ -1902,41 +1867,30 @@ def psi_tensor_check(emb: UEmbedding, lam_left, lam_right) -> dict:
         echelon_insert(rules, vec)
         return True
 
-    def act(cols: list[dict], vec: dict) -> dict:
-        out: dict[int, QVScalar] = {}
-        for idx, c in vec.items():
-            for t, val in cols[idx].items():
-                _add_into(out, t, c * val)
-        return out
-
-    seed = ({src_tm.cyclic_index(): QV_ONE}, {tgt_tm.cyclic_index(): QV_ONE})
+    seed = ({(0, 0): QV_ONE}, {(0, 0): QV_ONE})   # both highest weight vectors
     work = [seed]
     reduce_pair(*seed)
     while work:
         vs, vt = work.pop()
         for sa, ta in actions:
             charge()
-            nvs, nvt = act(sa, vs), act(ta, vt)
+            nvs, nvt = sa(vs), ta(vt)
             if (nvs or nvt) and reduce_pair(nvs, nvt):
                 work.append((nvs, nvt))
     spans = len(rules) == n
     injective = False
     block_match = False
     if spans and consistent:
-        # reducing (e_k | 0) leaves (0 | -phi(e_k))
-        phi_cols = [{i: -c for (_, i), c in
-                     reversed(residue(rules, {(1, k): QV_ONE}).items())}
-                    for k in range(n)]
-        injective = rank(phi_cols) == n
-        hom_left = module_hom_check(emb, src_tm.lam_left)
-        hom_right = module_hom_check(emb, src_tm.lam_right)
-        phi_l = _induced_columns(emb.plus_map, src_tm.left, tgt_tm.left)
-        phi_r = _induced_columns(emb.minus_map, src_tm.right, tgt_tm.right)
-        kron = ModuleMap(src_tm, {
-            (tgt_tm.pair_index(ta, tb), src_tm.pair_index(a, b)): va * vb
-            for a, col_a in enumerate(phi_l) for b, col_b in enumerate(phi_r)
-            for ta, va in col_a.items() for tb, vb in col_b.items()})
-        block_match = ModuleMap.of_columns(src_tm, phi_cols) == kron \
+        # the leads are the n source keys (1, k), and reducing (e_k | 0)
+        # leaves (0 | -phi(e_k))
+        phi = {k: {i: -c for (_, i), c in residue(rules, {(1, k): QV_ONE}).items()}
+               for _, k in rules}
+        injective = rank(list(phi.values())) == n
+        hom_left = module_hom_check(emb, src_tm.left.lam)
+        hom_right = module_hom_check(emb, src_tm.right.lam)
+        kron = _kron(src_tm, _induced_map(emb.plus_map, src_tm.left, tgt_tm.left),
+                     _induced_map(emb.minus_map, src_tm.right, tgt_tm.right))
+        block_match = ModuleMap.of_columns(src_tm, phi) == kron \
             and hom_left["holds"] and hom_right["holds"]
     return {"dims": [n, m],
             "well_defined": consistent, "spans": spans,

@@ -276,6 +276,22 @@ def test_mu_pinned_values():
     assert mu_contraction(contr, {"p": 1, "z": 1, "m": 1}, F5, x) == (((4,),),)
 
 
+def test_mu_refuses_a_singular_crossing_component_before_any_product(monkeypatch):
+    products = []
+    for meth in ("mat_mul", "mat_inv"):
+        monkeypatch.setattr(GF, meth, lambda self, *a, _m=meth: products.append(_m))
+    contr = contract_quiver(C3Q, AdmissibleAutomorphism.identity(C3Q),
+                            OrbitPair((1,), (2,)))
+    with pytest.raises(ValueError, match="component 1>2 is singular"):
+        mu_contraction(contr, {0: 1, 1: 1, 2: 1}, gf(7), (((3,),), ((0,),), ((5,),)))
+    q = make_quiver(("p", "z", "m"), [("p", "m"), ("z", "m")])
+    contr = contract_quiver(q, AdmissibleAutomorphism.identity(q),
+                            OrbitPair(("p",), ("m",)))
+    with pytest.raises(ValueError, match="component p>m is singular"):
+        mu_contraction(contr, {"p": 1, "z": 1, "m": 1}, gf(5), (((0,),), ((3,),)))
+    assert products == []
+
+
 def test_mu_equivariance_random():
     rng = random.Random(17)
     F3 = gf(3)

@@ -15,12 +15,12 @@ from qcontract.scalar import (
     QV_ONE, QV_ZERO, quantum_integer, v_power,
 )
 from qcontract.uq import (
-    UAlgebra, UElement, action_matrix, bar_U, braid_assumption_holds,
+    UAlgebra, UElement, bar_U, braid_assumption_holds,
     braid_basic, braid_formula_gate, braid_on_V_check, braid_props_check,
     build_module, check_relations, delta, delta_component, divided_power,
     e_gen, e_merged, emb_co_check, embedding_relations_check, f_gen,
     f_merged, k_gen, k_merged_vector, k_tilde_gen, linear_tree_factorization_check,
-    module_canonical_check, module_hom_check, module_relations_check,
+    module_canonical_check, module_hom_check, module_operator, module_relations_check,
     naive_square_check, omega,
     pi_weight, psi_dot_check, psi_preimage, psi_tensor_check, render_udot,
     render_uelement, rho, subquotient_phi_probe, subset_root_datum,
@@ -897,9 +897,9 @@ def test_module_relations_hold_on_honest_modules(alg, lam):
 def test_module_relations_catch_a_scaled_raising_action(monkeypatch):
     # doubling every E_i keeps the torus and Serre relations but breaks
     # E_iF_i - F_iE_i = [K~_i], which only composed matrices can see
-    orig = uq.HWModule.e_action
-    monkeypatch.setattr(uq.HWModule, "e_action", lambda self, i, coords: {
-        k: c + c for k, c in orig(self, i, coords).items()})
+    orig = uq.HWModule.generator
+    monkeypatch.setattr(uq.HWModule, "generator", lambda self, p, raising: (
+        orig(self, p, raising).scale(2) if raising else orig(self, p, raising)))
     rep = module_relations_check(uq.HWModule(U2, (1, 1)))
     assert rep["holds"] is False and rep["character"]
     assert [(f["family"], f["at"]) for f in rep["failures"]] == [
@@ -913,17 +913,16 @@ def test_module_rejects_bad_weights():
 
 def test_module_action_shape():
     mod = build_module(U2, (1, 0))
-    cols = action_matrix(mod, k_gen(U2, (1, 0)))
-    for idx in range(mod.dim):
-        assert list(cols[idx]) == [idx]
-    ef = action_matrix(mod, u_multiply(e_gen(U2, 1), f_gen(U2, 1)))
-    fe = action_matrix(mod, u_multiply(f_gen(U2, 1), e_gen(U2, 1)))
+    k = module_operator(mod, k_gen(U2, (1, 0))).coords
+    assert sorted(k) == [(idx, idx) for idx in range(mod.dim)]
+    ef = module_operator(mod, u_multiply(e_gen(U2, 1), f_gen(U2, 1))).coords
+    fe = module_operator(mod, u_multiply(f_gen(U2, 1), e_gen(U2, 1))).coords
     for idx in range(mod.dim):
         gap = U2.datum.pair(U2.datum.coroot(1), mod.weights[idx])
         want = quantum_integer(abs(gap), 1)
         if gap < 0:
             want = QV_ZERO - want
-        diff = (ef[idx].get(idx, QV_ZERO) - fe[idx].get(idx, QV_ZERO))
+        diff = (ef.get((idx, idx), QV_ZERO) - fe.get((idx, idx), QV_ZERO))
         assert diff == want
 
 
