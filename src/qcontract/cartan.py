@@ -5,7 +5,6 @@ single index and the induced embedding of Weyl groups.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from . import _budget
@@ -109,27 +108,31 @@ class CartanDatum(Record):
                            tuple(tuple(int(x) for x in r) for r in data["pairing"]))
 
 
-def _sparse(vec: Sequence[int]) -> dict[int, Fraction]:
+def _sparse(vec: Sequence[int]) -> dict:
+    from fractions import Fraction
     return {a: Fraction(x) for a, x in enumerate(vec) if x}
 
 
-def _det(rows: Sequence[Sequence[int]]) -> Fraction:
-    m = [[Fraction(x) for x in r] for r in rows]
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of an integer matrix by Bareiss' fraction-free elimination
+    (Math. Comp. 22, 1968): each entry it makes is a minor, so each division is exact."""
+    m = [list(r) for r in rows]
     n = len(m)
-    det = Fraction(1)
+    sign, prev = 1, 1
     for c in range(n):
         pr = next((i for i in range(c, n) if m[i][c]), None)
         if pr is None:
-            return Fraction(0)
+            return 0
         if pr != c:
             m[c], m[pr] = m[pr], m[c]
-            det = -det
-        det *= m[c][c]
+            sign = -sign
+        top, p = m[c], m[c][c]
         for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] / m[c][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
+            r = m[i]
+            m[i] = [0] * (c + 1) + [(p * r[j] - r[c] * top[j]) // prev
+                                    for j in range(c + 1, n)]
+        prev = p
+    return sign * prev
 
 
 def validate_cartan(datum: CartanDatum) -> tuple[bool, list[str]]:
@@ -480,7 +483,9 @@ def weyl_embedding(rd: RootDatum, pair: ContractiblePair,
 
 # --- root systems ----------------------------------------------------------
 
-def express_in_simple_coroots(rd: RootDatum, y: Sequence[int]) -> tuple[Fraction, ...] | None:
+def express_in_simple_coroots(rd: RootDatum, y: Sequence[int]) -> tuple | None:
+    """y's coefficients (Fractions) in the simple coroots, or None off their span."""
+    from fractions import Fraction
     cols = [rd.coroot(i) for i in rd.cartan.indices]
     sol, _ = solve([_sparse(c) for c in cols], _sparse(y), Fraction(1))
     if sol is None:

@@ -461,23 +461,28 @@ def levi_points(quiver: Quiver, sub: Dims, quot: Dims, field: GF) -> list[GPoint
 def stabilizer_generators(quiver: Quiver, sub: Dims, quot: Dims,
                           field: GF) -> list[tuple[GPoint, GPoint]]:
     """(g, g^-1) for a generating set of the block stabilizer Q = prod_v Q_v.
-    At one vertex g is the identity with entry (r, c) set to e in F_q^*, for
-    every (r, c) outside the lower-left block (the identity itself left
-    out); it is the identity at every other vertex.  The diagonal units and
-    transvections generate GL(sub_v) and GL(quot_v), and the upper-right
-    transvections generate U_v.  With quot = 0 they generate prod_v GL(sub_v)."""
+    At one vertex g is the identity with entry (r, c) set to e, and it is the
+    identity elsewhere.  Off the diagonal and outside the lower-left block, e
+    runs over the F_p-basis 1, p, ..., p^(k-1) of F_q = F_(p^k), whose sums
+    give every transvection I + aE_rc; on it, e is one generator zeta of
+    F_q^* at the first entry of each block (none over F_2).  So they generate
+    GL(sub_v), GL(quot_v) and U_v, and prod_v GL(sub_v) when quot = 0."""
     def elementary(n: int, r: int, c: int, e: int) -> Mat:
         return tuple(tuple(e if (i, j) == (r, c) else int(i == j) for j in range(n))
                      for i in range(n))
 
+    q = field.q
+    zeta = [a for a in range(2, q)
+            if len({field.pow(a, k) for k in range(q - 1)}) == q - 1][:1]
+    basis = [field.p ** k for k in range(field.e)]
     ids = [field.mat_id(sub[v] + quot[v]) for v in quiver.vertices]
     out = []
     for k, v in enumerate(quiver.vertices):
         w, n = sub[v], sub[v] + quot[v]
         for r, c in itertools.product(range(n), repeat=2):
-            if r >= w > c:
+            if r >= w > c or (r == c and r not in (0, w)):
                 continue
-            for e in range(2 if r == c else 1, field.q):
+            for e in (zeta if r == c else basis):
                 e_inv = field.inv(e) if r == c else field.neg(e)
                 out.append(tuple((*ids[:k], elementary(n, r, c, x), *ids[k + 1:])
                                  for x in (e, e_inv)))

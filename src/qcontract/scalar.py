@@ -21,22 +21,34 @@ arithmetic uses it, with no gcd, where the form cannot change:
     d, with nonzero constant term, is coprime to v.  A quotient by c·v^k is
     the product with c^-1·v^-k.
 
+Coefficients are ints unless a value is a non-integral rational: a
+``Fraction`` comes only from a caller or from ``_frac``, so ``fractions``
+(and ``decimal`` with it) is not imported until such a value appears.
+
 No floating point anywhere; every identity checked downstream is exact.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+import numbers
 from math import gcd, lcm
 from typing import Mapping, Union
 
-Rat = Union[int, Fraction]
+Rat = Union[int, "Fraction"]  # fractions.Fraction, which only _frac imports here
 
 
 def _norm_coeff(c: Rat) -> Rat:
     # keep ints as ints: Fraction arithmetic is much slower
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if type(c) is not int and c.denominator == 1:
         return int(c)
     return c
+
+
+def _frac(n: Rat, d: Rat) -> Rat:
+    """n/d: an int when d divides n, else a Fraction."""
+    if n % d == 0:
+        return n // d
+    from fractions import Fraction
+    return Fraction(n, d)
 
 
 class LaurentPoly:
@@ -190,8 +202,7 @@ def _poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPo
     lb = b.coeffs[db]
     while r.coeffs and r.degree() >= db:
         dr = r.degree()
-        c = Fraction(r.coeffs[dr]) / lb
-        q[dr - db] = _norm_coeff(c)
+        c = q[dr - db] = _frac(r.coeffs[dr], lb)
         r = r - b.shift(dr - db).scale(c)
     return LaurentPoly(q), r
 
@@ -322,7 +333,7 @@ def _laurent(a: list[int], low: int, p: int = 1, q: int = 1) -> LaurentPoly:
     """(p/q) * v^low * a(v) as a LaurentPoly."""
     if q == 1:
         return LaurentPoly._of({e + low: c * p for e, c in enumerate(a) if c})
-    return LaurentPoly({e + low: Fraction(c * p, q) for e, c in enumerate(a) if c})
+    return LaurentPoly._of({e + low: _frac(c * p, q) for e, c in enumerate(a) if c})
 
 
 class QVScalar:
@@ -387,10 +398,10 @@ class QVScalar:
         return self.den.coeffs == {0: 1}
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = QVScalar.from_rat(other)
         if not isinstance(other, QVScalar):
-            return NotImplemented
+            if not isinstance(other, numbers.Rational):
+                return NotImplemented
+            other = QVScalar.from_rat(other)
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
@@ -456,8 +467,7 @@ class QVScalar:
             raise ZeroDivisionError("division by zero in Q(v)")
         if other.den is _L_ONE and len(other.num.coeffs) == 1:
             (e, c), = other.num.coeffs.items()
-            return QVScalar._of(self.num * LaurentPoly.v_power(-e, Fraction(1, c)),
-                                self.den)
+            return QVScalar._of(self.num * LaurentPoly.v_power(-e, _frac(1, c)), self.den)
         return QVScalar(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other) -> QVScalar:
@@ -485,7 +495,7 @@ class QVScalar:
 def _coerce(x) -> QVScalar:
     if isinstance(x, QVScalar):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, numbers.Rational):
         return QVScalar.from_rat(x)
     if isinstance(x, LaurentPoly):
         return QVScalar(x)
@@ -502,7 +512,7 @@ def _canonical_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly
         e, c = next(iter(den.coeffs.items()))
         if c == 1:
             return num.shift(-e), _L_ONE
-        return num.shift(-e).scale(1 / Fraction(c)), _L_ONE
+        return num.shift(-e).scale(_frac(1, c)), _L_ONE
     k, m = den.low(), num.low()
     pn, qn, a = _int_form(num.coeffs, m)
     pd, qd, b = _int_form(den.coeffs, k)
@@ -591,7 +601,7 @@ def in_one_plus_vinv(x: QVScalar) -> bool:
 def is_integer_laurent(x: QVScalar) -> bool:
     """Laurent polynomial with integer coefficients."""
     return x.is_laurent() and \
-        all(Fraction(c).denominator == 1 for c in x.num.coeffs.values())
+        all(c.denominator == 1 for c in x.num.coeffs.values())
 
 
 def laurent_negative_part(x: QVScalar) -> QVScalar:

@@ -1689,8 +1689,10 @@ def module_operator(mod: HWModule, x: UElement) -> ModuleMap:
 
 
 def module_relations_check(mod: HWModule) -> dict:
-    """U_q's defining relations on the module, plus the torus character on
-    every weight vector.
+    """U_q's defining relations on the module, plus the character: K_μ
+    acts on the highest-weight vector (index 0, the empty word) by
+    v^⟨μ, λ⟩ for the λ the module was built at.  The module is cyclic on
+    that vector, so with the K-F family this fixes every weight.
 
     ``check_relations`` evaluates its six families on the generator
     operators E_i, F_i and K_μ as linear maps of the module, so every
@@ -1704,7 +1706,8 @@ def module_relations_check(mod: HWModule) -> dict:
     f_maps = {i: mod.generator(p, False) for p, i in enumerate(alg.cartan.indices)}
     report = check_relations(alg, alg, e_maps, f_maps, mod.torus)
     report["checked"] = sum(f["checked"] for f in report["families"].values())
-    report["character"] = all(module_operator(mod, k_gen(alg, mu)) == mod.torus(mu)
+    report["character"] = all(module_operator(mod, k_gen(alg, mu))({0: QV_ONE})
+                              == {0: v_power(alg.datum.pair(mu, mod.lam))}
                               for mu in _y_basis(alg))
     report["holds"] = report["holds"] and report["character"]
     return report

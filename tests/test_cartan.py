@@ -6,7 +6,7 @@ from qcontract.cartan import (
     CartanDatum, ContractiblePair, RootDatum, WeylElement, contract_cartan,
     contract_root_datum, enumerate_roots, positive_roots, simple_reflection,
     simply_connected_datum, simply_laced_cartan, validate_cartan,
-    weyl_embedding, weyl_group, weyl_word,
+    weyl_embedding, weyl_group, weyl_word, _det,
 )
 from qcontract.uq import UAlgebra
 
@@ -24,6 +24,29 @@ def test_validate_cartan_pinned():
     assert not ok and any("even" in m for m in bad)
     with pytest.raises(ValueError):
         CartanDatum((1, 2), ((2, -1), (0, 2)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_det_matches_sympy(seed):
+    # Bareiss' integer elimination against sympy's determinant, on seeded
+    # integer matrices with n <= 6: singular ones (a row that is a
+    # combination of two others) and ones with a zero pivot that needs a row
+    # swap are made on purpose, and n = 0 has determinant 1
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    cases = [[], [[0, 1], [1, 0]], [[0, 2, 1], [0, 1, 4], [3, 2, 8]], [[0, 0], [5, 1]]]
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.4:
+            rows[0][0] = 0
+        if n >= 3 and rng.random() < 0.3:
+            rows[-1] = [2 * a - b for a, b in zip(rows[0], rows[1])]
+        cases.append(rows)
+    dets = [sp.Matrix(rows).det() if rows else 1 for rows in cases]
+    assert [_det(rows) for rows in cases] == dets
+    assert sum(d == 0 for d in dets) >= 5
+    assert sum(bool(r) and r[0][0] == 0 and d != 0 for r, d in zip(cases, dets)) >= 5
 
 
 def test_validate_divisibility():

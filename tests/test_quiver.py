@@ -440,9 +440,9 @@ def test_fiber_lemma_report_pinned_with_a_contracted_edge(quiver_, pair, tau, om
 
 @pytest.mark.parametrize("q, tau, omega, used, mat_muls", [
     (2, (1, 1), (1, 1), 21, 10),
-    (3, (1, 1), (1, 1), 170, 224),
+    (3, (1, 1), (1, 1), 146, 176),
     (2, (1, 1), (2, 2), 423, 456),
-    (4, (1, 1), (1, 1), 757, 1170),
+    (4, (1, 1), (1, 1), 541, 738),
 ], ids=["F2-1,1-1,1", "F3-1,1-1,1", "F2-1,1-2,2", "F4-1,1-1,1"])
 def test_fiber_lemma_work_is_pinned(q, tau, omega, used, mat_muls, monkeypatch):
     # p' charges one budget unit per (generator, stable point) step of the

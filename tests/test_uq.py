@@ -906,6 +906,18 @@ def test_module_relations_catch_a_scaled_raising_action(monkeypatch):
         ("E-F", ["1", "1"]), ("E-F", ["2", "2"])]
 
 
+def test_module_relations_catch_shifted_weights():
+    # shifting every weight by the fundamental weight (1, 0) keeps all
+    # weight differences, so the K-E and K-F families still hold; only the
+    # character, read off the highest-weight vector, sees the shift
+    mod = uq.HWModule(U2, (1, 1))
+    mod.weights = [(a + 1, b) for a, b in mod.weights]
+    rep = module_relations_check(mod)
+    fams = rep["families"]
+    assert fams["K-E"]["holds"] and fams["K-F"]["holds"]
+    assert rep["character"] is False and rep["holds"] is False
+
+
 def test_module_rejects_bad_weights():
     with pytest.raises(ValueError):
         build_module(U2, (-1, 0))
