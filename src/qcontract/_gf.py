@@ -198,9 +198,6 @@ class GF:
         """a -> a^base, default base = p (the absolute Frobenius)."""
         return self.pow(a, self.p if base is None else base)
 
-    def elements(self) -> range:
-        return range(self.q)
-
     # --- matrices (tuples of row tuples) --------------------------------
     def mat_mul(self, A: Mat, B: Mat) -> Mat:
         """A times B.  A B with no rows is read as 0 x 0 (a tuple of rows

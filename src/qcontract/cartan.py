@@ -8,7 +8,7 @@ import operator
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from . import _budget
-from ._linalg import rank as _rank, solve
+from ._linalg import solve
 
 Symbol = Hashable
 Vector = tuple[int, ...]
@@ -106,11 +106,6 @@ class CartanDatum(Record):
     def from_json(data: Mapping) -> CartanDatum:
         return CartanDatum(tuple(data["indices"]),
                            tuple(tuple(int(x) for x in r) for r in data["pairing"]))
-
-
-def _sparse(vec: Sequence[int]) -> dict:
-    from fractions import Fraction
-    return {a: Fraction(x) for a, x in enumerate(vec) if x}
 
 
 def _det(rows: Sequence[Sequence[int]]) -> int:
@@ -262,8 +257,10 @@ class RootDatum(Record):
         return self.pair(self.coroot(i), x)
 
     def is_Y_regular(self) -> bool:
-        rows = [_sparse(self.coroot(i)) for i in self.cartan.indices]
-        return _rank(rows) == len(self.cartan.indices)
+        """The simple coroots are independent: det(C·Cᵀ) != 0."""
+        rows = [self.coroot(i) for i in self.cartan.indices]
+        return _det([[sum(a * b for a, b in zip(r, t)) for t in rows]
+                     for r in rows]) != 0
 
     def dominant(self, x: Sequence[int]) -> bool:
         return all(self.pair_index(i, x) >= 0 for i in self.cartan.indices)
@@ -359,7 +356,7 @@ def simple_reflection(rd: RootDatum, i: Symbol) -> WeylElement:
     return WeylElement(m, (i,))
 
 
-def weyl_group(rd: RootDatum, max_size: int = 200_000) -> list[WeylElement]:
+def weyl_group(rd: RootDatum) -> list[WeylElement]:
     """All elements, BFS over right multiplication; finite type only."""
     if not rd.cartan.is_finite_type():
         raise ValueError("full Weyl enumeration needs a finite-type datum")
@@ -374,8 +371,6 @@ def weyl_group(rd: RootDatum, max_size: int = 200_000) -> list[WeylElement]:
                 _budget.charge()
                 u = w * s
                 if u.matrix not in seen:
-                    if len(seen) >= max_size:
-                        raise RuntimeError("Weyl group larger than max_size")
                     seen[u.matrix] = u
                     nxt.append(u)
         frontier = nxt
@@ -487,7 +482,8 @@ def express_in_simple_coroots(rd: RootDatum, y: Sequence[int]) -> tuple | None:
     """y's coefficients (Fractions) in the simple coroots, or None off their span."""
     from fractions import Fraction
     cols = [rd.coroot(i) for i in rd.cartan.indices]
-    sol, _ = solve([_sparse(c) for c in cols], _sparse(y), Fraction(1))
+    sol, _ = solve([{a: Fraction(x) for a, x in enumerate(v) if x} for v in cols],
+                   {a: Fraction(x) for a, x in enumerate(y) if x}, Fraction(1))
     if sol is None:
         return None
     coeffs = tuple(sol.get(k, Fraction(0)) for k in range(len(cols)))

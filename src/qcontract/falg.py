@@ -99,7 +99,6 @@ class GradedComponent(Record):
     words: tuple[PlainWord, ...]     # every word of degree nu, ascending
     basis: tuple[PlainWord, ...]     # complement of the ideal's leading terms
     rewrite: Mapping[PlainWord, Mapping[PlainWord, QVScalar]]
-    gram_kernel_dim: int | None
 
     @property
     def dim(self) -> int:
@@ -229,19 +228,17 @@ class FAlgebra:
         return [({w: c / rel[lead] for w, c in rel.items()}, self.word_degree(lead))
                 for rel, lead in zip(rels, leads)]
 
-    def component(self, nu, check_form: bool = False) -> GradedComponent:
+    def component(self, nu) -> GradedComponent:
         nu = self.degree(nu)
         if sum(nu) > self.degree_bound:
             raise ValueError(
                 f"degree bound exceeded: |nu| = {sum(nu)} > {self.degree_bound}")
         comp = self._components.get(nu)
-        if comp is not None and not (check_form and comp.gram_kernel_dim is None):
-            return comp
-        comp = self._build_component(nu, check_form)
-        self._components[nu] = comp
+        if comp is None:
+            comp = self._components[nu] = self._build_component(nu)
         return comp
 
-    def _build_component(self, nu: Degree, check_form: bool) -> GradedComponent:
+    def _build_component(self, nu: Degree) -> GradedComponent:
         # I_nu = sum_p theta_p I_(nu - e_p) + sum_rel rel F_(nu - deg rel),
         # and rel I lies in the first sum, so w runs over basis words only
         words = sorted(self.plain_words(nu))
@@ -263,23 +260,7 @@ class FAlgebra:
         basis = tuple(w for w in words if w not in rules)
         rewrite = {lead: dict(sorted(rules[lead].items(), reverse=True))
                    for lead in sorted(rules, reverse=True)}
-        gram_dim = None
-        if check_form:
-            gram = [{w: g for w in words if (g := qv(self._gtilde(u, w)))}
-                    for u in words]
-            gram_dim = len(words) - rank(gram)
-            if gram_dim != len(rewrite):
-                raise AssertionError(
-                    f"form kernel and relation span disagree at {nu}: "
-                    f"{gram_dim} vs {len(rewrite)}")
-            for lead, tail in rewrite.items():
-                for u in words:
-                    val = sum((c * qv(self._gtilde(u, w)) for w, c in tail.items()),
-                              QV_ZERO)
-                    if val != qv(self._gtilde(u, lead)):
-                        raise AssertionError(
-                            f"relation row escapes the form kernel at {nu}")
-        return GradedComponent(nu, tuple(words), basis, rewrite, gram_dim)
+        return GradedComponent(nu, tuple(words), basis, rewrite)
 
     # --- the bilinear form ----------------------------------------------
     def _gtilde(self, u: PlainWord, w: PlainWord) -> LaurentPoly:
@@ -388,22 +369,6 @@ def theta(algebra: FAlgebra, i, n: int = 1) -> FElement:
     return felement(algebra, nu, {(p,) * n: c})
 
 
-def from_free(algebra: FAlgebra, coords: Mapping) -> FElement:
-    """Reduce a combination of divided-power words given by index symbols."""
-    free: dict[FreeWord, QVScalar] = {}
-    for fw, c in coords.items():
-        key = tuple((algebra.position(s), n) for s, n in fw)
-        _add_into(free, key, qv(c))
-    plain = algebra.expand_free(free)
-    if not plain:
-        return one(algebra).scale(0)
-    nu = algebra.word_degree(next(iter(plain)))
-    for w in plain:
-        if algebra.word_degree(w) != nu:
-            raise ValueError("inhomogeneous combination")
-    return felement(algebra, nu, plain)
-
-
 def serre_relator(algebra: FAlgebra, i, j) -> FElement:
     """The defining relator; reducing it must give zero."""
     free = algebra.serre_relator_free(i, j)
@@ -413,9 +378,24 @@ def serre_relator(algebra: FAlgebra, i, j) -> FElement:
 
 
 def graded_basis(algebra: FAlgebra, nu) -> GradedComponent:
-    """Component with the form cross-check: the relation span must match the
-    kernel of the bilinear form on words."""
-    return algebra.component(nu, check_form=True)
+    """The cached component, cross-checked against the bilinear form: its
+    relation span must be the kernel of the form on words."""
+    comp = algebra.component(nu)
+    words, rewrite = comp.words, comp.rewrite
+    gt = algebra._gtilde
+    gram_dim = len(words) - rank([{w: g for w in words if (g := qv(gt(u, w)))}
+                                  for u in words])
+    if gram_dim != len(rewrite):
+        raise AssertionError(
+            f"form kernel and relation span disagree at {comp.nu}: "
+            f"{gram_dim} vs {len(rewrite)}")
+    for lead, tail in rewrite.items():
+        for u in words:
+            val = sum((c * qv(gt(u, w)) for w, c in tail.items()), QV_ZERO)
+            if val != qv(gt(u, lead)):
+                raise AssertionError(
+                    f"relation row escapes the form kernel at {comp.nu}")
+    return comp
 
 
 def bar(x: FElement) -> FElement:
@@ -973,8 +953,6 @@ def subquotient_f(target: FAlgebra, pair: ContractiblePair, max_total: int,
     report = {"pieces": {}, "holds": True}
     for nu_hat in _degrees_up_to(src.rank, max_total):
         nu = emb.degree_map(nu_hat)
-        if sum(nu) > target.degree_bound:
-            continue
         vecs, imgs = _token_span(emb, nu)
         sub_dim = rank(vecs)
         # the quotient map on spanning words, checked well defined on relations

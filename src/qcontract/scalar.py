@@ -168,18 +168,6 @@ class LaurentPoly:
             return self
         return LaurentPoly._of({e + k: c for e, c in self.coeffs.items()})
 
-    def __pow__(self, n: int) -> LaurentPoly:
-        if n < 0:
-            raise ValueError(f"negative power {n} on a Laurent polynomial")
-        out = _L_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def bar(self) -> LaurentPoly:
         """v -> v^-1."""
         return LaurentPoly({-e: c for e, c in self.coeffs.items()})

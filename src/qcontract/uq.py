@@ -11,7 +11,8 @@ memoizes <mu, alpha_p> for each simple root, so the twist is
 sum(r[p] for p in w), applied with ``QVScalar.shift`` rather than a product
 with a power of v.  The crossings (``_cross``), the root pairings and the
 normal forms of single words (``FAlgebra.reduce_word``) are memos owned by
-their algebra; the dicts they return are shared and only read.
+their algebra, the images of source triples (``UEmbedding.image``) by their
+embedding; the dicts they return are shared and only read.
 
 The module also provides the contraction embedding on the whole algebra, the
 coproduct and its bidegree blocks, the modified (idempotented) form, braid
@@ -388,6 +389,7 @@ class UEmbedding:
         self.minus_map = psi_dagger_epsilon(target.f, pair, epsilon,
                                             merged_symbol=self.merged,
                                             source=self.source.f)
+        self._images: dict[Triple, dict[Triple, QVScalar]] = {}
 
     def substitute(self, terms: Mapping[Triple, QVScalar]) -> dict[Triple, QVScalar]:
         """Normal-ordered image of source triples (raising word, middle,
@@ -406,6 +408,13 @@ class UEmbedding:
         if x.algebra is not self.source:
             raise ValueError("element does not live in the source algebra")
         return UElement(self.target, self.substitute(x.coords))
+
+    def image(self, t: Triple) -> dict[Triple, QVScalar]:
+        """Coordinates of the image of the source triple t, memoized."""
+        img = self._images.get(t)
+        if img is None:
+            img = self._images[t] = self.apply(UElement(self.source, {t: QV_ONE})).coords
+        return img
 
     def degree_map(self, nu: Degree) -> Degree:
         return self.plus_map.degree_map(nu)
@@ -1275,15 +1284,10 @@ def subquotient_phi_probe(target: UAlgebra, pair: ContractiblePair,
         for (_, have, _f) in row:
             for want in mus:
                 shifts.add(_vsub(want, have))
-    memo: dict = {}
-    ideal_rows = list(ideal_base)
-    for i, row in enumerate(ideal_base):
-        for sh in sorted(shifts):
-            if any(sh):
-                memo[i, sh] = _k_shift(amb, sh, row)
-                ideal_rows.append(memo[i, sh])
+    ideal_rows = ideal_base + [_k_shift(amb, sh, row) for row in ideal_base
+                               for sh in sorted(shifts) if any(sh)]
     psi_rows = [img for _, img in _candidate_images(
-        emb, max_total, mus, lambda de, df: sum(de) + sum(df) <= max_total, memo)]
+        emb, max_total, mus, lambda de, df: sum(de) + sum(df) <= max_total)]
     groups: list[dict[Degree, list[dict]]] = [{}, {}, {}]
     for by_norm, rows in zip(groups, (sub_rows, ideal_rows, psi_rows)):
         for t in rows:
@@ -1345,7 +1349,7 @@ def subquotient_phi_probe(target: UAlgebra, pair: ContractiblePair,
                    u_multiply(ee_pm, kem).scale(v_power(e * d0)))
     torus = hat.rank_y == amb.rank_y and all(
         emb.apply(k_gen(hat, mu)) == k_gen(amb, mu) for mu in _y_basis(hat))
-    quotient = _quotient_braid_agreement(emb, ideal_base, memo)
+    quotient = _quotient_braid_agreement(emb, ideal_base)
     report = {
         "label": "evidence",
         "blocks": blocks,
@@ -1367,13 +1371,10 @@ def _norm_key(alg: UAlgebra, terms: Mapping[Triple, QVScalar]) -> Degree:
     return _triple_norm(alg, t)
 
 
-def _quotient_braid_agreement(emb: UEmbedding, ideal_base: list[dict],
-                              memo: dict) -> dict:
+def _quotient_braid_agreement(emb: UEmbedding, ideal_base: list[dict]) -> dict:
     """Generator agreement of the decorated quotient symmetries: solve for the
     preimage modulo the ideal spanned by ideal_base, rescale per letter,
-    compare upstairs.  Every system shares memo (see ``_solve_mod_ideal``),
-    which the probe has already filled with its shifted ideal rows and
-    candidate images."""
+    compare upstairs."""
     tgt, src = emb.target, emb.source
     pair = emb.pair
     d0 = tgt._d[tgt.position(pair.plus)]
@@ -1390,7 +1391,7 @@ def _quotient_braid_agreement(emb: UEmbedding, ideal_base: list[dict],
             own = braid_basic(src, emb.merged, e, primed)
             for name, g in gens:
                 y = tilde.apply(emb.apply(g))
-                sol = _solve_mod_ideal(emb, y, ideal_base, memo)
+                sol = _solve_mod_ideal(emb, y, ideal_base)
                 kind = "primed" if primed else "doubleprime"
                 label = f"{kind} (e={e}) on {name}"
                 if sol is None:
@@ -1406,13 +1407,11 @@ def _quotient_braid_agreement(emb: UEmbedding, ideal_base: list[dict],
 
 
 def _candidate_images(emb: UEmbedding, bound: int, mus,
-                      keep: Callable[[Degree, Degree], bool],
-                      memo: dict) -> list[tuple]:
+                      keep: Callable[[Degree, Degree], bool]) -> list[tuple]:
     """Each source triple (a, μ, b), with a and b basis words of degrees
     ν_e, ν_f up to bound and μ in mus, paired with the coordinates of its
-    image; only bidegrees whose image degrees pass keep are built.  Ordered
-    by ν_e, ν_f, a, b, then sorted μ.  An image found in memo under its
-    triple is reused, and a new one is stored there."""
+    image (``UEmbedding.image``); only bidegrees whose image degrees pass
+    keep are listed.  Ordered by ν_e, ν_f, a, b, then sorted μ."""
     src = emb.source
     degs = [(nu, emb.degree_map(nu)) for nu in _degrees_up_to(src.rank, bound)]
     out = []
@@ -1423,74 +1422,55 @@ def _candidate_images(emb: UEmbedding, bound: int, mus,
             for a in src.f.component(nu_e).basis:
                 for b in src.f.component(nu_f).basis:
                     for mu in sorted(mus):
-                        t = (a, mu, b)
-                        if t not in memo:
-                            memo[t] = emb.apply(UElement(src, {t: QV_ONE})).coords
-                        out.append((t, memo[t]))
+                        out.append(((a, mu, b), emb.image((a, mu, b))))
     return out
 
 
-def _solve_mod_ideal(emb: UEmbedding, y: UElement, ideal_base: list[dict],
-                     memo: dict | None = None) -> tuple[UElement, bool] | None:
+def _solve_mod_ideal(emb: UEmbedding, y: UElement,
+                     ideal_base: list[dict]) -> tuple[UElement, bool] | None:
     """Express y as an embedded element plus ideal terms; the embedded part
     is returned, flagged unique when the two spans meet trivially.  With no
     ideal rows this is the preimage under the embedding (``psi_preimage``).
 
-    The systems of one ideal_base share a memo: each row shifted by K_μ under
-    (row index, μ), the rank of each candidate list under its key tuple, and
-    the image of each source triple a·K_μ·b under (a, μ, b).
+    One solve takes the rows of ideal_base shifted by K_μ as its first
+    columns and the candidate images as its last.  The embedding is
+    injective, so the images are independent, and the spans meet trivially
+    exactly when every image column is a pivot.  When they meet, the
+    embedded part is not determined: the solve returns one representative
+    (free variables zero), which may differ from an image-first order's.
 
     Only candidate images that can meet y or an ideal candidate are built.
     The image of a·K_μ·b is bihomogeneous of bidegree
     (degree_map(ν_e), degree_map(ν_f)), and degree_map is injective.  So a
     block of candidates whose bidegree occurs neither in y nor in any ideal
     candidate touches only rows that no other column touches: the exact
-    solve (free variables zero) gives it coefficient 0, and it adds the same
-    rank to the image span and to the whole span, leaving the uniqueness
-    flag alone.  Dropping such blocks changes no result."""
+    solve (free variables zero) gives it coefficient 0, and its columns are
+    pivots, leaving the uniqueness flag alone.  Dropping such blocks
+    changes no result."""
     tgt, src = emb.target, emb.source
-    mus = {mu for (_, mu, _f) in y.coords}
+    mus = {mu for t in (y.coords, *ideal_base) for (_, mu, _f) in t}
+    norm = _norm_key(tgt, y.coords) if y.coords else None
+    ideal_cands = []
     for row in ideal_base:
-        mus.update(mu for (_, mu, _f) in row)
-    norm = None
-    if y.coords:
-        norm = _norm_key(tgt, y.coords)
-    memo = {} if memo is None else memo
-    keys = []
-    for i, row in enumerate(ideal_base):
-        if not row:
-            continue
-        if norm is not None and _norm_key(tgt, row) != norm:
+        if not row or (norm is not None and _norm_key(tgt, row) != norm):
             continue
         base_mus = {mu for (_, mu, _f) in row}
         shift_set = {(0,) * tgt.rank_y}
         for want in mus:
             for have in base_mus:
                 shift_set.add(_vsub(want, have))
-        for sh in sorted(shift_set):
-            if (i, sh) not in memo:
-                memo[i, sh] = _k_shift(tgt, sh, row)
-            keys.append((i, sh))
-    ideal_cands = [memo[k] for k in keys]
+        ideal_cands += [_k_shift(tgt, sh, row) for sh in sorted(shift_set)]
     wd = tgt.f.word_degree
     live = {(wd(ew), wd(fw)) for t in (y.coords, *ideal_cands)
             for (ew, _, fw) in t}
     cap = max((sum(d) for bideg in live for d in bideg), default=0)
-    cands = _candidate_images(emb, cap, mus, lambda de, df: (de, df) in live,
-                              memo)
-    imgs = [img for _, img in cands]
-    # One solve over the columns imgs + ideal_cands gives the solution (free
-    # variables zero) and its pivots, the columns independent of those
-    # before them: their count is the rank of the columns, and the count
-    # below len(imgs) is the rank of imgs.
-    sol, pivots = solve(imgs + ideal_cands, y.coords, QV_ONE)
+    cands = _candidate_images(emb, cap, mus, lambda de, df: (de, df) in live)
+    n = len(ideal_cands)
+    sol, pivots = solve(ideal_cands + [img for _, img in cands], y.coords, QV_ONE)
     if sol is None:
         return None
-    xhat = {cands[j][0]: c for j, c in sol.items() if j < len(cands)}
-    keys = tuple(keys)
-    if keys not in memo:
-        memo[keys] = rank(ideal_cands)
-    unique = sum(j < len(imgs) for j in pivots) + memo[keys] == len(pivots)
+    xhat = {cands[j - n][0]: c for j, c in sol.items() if j >= n}
+    unique = sum(j >= n for j in pivots) == len(cands)
     return UElement(src, xhat), unique
 
 

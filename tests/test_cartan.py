@@ -138,6 +138,18 @@ def test_weyl_enumeration_rejects_affine():
         weyl_group(simply_connected_datum(aff))
 
 
+def test_y_regular_needs_independent_coroots():
+    # affine A1 on Y = X = Z: the two simple coroots are 1 and -1
+    aff = CartanDatum((1, 2), ((2, -2), (-2, 2)))
+    flat = RootDatum(aff, ((1,),), {1: (2,), 2: (-2,)}, {1: (1,), 2: (-1,)})
+    assert not flat.is_Y_regular()
+    with pytest.raises(ValueError):
+        simple_reflection(flat, 1)
+    assert simply_connected_datum(aff).is_Y_regular()
+    assert contract_root_datum(simply_connected_datum(A3),
+                               ContractiblePair(2, 3)).is_Y_regular()
+
+
 def test_weyl_embedding_merged_reflection():
     for datum, pair in ((A2, ContractiblePair(1, 2)),
                         (A3, ContractiblePair(2, 3)),

@@ -33,6 +33,18 @@ loaded = [m for m in ("fractions", "decimal") if m in sys.modules]
 assert not loaded, loaded
 """
 
+WEYL = """
+import sys
+from qcontract.cartan import (ContractiblePair, WeylEmbedding, simply_connected_datum,
+                              simply_laced_cartan, weyl_group)
+a3 = simply_connected_datum(simply_laced_cartan((1, 2, 3), [(1, 2), (2, 3)]))
+assert len(weyl_group(a3)) == 24
+rep = WeylEmbedding(a3, ContractiblePair(2, 3)).verify()
+assert rep["homomorphism"] and rep["injective"], rep
+loaded = [m for m in ("fractions", "decimal") if m in sys.modules]
+assert not loaded, loaded
+"""
+
 HALF = """
 import sys
 from qcontract.scalar import qv, render_scalar
@@ -54,6 +66,10 @@ def _run(code):
 
 def test_checks_on_integral_values_never_load_fractions():
     _run(CHECKS)
+
+
+def test_weyl_group_paths_never_load_fractions():
+    _run(WEYL)
 
 
 def test_a_non_integral_value_is_a_fraction():

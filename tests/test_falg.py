@@ -9,7 +9,7 @@ from qcontract.cartan import CartanDatum, ContractiblePair, simply_laced_cartan
 from qcontract.falg import (
     FAlgebra, FElement, FEmbedding, bar, bar_comp_check, bilinear_form,
     brace_form, coproduct_r, f_i_membership, f_prime, felement,
-    form_compat_check, from_free, graded_basis, injectivity_report,
+    form_compat_check, graded_basis, injectivity_report,
     left_f_i_membership, left_pi_i, left_r_i, one, p_bar_check,
     parse_felement, pi_i, psi_dagger_epsilon, psi_epsilon, r_component, r_i,
     relator_image_is_zero, render_felement, restriction_compat_check,
@@ -184,11 +184,19 @@ def test_components_match_dense_elimination():
 
 
 def test_gram_kernel_matches_relation_span():
-    # graded_basis re-derives the component with the bilinear-form cross-check
+    # graded_basis cross-checks the cached component against the bilinear form
     for alg, total in ((FA2, 5), (FA3, 4), (FAlgebra(AFF), 5), (FAlgebra(B2), 4)):
         for nu in degrees_up_to(alg.rank, total):
-            comp = graded_basis(alg, nu)
-            assert comp.gram_kernel_dim is not None
+            assert graded_basis(alg, nu) is alg.component(nu)
+
+
+def test_graded_basis_checks_the_cached_component():
+    alg = FAlgebra(A2)
+    tail = next(iter(alg.component((2, 1)).rewrite.values()))
+    w = next(iter(tail))
+    tail[w] = tail[w] + QV_ONE
+    with pytest.raises(AssertionError):
+        graded_basis(alg, (2, 1))
 
 
 def test_component_degree_bound():
@@ -420,6 +428,27 @@ def test_relator_images_vanish():
                             assert relator_image_is_zero(emb, i, j), (pair, eps, dagger, i, j)
 
 
+def test_relator_image_past_the_degree_bound():
+    # the relator (2+3, 1) has image degree 5: past bound 4 it is decided by
+    # the bilinear form against every word of that degree
+    for bound in (4, 8):
+        emb = psi_epsilon(FAlgebra(A3, degree_bound=bound), PAIR32, 1)
+        assert relator_image_is_zero(emb, "2+3", 1)
+    emb = psi_epsilon(FAlgebra(A3, degree_bound=4), PAIR32, 1)
+    apply_plain = emb.apply_plain
+    # a nonzero word added to the image: f has no zero divisors, so the word
+    # (2, 3, 1, 2, 3) is nonzero and the sum is not the relator image
+    stray = (1, 2, 0, 1, 2)
+
+    def perturbed(plain):
+        out = dict(apply_plain(plain))
+        out[stray] = out.get(stray, QV_ZERO) + QV_ONE
+        return out
+
+    emb.apply_plain = perturbed
+    assert not relator_image_is_zero(emb, "2+3", 1)
+
+
 def test_rank_one_source_has_no_relators():
     emb = psi_epsilon(FA2, PAIR21, 1)
     with pytest.raises(ValueError):
@@ -571,6 +600,15 @@ def test_subquotient_a2_split_to_degree_four():
 def test_subquotient_epsilon_variant():
     rep = subquotient_f(FA3, PAIR32, 2, epsilon=-1)
     assert rep["holds"]
+
+
+def test_subquotient_refuses_pieces_past_the_degree_bound():
+    # pieces (0, 3) and (1, 2) lie in target degrees 6 and 5
+    small = FAlgebra(A3, degree_bound=4)
+    with pytest.raises(ValueError, match="degree bound exceeded"):
+        subquotient_f(small, PAIR32, 3)
+    rep = subquotient_f(small, PAIR32, 2)
+    assert rep["holds"] and len(rep["pieces"]) == 6
 
 
 # --- rendering ----------------------------------------------------------------

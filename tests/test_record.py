@@ -26,8 +26,8 @@ RECORDS = [
     (RootDatum, ("cartan", "pairing", "simple_roots_in_X", "simple_coroots_in_Y"),
      (A2, A2_ROOTS.pairing, dict(A2_ROOTS.simple_roots_in_X),
       dict(A2_ROOTS.simple_coroots_in_Y)), False),
-    (GradedComponent, ("nu", "words", "basis", "rewrite", "gram_kernel_dim"),
-     ((1, 1), ((1, 2), (2, 1)), ((1, 2), (2, 1)), {}, 0), False),
+    (GradedComponent, ("nu", "words", "basis", "rewrite"),
+     ((1, 1), ((1, 2), (2, 1)), ((1, 2), (2, 1)), {}), False),
     (Edge, ("id", "source", "target"), ("a", 1, 2), True),
     (Quiver, ("vertices", "edges"), ((1, 2), (EDGE,)), True),
     (OrbitPair, ("plus", "minus"), ((1,), (2,)), True),

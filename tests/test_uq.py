@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 import random
 import weakref
 
@@ -778,6 +780,41 @@ def test_subquotient_probe_b3_long_edge():
     assert not rep["quotient_braid"]["failures"]
 
 
+def _digest(rep):
+    return hashlib.sha256(
+        json.dumps(rep, sort_keys=True, default=repr).encode()).hexdigest()
+
+
+# the full reports of the probe on A3, pair (2,3), window 4, and on B3 (long
+# edge) and C3 (short edge), pair (1,2), window 3, all at epsilon = 1
+PROBE_DIGESTS = [
+    ("A3", A3, PAIR23, 4,
+     "04c73fc7fc0bd37bace197f39a592381732d26a8026b6d69449b62b294be21e5"),
+    ("B3", CartanDatum((1, 2, 3), ((4, -2, 0), (-2, 4, -2), (0, -2, 2))), PAIR12, 3,
+     "c43a92c67ccfb6cd6df0c4c62865f5ceeb641bff076eb7873c947aa32df70850"),
+    ("C3", CartanDatum((1, 2, 3), ((2, -1, 0), (-1, 2, -2), (0, -2, 4))), PAIR12, 3,
+     "96da23f67b8151941a978290049fe6f76ddcfbcec847d74b9209f1330a6fed73"),
+]
+
+
+@pytest.mark.parametrize("name, datum, pair, window, want", PROBE_DIGESTS,
+                         ids=[c[0] for c in PROBE_DIGESTS])
+def test_subquotient_probe_digests(name, datum, pair, window, want):
+    rep = subquotient_phi_probe(UAlgebra(simply_connected_datum(datum), 8),
+                                pair, window, epsilon=1)
+    braid = rep["quotient_braid"]
+    assert braid["checked"] == 28 and not braid["ambiguous"]
+    if name == "C3":
+        # monomials v^(+-d) with d != 1 leave E[3] and F[3] with no preimage
+        # at this window
+        assert rep["holds"] is False
+        assert [f["got"] for f in braid["failures"]] == \
+            ["no preimage modulo the ideal"] * 4
+    else:
+        assert rep["holds"] is True
+    assert _digest(rep) == want
+
+
 def test_rank_of_matches_dense_elimination():
     rng = random.Random(7)
     for _ in range(20):
@@ -827,6 +864,17 @@ def test_solve_mod_ideal_recovers_embedded_element(target, pair, seed):
                 y = y + UElement(target, row).scale(
                     v_power(rng.randint(-2, 2), rng.choice((-1, 1))))
         assert uq._solve_mod_ideal(emb, y, ideal) == (x, True)
+
+
+def test_solve_mod_ideal_flags_an_ideal_that_meets_the_image():
+    emb = UEmbedding(U2, PAIR12, 1)
+    src = emb.source
+    x = UElement(src, {((0,), src.y_zero, ()): QV_ONE,
+                       ((0, 0), src.y_zero, (0,)): v_power(1)})
+    y = emb.apply(x)
+    sol = uq._solve_mod_ideal(emb, y, [y.coords])
+    assert sol is not None and sol[1] is False
+    assert uq._solve_mod_ideal(emb, y, []) == (x, True)
 
 
 # --- integrable quotients ----------------------------------------------------
@@ -1046,10 +1094,13 @@ def test_subset_root_datum():
 
 
 def test_linear_tree_factorization():
-    for eps in (1, -1):
-        rep = linear_tree_factorization_check(U3, (2, 3), eps)
-        assert rep["hypothesis"] and rep["holds"], rep["failures"]
-        assert rep["checked"] == 7
+    u4 = UAlgebra(simply_connected_datum(A4), 8)
+    for alg, chain, checked in ((U3, (2, 3), 7), (U3, (1, 2, 3), 7),
+                                (u4, (2, 3, 4), 10)):
+        for eps in (1, -1):
+            rep = linear_tree_factorization_check(alg, chain, eps)
+            assert rep["hypothesis"] and rep["holds"], (chain, rep["failures"])
+            assert rep["checked"] == checked
 
 
 def test_linear_tree_rejections():
@@ -1058,6 +1109,9 @@ def test_linear_tree_rejections():
     u4 = UAlgebra(simply_connected_datum(A4), 6)
     rep = linear_tree_factorization_check(u4, (2, 3), 1)
     assert not rep["hypothesis"] and "off the chain" in rep["reason"]
+    rep = linear_tree_factorization_check(u4, (1, 2, 3), 1)
+    assert not rep["hypothesis"] and not rep["holds"]
+    assert rep["reason"] == "vertex 3 has a neighbor 4 off the chain"
 
 
 def test_naive_square():
