@@ -8,7 +8,6 @@ import operator
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from . import _budget
-from ._linalg import solve
 
 Symbol = Hashable
 Vector = tuple[int, ...]
@@ -478,63 +477,48 @@ def weyl_embedding(rd: RootDatum, pair: ContractiblePair,
 
 # --- root systems ----------------------------------------------------------
 
-def express_in_simple_coroots(rd: RootDatum, y: Sequence[int]) -> tuple | None:
-    """y's coefficients (Fractions) in the simple coroots, or None off their span."""
-    from fractions import Fraction
-    cols = [rd.coroot(i) for i in rd.cartan.indices]
-    sol, _ = solve([{a: Fraction(x) for a, x in enumerate(v) if x} for v in cols],
-                   {a: Fraction(x) for a, x in enumerate(y) if x}, Fraction(1))
-    if sol is None:
-        return None
-    coeffs = tuple(sol.get(k, Fraction(0)) for k in range(len(cols)))
-    if any(sum(Fraction(cols[k][a]) * coeffs[k] for k in range(len(cols))) != y[a]
-           for a in range(rd.rankY)):
-        return None
-    return coeffs
-
-
-def enumerate_roots(rd: RootDatum, height_bound: int | None = None) -> frozenset[Vector]:
-    """W-orbit of the simple coroots inside Y; real roots only.
+def _roots_with_coefficients(rd: RootDatum,
+                             height_bound: int | None) -> dict[Vector, tuple[int, ...]]:
+    """W-orbit of the simple coroots inside Y (real roots only), each root
+    with its integer coefficients in the simple coroots: s_i changes only
+    coefficient i, by -<y, alpha_i>.
 
     Finite type closes on its own; otherwise a height bound is required and
-    the closure keeps roots whose simple-coroot coefficients sum to at most
-    the bound in absolute value.
+    the closure keeps roots whose coefficients sum to at most the bound in
+    absolute value.
     """
-    finite = rd.cartan.is_finite_type()
-    if not finite and height_bound is None:
+    if not rd.cartan.is_finite_type() and height_bound is None:
         raise ValueError("non-finite type needs a height bound")
     if not rd.is_Y_regular():
         raise ValueError("root enumeration needs linearly independent simple coroots")
-    gens = [simple_reflection(rd, i) for i in rd.cartan.indices]
-
-    def admissible(y: Vector) -> bool:
-        if height_bound is None:
-            return True
-        coeffs = express_in_simple_coroots(rd, y)
-        if coeffs is None:
-            return False
-        return abs(sum(coeffs)) <= height_bound
-
-    roots = {rd.coroot(i) for i in rd.cartan.indices}
+    idx = rd.cartan.indices
+    gens = [(k, simple_reflection(rd, i), rd.root(i)) for k, i in enumerate(idx)]
+    roots = {rd.coroot(i): tuple(int(a == k) for a in range(len(idx)))
+             for k, i in enumerate(idx)}
     frontier = list(roots)
     while frontier:
         nxt = []
         for y in frontier:
-            for s in gens:
+            for k, s, alpha in gens:
                 _budget.charge()
                 z = s.apply(y)
-                if z not in roots and admissible(z):
-                    roots.add(z)
+                if z in roots:
+                    continue
+                c = list(roots[y])
+                c[k] -= rd.pair(y, alpha)
+                if height_bound is None or abs(sum(c)) <= height_bound:
+                    roots[z] = tuple(c)
                     nxt.append(z)
         frontier = nxt
-    return frozenset(roots)
+    return roots
+
+
+def enumerate_roots(rd: RootDatum, height_bound: int | None = None) -> frozenset[Vector]:
+    """The real roots, up to the height bound outside finite type."""
+    return frozenset(_roots_with_coefficients(rd, height_bound))
 
 
 def positive_roots(rd: RootDatum, height_bound: int | None = None) -> frozenset[Vector]:
     """Roots whose simple-coroot coefficients are all nonnegative."""
-    out = set()
-    for y in enumerate_roots(rd, height_bound):
-        coeffs = express_in_simple_coroots(rd, y)
-        if coeffs is not None and all(c >= 0 for c in coeffs):
-            out.add(y)
-    return frozenset(out)
+    return frozenset(y for y, c in _roots_with_coefficients(rd, height_bound).items()
+                     if min(c) >= 0)

@@ -395,8 +395,9 @@ def mu_contraction(contr: QuiverContraction, dims: Dims, field: GF,
                    x: Point) -> Point:
     """Componentwise contraction of a point of the open stratum, where every
     crossing component is invertible; a point outside it is refused before
-    any product is formed."""
+    any product is formed, and so are unequal dimensions on the pair."""
     q = contr.quiver
+    check_pair_dims(q, contr.pair, dims)
     for h, xh in zip(q.edges, x):
         if h.source in contr.pair.plus and h.target in contr.pair.minus \
                 and not field.is_invertible(xh):
@@ -415,10 +416,7 @@ def mu_contraction(contr: QuiverContraction, dims: Dims, field: GF,
             continue
         if org[0] == "comp":
             _, h2, h1 = org
-            if dims[h1.target] == 0:
-                out.append(zero_mat(rows, cols))
-            else:
-                out.append(field.mat_mul(x[idx[h2.id]], x[idx[h1.id]]))
+            out.append(field.mat_mul(x[idx[h2.id]], x[idx[h1.id]]))
         else:
             _, h1, h2 = org
             out.append(field.mat_mul(field.mat_inv(x[idx[h1.id]]), x[idx[h2.id]]))

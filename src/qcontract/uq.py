@@ -12,7 +12,9 @@ sum(r[p] for p in w), applied with ``QVScalar.shift`` rather than a product
 with a power of v.  The crossings (``_cross``), the root pairings and the
 normal forms of single words (``FAlgebra.reduce_word``) are memos owned by
 their algebra, the images of source triples (``UEmbedding.image``) by their
-embedding; the dicts they return are shared and only read.
+embedding, and the word images of an algebra map (``UMap``) by that map;
+the algebra holds one cache of its maps (braid operators, their composites,
+ω and ρ).  The dicts they return are shared and only read.
 
 The module also provides the contraction embedding on the whole algebra, the
 coproduct and its bidegree blocks, the modified (idempotented) form, braid
@@ -81,7 +83,7 @@ class UAlgebra:
         self._root_pairs: dict[YVec, tuple[int, ...]] = {}
         self._gated: set = set()          # pairs whose braid formula gate passed
         self._modules: dict = {}          # highest weight -> HWModule
-        self._braids: dict = {}           # (index, sign, primed) -> BraidOperator
+        self._maps: dict = {}             # braids, their composites, ω, ρ
 
     def position(self, symbol) -> int:
         return self.f.position(symbol)
@@ -293,52 +295,95 @@ def bar_U(x: UElement) -> UElement:
                                 for (ew, mu, fw), c in x.coords.items()})
 
 
-def _sandwich(alg: UAlgebra, parts, right: Callable[[PlainWord], UElement]) -> UElement:
-    """Sum of c·L·K_nu·right(w) over the (c, L, nu, w) in parts.  L·K_nu is
-    closed form: (a, m, b)·K_nu is v^<nu, wt b>·(a, m + nu, b), the term
-    u_multiply gives, since b crosses no raising letter.  The parts that
-    share w are summed first, so each distinct w costs one product."""
-    groups: dict[PlainWord, dict] = {}
-    for c, left, nu, w in parts:
-        charge()
-        raw = groups.setdefault(w, {})
-        r = alg.root_pairs(nu)
-        for (a, m, b), x in left.coords.items():
-            _add_into(raw, (a, _vadd(m, nu), b),
-                      (c if x is QV_ONE else c * x).shift(sum(r[p] for p in b)))
-    out: dict[Triple, QVScalar] = {}
-    for w, raw in groups.items():
-        for t, c in u_multiply(UElement(alg, raw), right(w)).coords.items():
-            _add_into(out, t, c)
-    return UElement(alg, out)
+class UMap:
+    """Algebra map from source to target, given by the images of the letters
+    E_p and F_p (``letter(p, lowering)``) and a torus map mu -> mu'.  It
+    sends E_ew K_mu F_fw to T(E_ew)·K_mu'·T(F_fw), or, when anti (an
+    antiautomorphism), to T(F_fw)·K_mu'·T(E_ew) with each word image taken
+    in reversed order.  Word images are memoized on the map."""
+
+    def __init__(self, source: UAlgebra, target: UAlgebra,
+                 letter: Callable[[int, bool], UElement],
+                 y_map: Callable[[YVec], YVec], anti: bool = False):
+        self.source = source
+        self.target = target
+        self._letter = letter
+        self.y_map = y_map
+        self.anti = anti
+        self._words: tuple[dict, dict] = ({}, {})   # raising, lowering
+
+    def _word_image(self, w: PlainWord, lowering: bool) -> UElement:
+        memo = self._words[lowering]
+        if w not in memo:
+            if len(w) < 2:
+                memo[w] = self._letter(w[0], lowering) if w else u_one(self.target)
+            else:
+                head, tail = (w[1:], w[:1]) if self.anti else (w[:-1], w[-1:])
+                memo[w] = u_multiply(self._word_image(head, lowering),
+                                     self._word_image(tail, lowering))
+        return memo[w]
+
+    def apply(self, x: UElement) -> UElement:
+        """Sum of c·L·K_nu·R over the terms of x.  L·K_nu is closed form:
+        (a, m, b)·K_nu is v^<nu, wt b>·(a, m + nu, b), the term u_multiply
+        gives, since b crosses no raising letter.  The terms that share R's
+        word are summed first, so each distinct word costs one product."""
+        if x.algebra is not self.source:
+            raise ValueError("element does not live in the source algebra")
+        alg = self.target
+        groups: dict[PlainWord, dict] = {}
+        for (ew, mu, fw), c in x.coords.items():
+            charge()
+            first, w = (fw, ew) if self.anti else (ew, fw)
+            nu = self.y_map(mu)
+            raw = groups.setdefault(w, {})
+            r = alg.root_pairs(nu)
+            for (a, m, b), y in self._word_image(first, self.anti).coords.items():
+                _add_into(raw, (a, _vadd(m, nu), b),
+                          (c if y is QV_ONE else c * y).shift(sum(r[p] for p in b)))
+        out: dict[Triple, QVScalar] = {}
+        for w, raw in groups.items():
+            right = self._word_image(w, not self.anti)
+            for t, c in u_multiply(UElement(alg, raw), right).coords.items():
+                _add_into(out, t, c)
+        return UElement(alg, out)
+
+    def __matmul__(self, inner: "UMap") -> "UMap":
+        """The composite self∘inner: letter images self(inner(letter)),
+        torus maps composed, anti when exactly one factor is."""
+        if inner.target is not self.source:
+            raise ValueError("maps do not compose")
+        return UMap(inner.source, self.target,
+                    lambda p, low: self.apply(inner._word_image((p,), low)),
+                    lambda mu: self.y_map(inner.y_map(mu)), self.anti != inner.anti)
+
+
+def _cached_map(alg: UAlgebra, key, build: Callable[[], UMap]) -> UMap:
+    """The algebra's one map under key, built on first use."""
+    if key not in alg._maps:
+        alg._maps[key] = build()
+    return alg._maps[key]
 
 
 def omega(x: UElement) -> UElement:
     """Swap raising and lowering letters and invert the torus."""
-    alg, y0 = x.algebra, x.algebra.y_zero
-    return _sandwich(alg, ((c, UElement(alg, {((), y0, ew): QV_ONE}), _neg(mu), fw)
-                           for (ew, mu, fw), c in x.coords.items()),
-                     lambda fw: UElement(alg, {(fw, y0, ()): QV_ONE}))
+    alg = x.algebra
+    return _cached_map(alg, "omega", lambda: UMap(alg, alg, lambda p, low: (
+        e_gen if low else f_gen)(alg, alg.cartan.indices[p]), _neg)).apply(x)
 
 
 def rho(x: UElement) -> UElement:
-    """Antiautomorphism fixing the torus, sending each raising letter to a
-    torus-twisted lowering letter and conversely."""
+    """Antiautomorphism fixing the torus, sending each raising letter E_p to
+    v^d K̃_p F_p and each lowering letter F_p to v^-d E_p K̃_p^-1."""
     alg = x.algebra
 
-    def image(w: PlainWord, raising: bool) -> UElement:
-        """Image of the word w of raising (or lowering) letters."""
-        acc = u_one(alg)
-        for p in reversed(w):
-            d, kt = alg._d[p], alg._kt[p]
-            acc = u_multiply(acc, UElement(alg, {((), kt, (p,)): v_power(d)}
-                                           if raising else
-                                           {((p,), _neg(kt), ()): v_power(-d)}))
-        return acc
+    def letter(p: int, lowering: bool) -> UElement:
+        d, kt = alg._d[p], alg._kt[p]
+        return UElement(alg, {((p,), _neg(kt), ()): v_power(-d)} if lowering
+                        else {((), kt, (p,)): v_power(d)})
 
-    return _sandwich(alg, ((c, image(fw, False), mu, ew)
-                           for (ew, mu, fw), c in x.coords.items()),
-                     lambda ew: image(ew, True))
+    return _cached_map(alg, "rho", lambda: UMap(alg, alg, letter, lambda mu: mu,
+                                                anti=True)).apply(x)
 
 
 def _render_triples(x: LinearCombination, head: str, skip_zero: bool) -> str:
@@ -819,9 +864,10 @@ def psi_dot_check(emb: UEmbedding, weights: Sequence) -> dict:
 
 # --- braid operators ---------------------------------------------------------
 
-class BraidOperator:
-    """Simple-index symmetry acting by generator substitution followed by
-    normal-form reduction; label = (index, sign, primed or doubleprime)."""
+class BraidOperator(UMap):
+    """Simple-index symmetry (Lusztig, Introduction to Quantum Groups,
+    37.1.3): the algebra map with these letter images and the simple
+    reflection on the torus; label = (index, sign, primed or doubleprime)."""
 
     def __init__(self, algebra: UAlgebra, i, e: int, primed: bool = True):
         if e not in (1, -1):
@@ -836,8 +882,8 @@ class BraidOperator:
         kt = tuple(e * a for a in algebra._kt[p])
         tw = e * d if primed else -e * d
         y0 = algebra.y_zero
-        self._e_img = {p: UElement(algebra, {((), kt, (p,)): -v_power(e * d - tw)})}
-        self._f_img = {p: UElement(algebra, {((p,), _neg(kt), ()): -v_power(tw - e * d)})}
+        e_img = {p: UElement(algebra, {((), kt, (p,)): -v_power(e * d - tw)})}
+        f_img = {p: UElement(algebra, {((p,), _neg(kt), ()): -v_power(tw - e * d)})}
         for q, sym in enumerate(algebra.cartan.indices):
             if q == p:
                 continue
@@ -852,34 +898,10 @@ class BraidOperator:
                           _sign_power(tw, r) * fac)
                 _add_into(raw_f, ((), y0, (p,) * b + (q,) + (p,) * a),
                           _sign_power(-tw, r) * fac)
-            self._e_img[q] = UElement(algebra, algebra.reduce_triples(raw_e))
-            self._f_img[q] = UElement(algebra, algebra.reduce_triples(raw_f))
-        self._eword_memo: dict[PlainWord, UElement] = {}
-        self._fword_memo: dict[PlainWord, UElement] = {}
-
-    def _word_image(self, w: PlainWord, lowering: bool) -> UElement:
-        memo = self._fword_memo if lowering else self._eword_memo
-        hit = memo.get(w)
-        if hit is not None:
-            return hit
-        if not w:
-            out = u_one(self.algebra)
-        else:
-            head = self._word_image(w[:-1], lowering)
-            img = (self._f_img if lowering else self._e_img)[w[-1]]
-            out = u_multiply(head, img)
-        memo[w] = out
-        return out
-
-    def apply(self, x: UElement) -> UElement:
-        """Sum of c·T(E_ew)·K_{s(mu)}·T(F_fw) over the terms of x."""
-        alg = self.algebra
-        if x.algebra is not alg:
-            raise ValueError("element does not live in this algebra")
-        return _sandwich(alg, ((c, self._word_image(ew, False),
-                                alg.reflect_y(self._p, mu), fw)
-                               for (ew, mu, fw), c in x.coords.items()),
-                         lambda fw: self._word_image(fw, True))
+            e_img[q] = UElement(algebra, algebra.reduce_triples(raw_e))
+            f_img[q] = UElement(algebra, algebra.reduce_triples(raw_f))
+        super().__init__(algebra, algebra, lambda q, low: (f_img if low else e_img)[q],
+                         lambda mu: algebra.reflect_y(p, mu))
 
     def inverse(self) -> "BraidOperator":
         """The inverse carries the opposite decoration and opposite sign."""
@@ -893,23 +915,8 @@ class BraidOperator:
 def braid_basic(algebra: UAlgebra, i, e: int, primed: bool = True) -> BraidOperator:
     """The algebra's one operator with this label, so its word images are
     built once per algebra."""
-    key = (i, e, primed)
-    op = algebra._braids.get(key)
-    if op is None:
-        op = algebra._braids[key] = BraidOperator(algebra, i, e, primed)
-    return op
-
-
-class ComposedBraid:
-    """Composite of braid operators, rightmost applied first."""
-
-    def __init__(self, ops: Sequence[BraidOperator]):
-        self.ops = list(ops)
-
-    def apply(self, x: UElement) -> UElement:
-        for op in reversed(self.ops):
-            x = op.apply(x)
-        return x
+    return _cached_map(algebra, ("T", i, e, primed),
+                       lambda: BraidOperator(algebra, i, e, primed))
 
 
 def braid_formula_gate(algebra: UAlgebra, pair: ContractiblePair) -> dict:
@@ -973,12 +980,16 @@ def _ensure_gate(algebra: UAlgebra, pair: ContractiblePair) -> None:
 
 
 def tilde_braid_i0(algebra: UAlgebra, pair: ContractiblePair, e: int,
-                   primed: bool = True) -> ComposedBraid:
-    """Merged-index symmetry as the plus-minus-plus composite."""
+                   primed: bool = True) -> UMap:
+    """Merged-index symmetry as the plus-minus-plus composite, one map per
+    label and algebra."""
     _ensure_gate(algebra, pair)
-    tp = braid_basic(algebra, pair.plus, e, primed)
-    tm = braid_basic(algebra, pair.minus, e, primed)
-    return ComposedBraid([tp, tm, tp])
+
+    def build() -> UMap:
+        tp = braid_basic(algebra, pair.plus, e, primed)
+        return tp @ (braid_basic(algebra, pair.minus, e, primed) @ tp)
+
+    return _cached_map(algebra, ("T~", pair.plus, pair.minus, e, primed), build)
 
 
 def braid_assumption_holds(algebra: UAlgebra, pair: ContractiblePair):
@@ -1895,29 +1906,14 @@ def subset_root_datum(datum: RootDatum, keep: Sequence) -> RootDatum:
     return RootDatum(sub_cartan, datum.pairing, roots, coroots)
 
 
-class GeneratorRelabel:
+def _relabel(source: UAlgebra, target: UAlgebra, symbol_map: Mapping,
+             y_map: Callable[[YVec], YVec]) -> UMap:
     """Algebra map determined by a bijection of generator symbols and a fixed
     lattice automorphism on the torus."""
-
-    def __init__(self, source: UAlgebra, target: UAlgebra,
-                 symbol_map: Mapping, y_map: Callable[[YVec], YVec]):
-        self.source = source
-        self.target = target
-        self.symbol_map = dict(symbol_map)
-        self.y_map = y_map
-        self._letters = {source.position(a): target.position(b)
-                         for a, b in self.symbol_map.items()}
-
-    def apply(self, x: UElement) -> UElement:
-        if x.algebra is not self.source:
-            raise ValueError("element does not live in the source algebra")
-        raw: dict[Triple, QVScalar] = {}
-        for (ew, mu, fw), c in x.coords.items():
-            new = (tuple(self._letters[p] for p in ew),
-                   self.target.y_vector(self.y_map(mu)),
-                   tuple(self._letters[p] for p in fw))
-            _add_into(raw, new, c)
-        return UElement(self.target, self.target.reduce_triples(raw))
+    syms = source.cartan.indices
+    return UMap(source, target,
+                lambda p, low: (f_gen if low else e_gen)(target, symbol_map[syms[p]]),
+                lambda mu: target.y_vector(y_map(mu)))
 
 
 def _chain_hypotheses(algebra: UAlgebra, chain: Sequence) -> str | None:
@@ -1967,8 +1963,9 @@ def linear_tree_factorization_check(target: UAlgebra, chain: Sequence,
         target.datum, [i for i in target.cartan.indices if i != chain[-1]])
     sub_alg = UAlgebra(sub_datum, target.f.degree_bound)
     stations.append(sub_alg)
-    relabels: list[GeneratorRelabel] = []
-    for k in range(1, n):
+    rhs = _relabel(sub_alg, target, {s: s for s in sub_alg.cartan.indices},
+                   lambda mu: mu)
+    for k in reversed(range(1, n)):
         upstream = stations[k - 1]
         downstream = stations[k]
         merged_up = next(s for s in upstream.cartan.indices
@@ -1987,24 +1984,12 @@ def linear_tree_factorization_check(target: UAlgebra, chain: Sequence,
                 mapping[sym] = sym
         p = target.position(chain[k])
         y_map = lambda mu, p=p: target.reflect_y(p, mu)
-        relabels.append(GeneratorRelabel(upstream, downstream, mapping, y_map))
-    braids = [braid_basic(target, chain[k], -epsilon, True)
-              for k in range(1, n)]
-    upsilon = GeneratorRelabel(sub_alg, target,
-                               {s: s for s in sub_alg.cartan.indices},
-                               lambda mu: mu)
-
-    def rhs(x: UElement) -> UElement:
-        for rel in relabels:
-            x = rel.apply(x)
-        y = upsilon.apply(x)
-        for op in reversed(braids):
-            y = op.apply(y)
-        return y
-
+        rhs = rhs @ _relabel(upstream, downstream, mapping, y_map)
+    for k in reversed(range(1, n)):
+        rhs = braid_basic(target, chain[k], -epsilon, True) @ rhs
     ids = _Identities()
     for name, g in _named_generators(emb.source):
-        ids.expect(f"factorization on {name}", rhs(g), emb.apply(g))
+        ids.expect(f"factorization on {name}", rhs.apply(g), emb.apply(g))
     return ids.report(hypothesis=True)
 
 
@@ -2024,8 +2009,8 @@ def naive_square_check(target: UAlgebra, i1, i2, i3, epsilon: int) -> dict:
         else:
             mapping[sym] = sym
     p2 = target.position(i2)
-    relabel = GeneratorRelabel(emb_23.source, emb_12.source, mapping,
-                               lambda mu: target.reflect_y(p2, mu))
+    relabel = _relabel(emb_23.source, emb_12.source, mapping,
+                       lambda mu: target.reflect_y(p2, mu))
     braid = braid_basic(target, i2, -epsilon, True)
     ids = _Identities()
     for name, g in _named_generators(emb_23.source):

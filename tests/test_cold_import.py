@@ -35,12 +35,17 @@ assert not loaded, loaded
 
 WEYL = """
 import sys
-from qcontract.cartan import (ContractiblePair, WeylEmbedding, simply_connected_datum,
+from qcontract.cartan import (ContractiblePair, WeylEmbedding, enumerate_roots,
+                              positive_roots, simply_connected_datum,
                               simply_laced_cartan, weyl_group)
 a3 = simply_connected_datum(simply_laced_cartan((1, 2, 3), [(1, 2), (2, 3)]))
 assert len(weyl_group(a3)) == 24
 rep = WeylEmbedding(a3, ContractiblePair(2, 3)).verify()
 assert rep["homomorphism"] and rep["injective"], rep
+assert len(positive_roots(a3)) == 6
+affine_a2 = simply_connected_datum(
+    simply_laced_cartan((1, 2, 3), [(1, 2), (2, 3), (1, 3)]))
+assert len(enumerate_roots(affine_a2, height_bound=5)) == 24
 loaded = [m for m in ("fractions", "decimal") if m in sys.modules]
 assert not loaded, loaded
 """

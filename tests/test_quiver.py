@@ -292,6 +292,15 @@ def test_mu_refuses_a_singular_crossing_component_before_any_product(monkeypatch
     assert products == []
 
 
+def test_mu_refuses_unequal_pair_dimensions():
+    # the 0x2 crossing component is stored as (), like a 0x0 one, so it
+    # would pass as invertible; the unequal pair dimensions refuse it
+    contr = contract_quiver(A3Q, AdmissibleAutomorphism.identity(A3Q),
+                            OrbitPair((1,), (2,)))
+    with pytest.raises(ValueError, match="unequal dimensions"):
+        mu_contraction(contr, {1: 2, 2: 0, 3: 1}, gf(2), ((), ((),)))
+
+
 def test_mu_equivariance_random():
     rng = random.Random(17)
     F3 = gf(3)

@@ -609,6 +609,48 @@ def test_braid_operators_belong_to_their_algebra():
     assert braid_basic(U2, 1, 1, False) is not op
     other = UAlgebra(simply_connected_datum(A2), 8)
     assert braid_basic(other, 1, 1, True) is not op
+    # the merged-index composite: one map per (algebra, pair, sign, decoration)
+    labels = [(e, primed) for e in (1, -1) for primed in (True, False)]
+    tildes = [tilde_braid_i0(U2, PAIR12, e, primed) for e, primed in labels]
+    assert len({id(t) for t in tildes}) == 4
+    assert all(tilde_braid_i0(U2, PAIR12, e, primed) is t
+               for (e, primed), t in zip(labels, tildes))
+    assert tilde_braid_i0(U3, PAIR12, 1) is not tilde_braid_i0(U3, PAIR23, 1)
+    assert tilde_braid_i0(other, PAIR12, 1) is not tildes[0]
+    assert tilde_braid_i0(other, PAIR12, 1) is tilde_braid_i0(other, PAIR12, 1)
+
+
+def test_map_composites_apply_their_factors_in_order():
+    # T_1 and T_2 move the torus by reflections that do not commute, and ρ
+    # reverses products, so a composite with its factors, torus maps or
+    # order flag mixed up fails here
+    rng = random.Random(23)
+    xs = [rand_element(U2, rng) for _ in range(3)]
+    rho(xs[0])
+    omega(xs[0])
+    maps = [braid_basic(U2, 1, 1, True), braid_basic(U2, 2, -1, False),
+            U2._maps["rho"], U2._maps["omega"]]
+    for f in maps:
+        for g in maps:
+            fg = f @ g
+            assert fg.anti == (f.anti != g.anti)
+            for x in xs:
+                assert fg.apply(x) == f.apply(g.apply(x))
+
+
+@pytest.mark.parametrize("alg, pair, seed", [(U2, PAIR12, 21), (U3, PAIR23, 22)],
+                         ids=["A2", "A3"])
+def test_composite_braid_matches_its_factors_one_at_a_time(alg, pair, seed):
+    rng = random.Random(seed)
+    xs = [rand_element(alg, rng, width=4) for _ in range(4)]
+    for e in (1, -1):
+        for primed in (True, False):
+            tilde = tilde_braid_i0(alg, pair, e, primed)
+            tp = braid_basic(alg, pair.plus, e, primed)
+            tm = braid_basic(alg, pair.minus, e, primed)
+            for x in xs:
+                assert tilde.apply(x) == tp.apply(tm.apply(tp.apply(x)))
+
 
 def test_rank_two_braid_relation():
     gens = [e_gen(U2, 1), f_gen(U2, 2), k_gen(U2, (1, -1)),
