@@ -13,6 +13,10 @@ lead, as in textbook row reduction.  ``echelon_reduce`` clears every lead
 out of every tail; ``rank`` and ``rref`` apply the two to a list of rows.
 ``residue`` reduces a vector until no lead is left in it, which gives one
 representative per coset of the span, empty exactly on the span.
+All of them combine entries only in ``_add_scaled``, whose step
+vec[k] + c * x is the entry type's fused ``add_product`` when it has one
+(``QVScalar``'s adds Laurent products into a copy of vec[k], with no object
+in between) and plain a + c * x otherwise (``Fraction``): still one kernel.
 
 ``solve`` and ``nullspace`` take vectors as the columns of a system.
 Column j is tagged with the key (0, j), below every coordinate key (1, k),
@@ -37,10 +41,15 @@ T = TypeVar("T")
 Vec = Mapping[Hashable, T]
 
 
+def _plus_product(a: T, c: T, x: T) -> T:
+    return a + c * x
+
+
 def _add_scaled(vec: dict, c: T, row: Mapping) -> None:
     """vec += c * row in place, dropping keys that cancel."""
+    plus_product = getattr(type(c), "add_product", _plus_product)
     for k, x in row.items():
-        s = vec[k] + c * x if k in vec else c * x
+        s = plus_product(vec[k], c, x) if k in vec else c * x
         if s:
             vec[k] = s
         else:

@@ -3,7 +3,10 @@
 Normal forms come from exact linear algebra per graded piece, each built
 from the pieces one letter lower: their rewrite rules, prefixed by a letter,
 keep distinct leading words, so only the ideal's rows that start with a
-relator are reduced against them.  The result is the reduced echelon form
+relator are reduced against them; their word lists, prefixed alike, are
+the piece's words in order.  The relators are the closed form
+sum_r (-1)^r [m, r]_i i^(m-r) j i^r, m = 1 - a_ij, so no fraction enters
+before the elimination.  The result is the reduced echelon form
 of the ideal span, columns in descending word order, so the basis is the
 lexicographically least complement of the leading terms.  The bilinear form
 is computed by a cleared recursion that never divides; the (1 - v_i^-2)^-1
@@ -23,8 +26,8 @@ from ._linalg import (echelon_insert, echelon_reduce, nullspace, rank,
 from .cartan import CartanDatum, ContractiblePair, Record, contract_cartan
 from .scalar import (
     QVScalar, QV_ONE, QV_ZERO, LaurentPoly, bar as scalar_bar,
-    in_one_plus_vinv, is_integer_laurent, laurent_negative_part,
-    qv, quantum_factorial, render_scalar, parse_scalar, v_power,
+    in_one_plus_vinv, is_integer_laurent, laurent_negative_part, qv,
+    quantum_binomial, quantum_factorial, render_scalar, parse_scalar, v_power,
 )
 
 Degree = tuple[int, ...]       # multiplicity per generator position
@@ -172,22 +175,11 @@ class FAlgebra:
                    for t in range(self.rank) if b[t])
 
     def plain_words(self, nu: Degree) -> list[PlainWord]:
-        words: list[PlainWord] = []
-
-        def grow(prefix: list[int], remaining: list[int]):
-            if not any(remaining):
-                words.append(tuple(prefix))
-                return
-            for p in range(self.rank):
-                if remaining[p]:
-                    remaining[p] -= 1
-                    prefix.append(p)
-                    grow(prefix, remaining)
-                    prefix.pop()
-                    remaining[p] += 1
-
-        grow([], list(nu))
-        return words
+        """Every word of degree nu, ascending."""
+        if not any(nu):
+            return [()]
+        return [(p,) + w for p in range(self.rank) if nu[p]
+                for w in self.plain_words(nu[:p] + (nu[p] - 1,) + nu[p + 1:])]
 
     # --- free-word expansion -------------------------------------------
     def expand_free(self, coords: Mapping[FreeWord, QVScalar]) -> dict[PlainWord, QVScalar]:
@@ -218,15 +210,22 @@ class FAlgebra:
 
     @cached_property
     def _serre_relators(self) -> list[tuple[dict[PlainWord, QVScalar], Degree]]:
-        """Each ordered pair's relator on plain words, with its degree,
-        scaled to coefficient 1 at its greatest word (theta_i^(2) leaves
-        1/[2] there otherwise): the row space is unchanged, and every row
-        it seeds in _build_component is inserted with a unit lead."""
-        rels = [self.expand_free(self.serre_relator_free(i, j))
-                for i in self.cartan.indices for j in self.cartan.indices if i != j]
-        leads = [max(rel) for rel in rels]
-        return [({w: c / rel[lead] for w, c in rel.items()}, self.word_degree(lead))
-                for rel, lead in zip(rels, leads)]
+        """Each ordered pair's relator on plain words, with its degree, times
+        ±[m]_i! (m = 1 - a_ij): sum_r ±(-1)^r [m, r]_i i^(m-r) j i^r, with
+        coefficient 1 at the greatest word i^m j or j i^m.  So every row it
+        seeds in _build_component has a unit lead, and no fraction forms."""
+        out = []
+        for pi, i in enumerate(self.cartan.indices):
+            for pj, j in enumerate(self.cartan.indices):
+                if pi != pj:
+                    m = 1 - self.cartan.cartan_entry(i, j)
+                    top = 0 if pi > pj else m        # r of the greatest word
+                    rel = {}
+                    for r in range(m + 1):
+                        c = quantum_binomial(m, r, self._d[pi])
+                        rel[(pi,) * (m - r) + (pj,) + (pi,) * r] = -c if (r + top) % 2 else c
+                    out.append((rel, self.word_degree(next(iter(rel)))))
+        return out
 
     def component(self, nu) -> GradedComponent:
         nu = self.degree(nu)
@@ -240,13 +239,15 @@ class FAlgebra:
 
     def _build_component(self, nu: Degree) -> GradedComponent:
         # I_nu = sum_p theta_p I_(nu - e_p) + sum_rel rel F_(nu - deg rel),
-        # and rel I lies in the first sum, so w runs over basis words only
-        words = sorted(self.plain_words(nu))
+        # and rel I lies in the first sum, so w runs over basis words only.
+        # The words of nu, ascending: p + those of nu - e_p, p ascending.
+        words = [] if any(nu) else [()]
         rules: dict[PlainWord, dict[PlainWord, QVScalar]] = {}
         for p in range(self.rank):
             if nu[p]:
-                lower = nu[:p] + (nu[p] - 1,) + nu[p + 1:]
-                for lead, tail in self.component(lower).rewrite.items():
+                lower = self.component(nu[:p] + (nu[p] - 1,) + nu[p + 1:])
+                words += [(p,) + w for w in lower.words]
+                for lead, tail in lower.rewrite.items():
                     _budget.charge()
                     rules[(p,) + lead] = {(p,) + w: c for w, c in tail.items()}
         for rel, rel_deg in self._serre_relators:

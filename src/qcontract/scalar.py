@@ -21,6 +21,11 @@ arithmetic uses it, with no gcd, where the form cannot change:
     d, with nonzero constant term, is coprime to v.  A quotient by c·v^k is
     the product with c^-1·v^-k.
 
+Both classes are immutable; constructors set slots through the slot
+descriptors' setters.  ``QVScalar.add_product`` is the elimination kernel's
+fused a + c·x (one pass when all three are Laurent), and
+``quantum_binomial`` the q-Pascal rule on Laurent polynomials.
+
 Coefficients are ints unless a value is a non-integral rational: a
 ``Fraction`` comes only from a caller or from ``_frac``, so ``fractions``
 (and ``decimal`` with it) is not imported until such a value appears.
@@ -57,13 +62,9 @@ class LaurentPoly:
     __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs: Mapping[int, Rat] | None = None):
-        d = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if c:
-                    d[e] = _norm_coeff(c)
-        object.__setattr__(self, "coeffs", d)
-        object.__setattr__(self, "_hash", None)
+        d = {e: _norm_coeff(c) for e, c in coeffs.items() if c} if coeffs else {}
+        _set_coeffs(self, d)
+        _set_lhash(self, None)
 
     def __setattr__(self, k, v):
         raise AttributeError("LaurentPoly is immutable")
@@ -76,9 +77,9 @@ class LaurentPoly:
     @staticmethod
     def _of(d: dict[int, Rat]) -> LaurentPoly:
         """Wrap a dict of nonzero coefficients as it is, without a copy."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "coeffs", d)
-        object.__setattr__(out, "_hash", None)
+        out = _new(LaurentPoly)
+        _set_coeffs(out, d)
+        _set_lhash(out, None)
         return out
 
     # --- structure ----------------------------------------------------
@@ -97,7 +98,7 @@ class LaurentPoly:
         h = self._hash
         if h is None:
             h = hash(frozenset(self.coeffs.items()))
-            object.__setattr__(self, "_hash", h)
+            _set_lhash(self, h)
         return h
 
     def degree(self) -> int:
@@ -176,6 +177,8 @@ class LaurentPoly:
         return f"LaurentPoly({render_laurent(self)!r})"
 
 
+_new = object.__new__
+_set_coeffs, _set_lhash = LaurentPoly.coeffs.__set__, LaurentPoly._hash.__set__
 _L_ZERO = LaurentPoly()
 _L_ONE = LaurentPoly({0: 1})
 
@@ -343,9 +346,9 @@ class QVScalar:
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly = _L_ONE):
         num, den = _canonical_fraction(num, den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", None)
+        _set_num(self, num)
+        _set_den(self, den)
+        _set_qhash(self, None)
 
     def __setattr__(self, k, v):
         raise AttributeError("QVScalar is immutable")
@@ -354,10 +357,10 @@ class QVScalar:
     @staticmethod
     def _of(num: LaurentPoly, den: LaurentPoly = _L_ONE) -> QVScalar:
         """Wrap a fraction that is in canonical form already."""
-        out = QVScalar.__new__(QVScalar)
-        object.__setattr__(out, "num", num)
-        object.__setattr__(out, "den", den)
-        object.__setattr__(out, "_hash", None)
+        out = _new(QVScalar)
+        _set_num(out, num)
+        _set_den(out, den)
+        _set_qhash(out, None)
         return out
 
     @staticmethod
@@ -397,13 +400,12 @@ class QVScalar:
         if h is None:
             const = self.num.coeffs.keys() <= {0} and self.is_laurent()
             h = hash(self.num.coeff(0) if const else (self.num, self.den))
-            object.__setattr__(self, "_hash", h)
+            _set_qhash(self, h)
         return h
 
     # --- arithmetic ---------------------------------------------------
     def __add__(self, other) -> QVScalar:
-        other = _coerce(other)
-        if other is NotImplemented:
+        if type(other) is not QVScalar and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
         if not other.num.coeffs:
             return self
@@ -418,24 +420,36 @@ class QVScalar:
 
     __radd__ = __add__
 
+    def add_product(self, c: QVScalar, x: QVScalar) -> QVScalar:
+        """self + c * x, in one pass when all three are Laurent polynomials."""
+        if self.den is not _L_ONE or c.den is not _L_ONE or x.den is not _L_ONE:
+            return self + c * x
+        d = dict(self.num.coeffs)
+        for e1, c1 in c.num.coeffs.items():
+            for e2, c2 in x.num.coeffs.items():
+                e = e1 + e2
+                s = d.get(e, 0) + c1 * c2
+                if s:
+                    d[e] = s if type(s) is int else _norm_coeff(s)
+                else:   # c1 * c2 != 0, so e was in d
+                    del d[e]
+        return QVScalar._of(LaurentPoly._of(d))
+
     def __neg__(self) -> QVScalar:
         return QVScalar._of(-self.num, self.den)
 
     def __sub__(self, other) -> QVScalar:
-        other = _coerce(other)
-        if other is NotImplemented:
+        if type(other) is not QVScalar and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> QVScalar:
-        other = _coerce(other)
-        if other is NotImplemented:
+        if (other := _coerce(other)) is NotImplemented:
             return NotImplemented
         return other + (-self)
 
     def __mul__(self, other) -> QVScalar:
-        other = _coerce(other)
-        if other is NotImplemented:
+        if type(other) is not QVScalar and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
         a, b = self, other
         if a.den is not _L_ONE or len(a.num.coeffs) != 1:
@@ -448,8 +462,7 @@ class QVScalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> QVScalar:
-        other = _coerce(other)
-        if other is NotImplemented:
+        if type(other) is not QVScalar and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero in Q(v)")
@@ -459,8 +472,7 @@ class QVScalar:
         return QVScalar(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other) -> QVScalar:
-        other = _coerce(other)
-        if other is NotImplemented:
+        if (other := _coerce(other)) is NotImplemented:
             return NotImplemented
         return other / self
 
@@ -513,6 +525,8 @@ def _canonical_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly
     return _laurent(a, m - k, p // g, q // g), (_L_ONE if len(b) == 1 else _laurent(b, 0))
 
 
+_set_num, _set_den, _set_qhash = (QVScalar.num.__set__, QVScalar.den.__set__,
+                                  QVScalar._hash.__set__)
 QV_ZERO = QVScalar(_L_ZERO)
 QV_ONE = QVScalar(_L_ONE)
 QV_V = QVScalar.v_power(1)
@@ -555,9 +569,17 @@ def quantum_factorial(a: int, k: int = 1) -> QVScalar:
 
 
 def quantum_binomial(b: int, a: int, k: int = 1) -> QVScalar:
+    """[b, a] at v^k by the q-Pascal rule [n, j] = v^(kj) [n-1, j]
+    + v^(-k(n-j)) [n-1, j-1], on Laurent polynomials: no fraction forms."""
     if not 0 <= a <= b:
         raise ValueError(f"quantum binomial needs 0 <= a <= b, got a={a}, b={b}")
-    return quantum_factorial(b, k) / (quantum_factorial(a, k) * quantum_factorial(b - a, k))
+    if k < 1:
+        raise ValueError(f"quantum binomial needs k >= 1, got {k}")
+    col = [_L_ONE] + [_L_ZERO] * a    # col[j] = [n, j] after step n
+    for n in range(1, b + 1):
+        for j in range(min(n, a), 0, -1):
+            col[j] = col[j].shift(k * j) + col[j - 1].shift(-k * (n - j))
+    return QVScalar._of(col[a])
 
 
 def bar(x: QVScalar) -> QVScalar:

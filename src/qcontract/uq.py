@@ -1311,9 +1311,12 @@ def subquotient_phi_probe(target: UAlgebra, pair: ContractiblePair,
         sub, idl, psi = (g.get(nk, []) for g in groups)
         r_sub = rank(sub)
         r_idl = rank(idl)
-        r_psi = rank(psi)
-        r_pi = rank(psi + idl)
-        r_all = rank(psi + idl + sub)
+        # one echelon set fed psi, then the ideal, then sub: its running
+        # counts are the ranks of psi, psi + idl and psi + idl + sub
+        rules: dict = {}
+        r_psi = sum(echelon_insert(rules, t) for t in psi)
+        r_pi = r_psi + sum(echelon_insert(rules, t) for t in idl)
+        r_all = r_pi + sum(echelon_insert(rules, t) for t in sub)
         surj = r_all == r_pi
         meet = r_psi + r_idl - r_pi
         blocks[str(nk)] = {"sub": r_sub, "ideal": r_idl, "image": r_psi,

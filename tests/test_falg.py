@@ -3,6 +3,7 @@ import random
 import pytest
 
 from dense_reference import dense_rref
+from qcontract import scalar
 from qcontract._budget import BudgetExceeded, set_budget
 from qcontract._linalg import rank
 from qcontract.cartan import CartanDatum, ContractiblePair, simply_laced_cartan
@@ -214,6 +215,53 @@ def test_budget_enforced():
             fresh.component((2, 2))
     finally:
         set_budget(None)
+
+
+def _count_canonical_fractions(monkeypatch):
+    calls = []
+    plain = scalar._canonical_fraction
+
+    def counted(num, den):
+        calls.append(1)
+        return plain(num, den)
+
+    monkeypatch.setattr(scalar, "_canonical_fraction", counted)
+    return calls
+
+
+def test_serre_relators_are_the_closed_form(monkeypatch):
+    # the closed form (-1)^r [m, r]_i i^(m-r) j i^r, signed to 1 at the
+    # greatest word, is the divided-power relator over its lead coefficient,
+    # and building it puts no fraction into canonical form
+    b3 = CartanDatum((1, 2, 3), ((4, -2, 0), (-2, 4, -2), (0, -2, 2)))
+    c3 = CartanDatum((1, 2, 3), ((2, -1, 0), (-1, 2, -2), (0, -2, 4)))
+    triangle = simply_laced_cartan((1, 2, 3), [(1, 2), (2, 3), (3, 1)])
+    for datum in (A3, D4, B2, G2, b3, c3, triangle):
+        alg = FAlgebra(datum)
+        calls = _count_canonical_fractions(monkeypatch)
+        rels = alg._serre_relators
+        assert not calls, datum.indices
+        monkeypatch.undo()
+        pairs = [(i, j) for i in datum.indices for j in datum.indices if i != j]
+        assert len(rels) == len(pairs)
+        for (rel, deg), (i, j) in zip(rels, pairs):
+            free = alg.expand_free(alg.serre_relator_free(i, j))
+            lead = max(free)
+            assert rel == {w: c / free[lead] for w, c in free.items()}, (i, j)
+            assert list(rel) == list(free) and deg == alg.word_degree(lead)
+            assert all(c.is_laurent() for c in rel.values())
+
+
+def test_cold_serre_components_canonicalize_few_fractions(monkeypatch):
+    # a work count, not a timing: the benchmark's cold serre components put
+    # 137 and 60 fractions into canonical form (349 together with relators
+    # built from divided powers), so more means fractions came back
+    for datum, nu, most in ((A3, (2, 3, 2), 137), (D4, (2, 1, 1, 1), 60)):
+        alg = FAlgebra(datum)
+        calls = _count_canonical_fractions(monkeypatch)
+        alg.component(nu)
+        assert len(calls) <= most, (nu, len(calls))
+        monkeypatch.undo()
 
 
 # --- algebra operations ------------------------------------------------------

@@ -58,6 +58,18 @@ def test_quantum_binomial_recurrence():
             assert lhs == rhs
 
 
+def test_quantum_binomial_matches_the_factorial_quotient():
+    # the q-Pascal rule builds [b, a] as a Laurent polynomial, no fraction
+    for k in (1, 2, 3):
+        for b in range(7):
+            for a in range(b + 1):
+                want = quantum_factorial(b, k) / (
+                    quantum_factorial(a, k) * quantum_factorial(b - a, k))
+                _assert_same_form(quantum_binomial(b, a, k), want)
+    with pytest.raises(ValueError):
+        quantum_binomial(2, 1, 0)
+
+
 def test_quantum_binomial_bar_invariant():
     for b in range(0, 9):
         for a in range(0, b + 1):
@@ -368,9 +380,12 @@ def test_fast_paths_match_the_constructor_hypothesis():
         fraction.map(lambda nd: QVScalar(*nd)))
 
     @hyp.settings(max_examples=400, deadline=None, derandomize=True)
-    @hyp.given(scalars, scalars, rat, st.integers(-3, 3))
-    def check(a, b, c, e):
+    @hyp.given(scalars, scalars, scalars, rat, st.integers(-3, 3))
+    def check(a, b, z, c, e):
         for x, y in ((a, b), (b, a)):
+            # the fused multiply-add of the elimination kernel
+            _assert_same_form(x.add_product(y, z), x + y * z)
+            _assert_same_form(z.add_product(x, y), z + x * y)
             _assert_same_form(x * y, QVScalar(_naive_mul(x.num, y.num),
                                               _naive_mul(x.den, y.den)))
             _assert_same_form(x + y, QVScalar(
