@@ -10,13 +10,24 @@ each mapping a lead to its tail: the row lead - sum_k tail[k] * k, where the
 lead is the row's *greatest* key.  So a caller picks its pivots by how it
 keys the coordinates: negated column indices make the leftmost column the
 lead, as in textbook row reduction.  ``echelon_reduce`` clears every lead
-out of every tail; ``rank`` and ``rref`` apply the two to a list of rows.
+out of every tail; ``rank`` applies the first to a list of rows.
 ``residue`` reduces a vector until no lead is left in it, which gives one
 representative per coset of the span, empty exactly on the span.
-All of them combine entries only in ``_add_scaled``, whose step
-vec[k] + c * x is the entry type's fused ``add_product`` when it has one
-(``QVScalar``'s adds Laurent products into a copy of vec[k], with no object
-in between) and plain a + c * x otherwise (``Fraction``): still one kernel.
+All of them combine entries only in ``_add_scaled``, which hands the whole
+step vec += c * row to the entry type's ``add_scaled_row`` when it has one
+(``QVScalar``'s multiplies and adds Laurent entries on their coefficient
+dicts, with no object in between) and otherwise runs a + c * x per entry
+(``Fraction``): still one kernel.
+
+``echelon_extend`` adds a list of rows and reduces; ``rref`` is that on an
+empty set.  A row whose pivot is not a monomial c·v^k (the entry type's
+``is_monomial``; a type without one never waits) waits, and goes in through
+``echelon_insert`` as its residue once every other row is in, lowest lead
+first: divided only when nothing is left to clear from it, it divides
+exactly wherever the reduced form is Laurent, with no fraction that cancels
+later.  The reduced echelon form of a span is unique, so the order changes
+no result.  It does change the rules before reduction and which rows add
+rank, so ``solve``, ``nullspace`` and running ranks insert plainly.
 
 ``solve`` and ``nullspace`` take vectors as the columns of a system.
 Column j is tagged with the key (0, j), below every coordinate key (1, k),
@@ -35,25 +46,37 @@ this kernel, which the Q(v) eliminations cannot afford.
 """
 from __future__ import annotations
 
-from typing import Hashable, Mapping, Sequence, TypeVar
+from operator import itemgetter
+from typing import Hashable, Iterable, Mapping, Sequence, TypeVar
 
 T = TypeVar("T")
 Vec = Mapping[Hashable, T]
 
 
-def _plus_product(a: T, c: T, x: T) -> T:
-    return a + c * x
-
-
 def _add_scaled(vec: dict, c: T, row: Mapping) -> None:
     """vec += c * row in place, dropping keys that cancel."""
-    plus_product = getattr(type(c), "add_product", _plus_product)
+    add_row = getattr(type(c), "add_scaled_row", None)
+    if add_row is not None:
+        add_row(vec, c, row)
+        return
     for k, x in row.items():
-        s = plus_product(vec[k], c, x) if k in vec else c * x
+        s = vec[k] + c * x if k in vec else c * x
         if s:
             vec[k] = s
         else:
             del vec[k]
+
+
+def _reduce_top(rules: Mapping[Hashable, Mapping], vec: dict):
+    """Reduce vec in place at its greatest key while that key leads a rule;
+    returns that key with its entry, popped from vec, or None if vec cancels."""
+    while vec:
+        lead = max(vec)
+        c = vec.pop(lead)
+        if lead not in rules:
+            return lead, c
+        _add_scaled(vec, c, rules[lead])
+    return None
 
 
 def echelon_insert(rules: dict[Hashable, dict], vec: Vec) -> bool:
@@ -62,15 +85,38 @@ def echelon_insert(rules: dict[Hashable, dict], vec: Vec) -> bool:
     tail, the row lead - sum_k tail[k] * k with every tail key below the
     lead.  vec is reduced at its greatest key while that key leads a rule."""
     vec = dict(vec)
-    while vec:
-        lead = max(vec)
-        c = vec.pop(lead)
-        if lead not in rules:
+    top = _reduce_top(rules, vec)
+    if top is None:
+        return False
+    lead, neg = top[0], -top[1]
+    rules[lead] = {k: x / neg for k, x in vec.items()}
+    return True
+
+
+def echelon_extend(rules: dict[Hashable, dict],
+                   rows: Iterable[Vec]) -> dict[Hashable, dict]:
+    """Add the span of the sparse rows to the echelon set and reduce it;
+    returns rules.  A row whose pivot is not a monomial waits, and goes in
+    as its residue once every other row is in, lowest lead first."""
+    waiting = []
+    for row in rows:
+        vec = dict(row)
+        top = _reduce_top(rules, vec)
+        if top is None:
+            continue
+        lead, c = top
+        is_monomial = getattr(c, "is_monomial", None)
+        if is_monomial is None or is_monomial():
             neg = -c
             rules[lead] = {k: x / neg for k, x in vec.items()}
-            return True
-        _add_scaled(vec, c, rules[lead])
-    return False
+        else:
+            vec[lead] = c
+            waiting.append((lead, vec))
+    waiting.sort(key=itemgetter(0))
+    for _, vec in waiting:
+        echelon_insert(rules, residue(rules, vec))
+    echelon_reduce(rules)
+    return rules
 
 
 def echelon_reduce(rules: dict[Hashable, dict]) -> None:
@@ -90,11 +136,7 @@ def rank(rows: Sequence[Vec]) -> int:
 
 def rref(rows: Sequence[Vec]) -> dict[Hashable, dict]:
     """The reduced echelon rules of the span of the sparse rows."""
-    rules: dict = {}
-    for row in rows:
-        echelon_insert(rules, row)
-    echelon_reduce(rules)
-    return rules
+    return echelon_extend({}, rows)
 
 
 def residue(rules: Mapping[Hashable, Mapping], vec: Vec) -> dict:

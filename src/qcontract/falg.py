@@ -6,7 +6,10 @@ keep distinct leading words, so only the ideal's rows that start with a
 relator are reduced against them; their word lists, prefixed alike, are
 the piece's words in order.  The relators are the closed form
 sum_r (-1)^r [m, r]_i i^(m-r) j i^r, m = 1 - a_ij, so no fraction enters
-before the elimination.  The result is the reduced echelon form
+before the elimination; a commuting pair (a_ij = 0) gives one relator, not
+two copies of ij - ji.  The elimination is ``_linalg.echelon_extend``, so
+rows whose pivot is not a monomial (such as [2] = v + v^-1) are divided
+last, when their tails are reduced.  The result is the reduced echelon form
 of the ideal span, columns in descending word order, so the basis is the
 lexicographically least complement of the leading terms.  The bilinear form
 is computed by a cleared recursion that never divides; the (1 - v_i^-2)^-1
@@ -21,8 +24,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from . import _budget
-from ._linalg import (echelon_insert, echelon_reduce, nullspace, rank,
-                      residue, rref, solve)
+from ._linalg import echelon_extend, nullspace, rank, residue, rref, solve
 from .cartan import CartanDatum, ContractiblePair, Record, contract_cartan
 from .scalar import (
     QVScalar, QV_ONE, QV_ZERO, LaurentPoly, bar as scalar_bar,
@@ -213,12 +215,14 @@ class FAlgebra:
         """Each ordered pair's relator on plain words, with its degree, times
         ±[m]_i! (m = 1 - a_ij): sum_r ±(-1)^r [m, r]_i i^(m-r) j i^r, with
         coefficient 1 at the greatest word i^m j or j i^m.  So every row it
-        seeds in _build_component has a unit lead, and no fraction forms."""
+        seeds in _build_component has a unit lead, and no fraction forms.
+        A commuting pair (a_ij = 0) gives ij - ji both ways round, so only
+        the order with i at the lower position is kept."""
         out = []
         for pi, i in enumerate(self.cartan.indices):
             for pj, j in enumerate(self.cartan.indices):
-                if pi != pj:
-                    m = 1 - self.cartan.cartan_entry(i, j)
+                m = 1 - self.cartan.cartan_entry(i, j)
+                if pi != pj and (m > 1 or pi < pj):
                     top = 0 if pi > pj else m        # r of the greatest word
                     rel = {}
                     for r in range(m + 1):
@@ -237,6 +241,17 @@ class FAlgebra:
             comp = self._components[nu] = self._build_component(nu)
         return comp
 
+    def _relator_rows(self, nu: Degree) -> Iterable[dict[PlainWord, QVScalar]]:
+        """The rows rel * w of degree nu, w a basis word, each charged to
+        the budget before it is built."""
+        for rel, rel_deg in self._serre_relators:
+            rest = tuple(n - d for n, d in zip(nu, rel_deg))
+            if any(x < 0 for x in rest):
+                continue
+            for w in self.component(rest).basis:
+                _budget.charge()
+                yield {m + w: c for m, c in rel.items()}
+
     def _build_component(self, nu: Degree) -> GradedComponent:
         # I_nu = sum_p theta_p I_(nu - e_p) + sum_rel rel F_(nu - deg rel),
         # and rel I lies in the first sum, so w runs over basis words only.
@@ -250,14 +265,7 @@ class FAlgebra:
                 for lead, tail in lower.rewrite.items():
                     _budget.charge()
                     rules[(p,) + lead] = {(p,) + w: c for w, c in tail.items()}
-        for rel, rel_deg in self._serre_relators:
-            rest = tuple(n - d for n, d in zip(nu, rel_deg))
-            if any(x < 0 for x in rest):
-                continue
-            for w in self.component(rest).basis:
-                _budget.charge()
-                echelon_insert(rules, {m + w: c for m, c in rel.items()})
-        echelon_reduce(rules)
+        echelon_extend(rules, self._relator_rows(nu))
         basis = tuple(w for w in words if w not in rules)
         rewrite = {lead: dict(sorted(rules[lead].items(), reverse=True))
                    for lead in sorted(rules, reverse=True)}

@@ -22,9 +22,11 @@ arithmetic uses it, with no gcd, where the form cannot change:
     the product with c^-1·v^-k.
 
 Both classes are immutable; constructors set slots through the slot
-descriptors' setters.  ``QVScalar.add_product`` is the elimination kernel's
-fused a + c·x (one pass when all three are Laurent), and
-``quantum_binomial`` the q-Pascal rule on Laurent polynomials.
+descriptors' setters.  ``QVScalar.add_scaled_row`` is the elimination
+kernel's step vec += c·row (one pass over coefficient dicts per Laurent
+entry, absent entries included), ``QVScalar.is_monomial`` tells the kernel
+which pivots divide with no fraction, and ``quantum_binomial`` is the
+q-Pascal rule on Laurent polynomials.
 
 Coefficients are ints unless a value is a non-integral rational: a
 ``Fraction`` comes only from a caller or from ``_frac``, so ``fractions``
@@ -388,6 +390,11 @@ class QVScalar:
     def is_laurent(self) -> bool:
         return self.den.coeffs == {0: 1}
 
+    def is_monomial(self) -> bool:
+        """A nonzero c·v^k: a unit of the Laurent ring, so dividing by it
+        makes no fraction."""
+        return self.den is _L_ONE and len(self.num.coeffs) == 1
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, QVScalar):
             if not isinstance(other, numbers.Rational):
@@ -420,20 +427,36 @@ class QVScalar:
 
     __radd__ = __add__
 
-    def add_product(self, c: QVScalar, x: QVScalar) -> QVScalar:
-        """self + c * x, in one pass when all three are Laurent polynomials."""
-        if self.den is not _L_ONE or c.den is not _L_ONE or x.den is not _L_ONE:
-            return self + c * x
-        d = dict(self.num.coeffs)
-        for e1, c1 in c.num.coeffs.items():
-            for e2, c2 in x.num.coeffs.items():
-                e = e1 + e2
-                s = d.get(e, 0) + c1 * c2
+    @staticmethod
+    def add_scaled_row(vec: dict, c: QVScalar, row: Mapping) -> None:
+        """vec += c * row in place, dropping keys that cancel: the elimination
+        kernel's step.  Where c, the row entry and the entry of vec (absent
+        or Laurent) are Laurent, it multiplies and adds on coefficient
+        dicts in one pass; an entry holding a fraction takes a + c * x."""
+        laurent = c.den is _L_ONE
+        terms = c.num.coeffs.items()
+        for k, x in row.items():
+            a = vec.get(k)
+            if not laurent or x.den is not _L_ONE or (a is not None and a.den is not _L_ONE):
+                s = c * x if a is None else a + c * x
                 if s:
-                    d[e] = s if type(s) is int else _norm_coeff(s)
-                else:   # c1 * c2 != 0, so e was in d
-                    del d[e]
-        return QVScalar._of(LaurentPoly._of(d))
+                    vec[k] = s
+                else:
+                    del vec[k]
+                continue
+            d = {} if a is None else dict(a.num.coeffs)
+            for e2, c2 in x.num.coeffs.items():
+                for e1, c1 in terms:
+                    e = e1 + e2
+                    s = d.get(e, 0) + c1 * c2
+                    if s:
+                        d[e] = s if type(s) is int else _norm_coeff(s)
+                    else:   # c1 * c2 != 0, so e was in d
+                        del d[e]
+            if d:
+                vec[k] = QVScalar._of(LaurentPoly._of(d))
+            else:
+                del vec[k]
 
     def __neg__(self) -> QVScalar:
         return QVScalar._of(-self.num, self.den)

@@ -5,8 +5,9 @@ import pytest
 
 from dense_reference import (dense, dense_nullspace, dense_rank, dense_residual,
                              dense_rref, dense_solve, sparse, transpose)
-from qcontract._linalg import (echelon_insert, echelon_reduce, nullspace, rank,
-                               residue, rref, solve)
+from qcontract import scalar
+from qcontract._linalg import (echelon_extend, echelon_insert, echelon_reduce,
+                               nullspace, rank, residue, rref, solve)
 from qcontract.scalar import QV_ONE, QV_ZERO, QVScalar, v_power
 
 
@@ -211,6 +212,78 @@ def test_sparse_echelon_matches_dense_over_qv(seed):
         nrows, ncols = rng.randint(1, 8), rng.randint(2, 10)
         assert_echelon_matches_dense(sparse_matrix(rng, nrows, ncols, random_qv,
                                                    QV_ZERO, density=0.3))
+
+
+# --- rows whose pivot is not a monomial wait ---------------------------------
+
+TWO = v_power(1) + v_power(-1)      # [2], the pivot Serre rows wait on
+
+
+def rules_added(rows):
+    """echelon_extend fed one row at a time: how many rules each row had
+    added by the time the next was asked for, and the final rules."""
+    rules, added = {}, []
+
+    def fed():
+        for row in rows:
+            before = len(rules)
+            yield row
+            added.append(len(rules) - before)
+
+    echelon_extend(rules, fed())
+    return added, rules
+
+
+def test_waiting_residues_sharing_a_lead_keep_both_rules():
+    # both [2]-led rows wait on column 0; the second's residue, reduced by
+    # the first's rule, leads at column 2, so no rule overwrites another
+    m = [[TWO, QV_ONE, QV_ZERO, QV_ONE],
+         [TWO, QV_ZERO, QV_ONE, QV_ZERO],
+         [QV_ZERO, QV_ONE, v_power(1), QV_ZERO]]
+    added, rules = rules_added(rows_of(m))
+    assert added == [0, 0, 1]
+    red, pivots = dense_rref(m)
+    assert rules == rules_of(red, pivots) and len(pivots) == 3
+    assert_matches_dense(m, QV_ZERO, QV_ONE, 2)
+    assert_echelon_matches_dense(m)
+
+
+def test_waiting_pivot_divides_late(monkeypatch):
+    # [2] divides the waiting row only once its tail is reduced, where it
+    # divides exactly; inserted in order, its rule holds -1/[2] until the
+    # reduction cancels it, and more fractions are put into canonical form
+    m = [[TWO, QV_ONE, QV_ZERO], [QV_ZERO, QV_ONE, TWO]]
+    red, pivots = dense_rref(m)
+    calls = []
+    plain = scalar._canonical_fraction
+    monkeypatch.setattr(scalar, "_canonical_fraction",
+                        lambda num, den: calls.append(1) or plain(num, den))
+    assert rref(rows_of(m)) == rules_of(red, pivots)
+    late = len(calls)
+    in_order = {}
+    for row in rows_of(m):
+        echelon_insert(in_order, row)
+    echelon_reduce(in_order)
+    assert in_order == rules_of(red, pivots)
+    assert late == 1 < len(calls) - late
+    monkeypatch.undo()
+    assert all(x.is_laurent() for tail in in_order.values() for x in tail.values())
+    # a pivot that does not divide its row leaves a fraction in the rules
+    m = [[TWO, QV_ONE, v_power(2)], [QV_ZERO, QV_ONE, QV_ONE]]
+    red, pivots = dense_rref(m)
+    rules = rref(rows_of(m))
+    assert rules == rules_of(red, pivots)
+    assert not all(x.is_laurent() for tail in rules.values() for x in tail.values())
+    assert_matches_dense(m, QV_ZERO, QV_ONE, 1)
+    assert_echelon_matches_dense(m)
+
+
+def test_fraction_rows_never_wait():
+    m = F([[2, 1, 0], [2, 0, 1], [0, 3, 1], [4, 1, 1]])
+    added, rules = rules_added(rows_of(m))
+    assert added == [1, 1, 1, 0]
+    red, pivots = dense_rref(m)
+    assert rules == rules_of(red, pivots)
 
 
 # --- keyed vectors, solving and reduction against the dense reference --------

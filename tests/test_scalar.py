@@ -362,6 +362,24 @@ def _assert_same_form(got, want):
     assert (got.den is scalar._L_ONE) == got.is_laurent()
 
 
+def _assert_same_scaled_row(c, vec, row):
+    """The elimination kernel's row step vec += c * row against the sum
+    a + c * x per entry: the same keys, each entry in the same form."""
+    vec = {k: x for k, x in vec.items() if x}
+    row = {k: x for k, x in row.items() if x}
+    want = dict(vec)
+    for k, x in row.items():
+        s = want.get(k, QVScalar(LaurentPoly())) + c * x
+        if s:
+            want[k] = s
+        else:
+            del want[k]
+    QVScalar.add_scaled_row(vec, c, row)
+    assert vec.keys() == want.keys()
+    for k, x in want.items():
+        _assert_same_form(vec[k], x)
+
+
 def test_fast_paths_match_the_constructor_hypothesis():
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
@@ -383,9 +401,10 @@ def test_fast_paths_match_the_constructor_hypothesis():
     @hyp.given(scalars, scalars, scalars, rat, st.integers(-3, 3))
     def check(a, b, z, c, e):
         for x, y in ((a, b), (b, a)):
-            # the fused multiply-add of the elimination kernel
-            _assert_same_form(x.add_product(y, z), x + y * z)
-            _assert_same_form(z.add_product(x, y), z + x * y)
+            if y:
+                # key 1 is filled in, key 2 cancels, key 3 is not in the row
+                _assert_same_scaled_row(y, {0: x, 2: -(y * z), 3: z, 4: z},
+                                        {0: z, 1: x, 2: z, 4: x})
             _assert_same_form(x * y, QVScalar(_naive_mul(x.num, y.num),
                                               _naive_mul(x.den, y.den)))
             _assert_same_form(x + y, QVScalar(
