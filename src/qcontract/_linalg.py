@@ -25,7 +25,8 @@ empty set.  A row whose pivot is not a monomial c·v^k (the entry type's
 ``echelon_insert`` as its residue once every other row is in, lowest lead
 first: divided only when nothing is left to clear from it, it divides
 exactly wherever the reduced form is Laurent, with no fraction that cancels
-later.  The reduced echelon form of a span is unique, so the order changes
+later, and ``QVScalar`` finds such a quotient by division over Z, with no
+gcd.  The reduced echelon form of a span is unique, so the order changes
 no result.  It does change the rules before reduction and which rows add
 rank, so ``solve``, ``nullspace`` and running ranks insert plainly.
 

@@ -38,11 +38,17 @@ FreeWord = tuple[tuple[int, int], ...]   # (position, divided-power exponent)
 
 
 def _add_into(acc: dict, key, c: QVScalar) -> None:
-    s = acc.get(key, QV_ZERO) + c
+    """acc[key] += c, keeping acc free of zeros."""
+    a = acc.get(key)
+    if a is None:
+        if c:
+            acc[key] = c
+        return
+    s = a + c
     if s:
         acc[key] = s
     else:
-        acc.pop(key, None)
+        del acc[key]
 
 
 def _add_outer(acc: dict, c: QVScalar, left: Mapping, right: Mapping) -> None:
@@ -56,13 +62,22 @@ def _add_outer(acc: dict, c: QVScalar, left: Mapping, right: Mapping) -> None:
 class LinearCombination:
     """Sparse combination of basis keys with nonzero Q(v) coefficients, tied
     to one algebra.  Subclasses add their products, bar and rendering;
-    ``_like`` builds a sibling of the same type on new coordinates."""
+    ``_like`` builds a sibling of the same type on new coordinates, and
+    ``_of`` wraps coordinates that ``_add_into`` built, which hold no zero."""
 
     __slots__ = ("algebra", "coords")
 
     def __init__(self, algebra, coords: Mapping):
         self.algebra = algebra
         self.coords = {k: c for k, c in coords.items() if c}
+
+    @classmethod
+    def _of(cls, algebra, coords: dict):
+        """Wrap a dict that is free of zeros already, without a copy."""
+        out = object.__new__(cls)
+        out.algebra = algebra
+        out.coords = coords
+        return out
 
     def _like(self, coords: Mapping):
         return type(self)(self.algebra, coords)

@@ -19,7 +19,14 @@ arithmetic uses it, with no gcd, where the form cannot change:
   - a sum with zero is the other operand, and -n/d is canonical with n/d;
   - a monomial c·v^k (c != 0) times n/d is c·v^k·n over d: c is a unit, and
     d, with nonzero constant term, is coprime to v.  A quotient by c·v^k is
-    the product with c^-1·v^-k.
+    the product with c^-1·v^-k, and a quotient by ±v^k is a shift (negated
+    for -v^k);
+  - an exact quotient: a Laurent value over a non-monomial Laurent value,
+    or a sum over a shared denominator, whose int-coefficient numerator the
+    denominator divides over Z (``_exact_quotient``, by ``_zdiv``).  The
+    quotient is then a Laurent polynomial, and the gcd is never computed;
+    a denominator that does not divide sends the fraction to the
+    constructor.
 
 Both classes are immutable; constructors set slots through the slot
 descriptors' setters.  ``QVScalar.add_scaled_row`` is the elimination
@@ -61,12 +68,11 @@ def _frac(n: Rat, d: Rat) -> Rat:
 class LaurentPoly:
     """Laurent polynomial in v: a finite map exponent -> nonzero rational."""
 
-    __slots__ = ("coeffs", "_hash")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping[int, Rat] | None = None):
         d = {e: _norm_coeff(c) for e, c in coeffs.items() if c} if coeffs else {}
         _set_coeffs(self, d)
-        _set_lhash(self, None)
 
     def __setattr__(self, k, v):
         raise AttributeError("LaurentPoly is immutable")
@@ -74,14 +80,13 @@ class LaurentPoly:
     # --- constructors -------------------------------------------------
     @staticmethod
     def v_power(e: int, c: Rat = 1) -> LaurentPoly:
-        return LaurentPoly({e: c})
+        return LaurentPoly._of({e: _norm_coeff(c)} if c else {})
 
     @staticmethod
     def _of(d: dict[int, Rat]) -> LaurentPoly:
         """Wrap a dict of nonzero coefficients as it is, without a copy."""
         out = _new(LaurentPoly)
         _set_coeffs(out, d)
-        _set_lhash(out, None)
         return out
 
     # --- structure ----------------------------------------------------
@@ -97,11 +102,7 @@ class LaurentPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(frozenset(self.coeffs.items()))
-            _set_lhash(self, h)
-        return h
+        return hash(frozenset(self.coeffs.items()))
 
     def degree(self) -> int:
         """Largest exponent; raises on zero."""
@@ -180,7 +181,7 @@ class LaurentPoly:
 
 
 _new = object.__new__
-_set_coeffs, _set_lhash = LaurentPoly.coeffs.__set__, LaurentPoly._hash.__set__
+_set_coeffs = LaurentPoly.coeffs.__set__
 _L_ZERO = LaurentPoly()
 _L_ONE = LaurentPoly({0: 1})
 
@@ -322,6 +323,31 @@ def _cancel(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     return qa, qb
 
 
+def _int_dense(coeffs: Mapping[int, Rat]) -> tuple[int, list[int]] | None:
+    """(low, a) with coeffs = v^low * a(v) as a dense list, or None when a
+    coefficient is not an int."""
+    low = min(coeffs)
+    a = [0] * (max(coeffs) - low + 1)
+    for e, c in coeffs.items():
+        if type(c) is not int:
+            return None
+        a[e - low] = c
+    return low, a
+
+
+def _exact_quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
+    """num/den as a Laurent polynomial when both have int coefficients and
+    den divides num over Z, else None; num is nonzero.  A quotient over Z is
+    the quotient over Q, so it needs no gcd, and a None only sends the
+    caller to the constructor."""
+    a, b = _int_dense(num.coeffs), _int_dense(den.coeffs)
+    q = None if a is None or b is None else _zdiv(a[1], b[1])
+    if q is None:
+        return None
+    low = a[0] - b[0]
+    return LaurentPoly._of({e + low: c for e, c in enumerate(q) if c})
+
+
 def _laurent(a: list[int], low: int, p: int = 1, q: int = 1) -> LaurentPoly:
     """(p/q) * v^low * a(v) as a LaurentPoly."""
     if q == 1:
@@ -344,13 +370,12 @@ class QVScalar:
     (``_poly_gcd``) as the fallback, and divided out exactly over Z.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly = _L_ONE):
         num, den = _canonical_fraction(num, den)
         _set_num(self, num)
         _set_den(self, den)
-        _set_qhash(self, None)
 
     def __setattr__(self, k, v):
         raise AttributeError("QVScalar is immutable")
@@ -362,7 +387,6 @@ class QVScalar:
         out = _new(QVScalar)
         _set_num(out, num)
         _set_den(out, den)
-        _set_qhash(out, None)
         return out
 
     @staticmethod
@@ -403,12 +427,8 @@ class QVScalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            const = self.num.coeffs.keys() <= {0} and self.is_laurent()
-            h = hash(self.num.coeff(0) if const else (self.num, self.den))
-            _set_qhash(self, h)
-        return h
+        const = self.num.coeffs.keys() <= {0} and self.is_laurent()
+        return hash(self.num.coeff(0) if const else (self.num, self.den))
 
     # --- arithmetic ---------------------------------------------------
     def __add__(self, other) -> QVScalar:
@@ -421,7 +441,11 @@ class QVScalar:
         if self.den is _L_ONE and other.den is _L_ONE:
             return QVScalar._of(self.num + other.num)
         if self.den is other.den or self.den == other.den:
-            return QVScalar(self.num + other.num, self.den)
+            num = self.num + other.num
+            if not num.coeffs:
+                return QV_ZERO
+            q = _exact_quotient(num, self.den)
+            return QVScalar(num, self.den) if q is None else QVScalar._of(q)
         return QVScalar(self.num * other.den + other.num * self.den,
                         self.den * other.den)
 
@@ -478,8 +502,17 @@ class QVScalar:
         if a.den is not _L_ONE or len(a.num.coeffs) != 1:
             a, b = b, a
         # a is a Laurent monomial if either factor is one
-        if a.den is _L_ONE and (len(a.num.coeffs) == 1 or b.den is _L_ONE):
-            return QVScalar._of(a.num * b.num, b.den)
+        if a.den is _L_ONE:
+            if len(a.num.coeffs) == 1:
+                if len(b.num.coeffs) == 1:
+                    (e1, c1), = a.num.coeffs.items()
+                    (e2, c2), = b.num.coeffs.items()
+                    c = c1 * c2
+                    return QVScalar._of(LaurentPoly._of(
+                        {e1 + e2: c if type(c) is int else _norm_coeff(c)}), b.den)
+                return QVScalar._of(a.num * b.num, b.den)
+            if b.den is _L_ONE:
+                return QVScalar._of(a.num * b.num)
         return QVScalar(a.num * b.num, a.den * b.den)
 
     __rmul__ = __mul__
@@ -489,9 +522,19 @@ class QVScalar:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero in Q(v)")
-        if other.den is _L_ONE and len(other.num.coeffs) == 1:
-            (e, c), = other.num.coeffs.items()
-            return QVScalar._of(self.num * LaurentPoly.v_power(-e, _frac(1, c)), self.den)
+        if other.den is _L_ONE:
+            if len(other.num.coeffs) == 1:
+                (e, c), = other.num.coeffs.items()
+                if c == 1:
+                    return self.shift(-e)
+                if c == -1:
+                    return (-self).shift(-e)
+                return QVScalar._of(self.num * LaurentPoly.v_power(-e, _frac(1, c)), self.den)
+            if self.den is _L_ONE:
+                if not self.num.coeffs:
+                    return self
+                q = _exact_quotient(self.num, other.num)
+                return QVScalar(self.num, other.num) if q is None else QVScalar._of(q)
         return QVScalar(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other) -> QVScalar:
@@ -548,8 +591,7 @@ def _canonical_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly
     return _laurent(a, m - k, p // g, q // g), (_L_ONE if len(b) == 1 else _laurent(b, 0))
 
 
-_set_num, _set_den, _set_qhash = (QVScalar.num.__set__, QVScalar.den.__set__,
-                                  QVScalar._hash.__set__)
+_set_num, _set_den = QVScalar.num.__set__, QVScalar.den.__set__
 QV_ZERO = QVScalar(_L_ZERO)
 QV_ONE = QVScalar(_L_ONE)
 QV_V = QVScalar.v_power(1)
@@ -579,7 +621,7 @@ def quantum_integer_poly(a: int, k: int = 1) -> LaurentPoly:
 
 def quantum_integer(a: int, k: int = 1) -> QVScalar:
     """(v^(ka) - v^(-ka)) / (v^k - v^(-k)) as an exact Laurent polynomial."""
-    return QVScalar(quantum_integer_poly(a, k))
+    return QVScalar._of(quantum_integer_poly(a, k))
 
 
 def quantum_factorial(a: int, k: int = 1) -> QVScalar:
@@ -588,7 +630,7 @@ def quantum_factorial(a: int, k: int = 1) -> QVScalar:
     out = _L_ONE
     for m in range(1, a + 1):
         out = out * quantum_integer_poly(m, k)
-    return QVScalar(out)
+    return QVScalar._of(out)
 
 
 def quantum_binomial(b: int, a: int, k: int = 1) -> QVScalar:

@@ -24,6 +24,7 @@ factorization of contraction embeddings along linear chains of vertices.
 """
 from __future__ import annotations
 
+from operator import add, sub
 from typing import Callable, Mapping, Sequence
 
 from ._budget import charge
@@ -49,11 +50,11 @@ def _neg(vec: Sequence[int]) -> tuple[int, ...]:
 
 
 def _vadd(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _vsub(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _sign_power(base_exp: int, n: int) -> QVScalar:
@@ -126,7 +127,9 @@ class UAlgebra:
         return tuple(n * c for c in self._kt[p])
 
     def reflect_y(self, p: int, mu: YVec) -> YVec:
-        n = self.datum.pair(mu, self._roots[p])
+        n = self.root_pairs(mu)[p]
+        if not n:
+            return mu
         return tuple(a - n * b for a, b in zip(mu, self._coroots[p]))
 
     # --- crossing a lowering letter through a raising word ----------------
@@ -165,11 +168,11 @@ class UAlgebra:
         i, prefix = fw[-1], fw[:-1]
         out: dict[Triple, QVScalar] = {}
         for (a1, k1, f1), c1 in self._cross_one(i, ew).items():
-            r = self.root_pairs(k1)
+            r = self.root_pairs(k1).__getitem__
             for (a2, k2, f2), c2 in self._cross(prefix, a1).items():
                 charge()
                 _add_into(out, (a2, _vadd(k1, k2), f2 + f1),
-                          (c1 * c2).shift(sum(r[p] for p in f2)))
+                          (c1 * c2).shift(sum(map(r, f2))))
         self._cross_memo[key] = out
         return out
 
@@ -177,10 +180,11 @@ class UAlgebra:
         """Reduce both outer words; the middle entry (a torus exponent, or a
         weight in the idempotented form) passes through."""
         out: dict[Triple, QVScalar] = {}
+        reduce_word = self.f.reduce_word
         for (ew, mu, fw), c in raw.items():
             if not c:
                 continue
-            left, right = self.f.reduce_word(ew), self.f.reduce_word(fw)
+            left, right = reduce_word(ew), reduce_word(fw)
             for a, ca in left.items():
                 cl = c if ca is QV_ONE else c * ca
                 for b, cb in right.items():
@@ -207,7 +211,7 @@ def u_element(algebra: UAlgebra, terms: Mapping[Triple, QVScalar]) -> UElement:
     fixed = {}
     for (ew, mu, fw), c in terms.items():
         fixed[(tuple(ew), algebra.y_vector(mu), tuple(fw))] = qv(c)
-    return UElement(algebra, algebra.reduce_triples(fixed))
+    return UElement._of(algebra, algebra.reduce_triples(fixed))
 
 
 def u_one(algebra: UAlgebra) -> UElement:
@@ -238,7 +242,7 @@ def k_tilde_gen(algebra: UAlgebra, i, n: int = 1) -> UElement:
 def e_merged(algebra: UAlgebra, pair: ContractiblePair, epsilon: int) -> UElement:
     """Two-term quantum commutator of the raising pair generators."""
     y0 = algebra.y_zero
-    return UElement(algebra, algebra.reduce_triples(
+    return UElement._of(algebra, algebra.reduce_triples(
         {(w, y0, ()): c
          for w, c in merged_expansion(algebra.f, pair, epsilon).items()}))
 
@@ -246,7 +250,7 @@ def e_merged(algebra: UAlgebra, pair: ContractiblePair, epsilon: int) -> UElemen
 def f_merged(algebra: UAlgebra, pair: ContractiblePair, epsilon: int) -> UElement:
     """Lowering-side merged generator: the mirrored (ψ†) expansion."""
     y0 = algebra.y_zero
-    return UElement(algebra, algebra.reduce_triples(
+    return UElement._of(algebra, algebra.reduce_triples(
         {((), y0, w): c
          for w, c in merged_expansion(algebra.f, pair, epsilon, True).items()}))
 
@@ -269,23 +273,29 @@ def u_multiply(x: UElement, y: UElement) -> UElement:
     K_m1 then moves right past E_a and K_m2 left past F_b, which twists the
     term by v^(<m1, wt a> + <m2, wt b>).  Each twist is a sum of memoized
     root pairings (``root_pairs``) applied as a shift of g, and a crossing
-    coefficient that is the object QV_ONE is not multiplied."""
+    coefficient that is the object QV_ONE is not multiplied.  When f1 or e2
+    is empty nothing crosses, and the pair makes its one term directly."""
     if x.algebra is not y.algebra:
         raise ValueError("elements of different algebras")
     alg = x.algebra
     rp = alg.root_pairs
-    ys = [(e2, m2, f2, c2, rp(m2)) for (e2, m2, f2), c2 in y.coords.items()]
+    ys = [(e2, m2, f2, c2, rp(m2).__getitem__)
+          for (e2, m2, f2), c2 in y.coords.items()]
     raw: dict[Triple, QVScalar] = {}
     for (e1, m1, f1), c1 in x.coords.items():
-        r1 = rp(m1)
+        r1 = rp(m1).__getitem__
         for e2, m2, f2, c2, r2 in ys:
             charge()
             base, m12 = c1 * c2, _vadd(m1, m2)
+            if not f1 or not e2:    # nothing crosses: the one term E_e2 F_f1
+                _add_into(raw, (e1 + e2, m12, f1 + f2),
+                          base.shift(sum(map(r1, e2)) + sum(map(r2, f1))))
+                continue
             for (a, t, b), g in alg._cross(f1, e2).items():
-                w = sum(r1[p] for p in a) + sum(r2[p] for p in b)
+                w = sum(map(r1, a)) + sum(map(r2, b))
                 _add_into(raw, (e1 + a, _vadd(m12, t), b + f2),
                           (base if g is QV_ONE else base * g).shift(w))
-    return UElement(alg, alg.reduce_triples(raw))
+    return UElement._of(alg, alg.reduce_triples(raw))
 
 
 def bar_U(x: UElement) -> UElement:
@@ -337,16 +347,16 @@ class UMap:
             first, w = (fw, ew) if self.anti else (ew, fw)
             nu = self.y_map(mu)
             raw = groups.setdefault(w, {})
-            r = alg.root_pairs(nu)
+            r = alg.root_pairs(nu).__getitem__
             for (a, m, b), y in self._word_image(first, self.anti).coords.items():
                 _add_into(raw, (a, _vadd(m, nu), b),
-                          (c if y is QV_ONE else c * y).shift(sum(r[p] for p in b)))
+                          (c if y is QV_ONE else c * y).shift(sum(map(r, b))))
         out: dict[Triple, QVScalar] = {}
         for w, raw in groups.items():
             right = self._word_image(w, not self.anti)
-            for t, c in u_multiply(UElement(alg, raw), right).coords.items():
+            for t, c in u_multiply(UElement._of(alg, raw), right).coords.items():
                 _add_into(out, t, c)
-        return UElement(alg, out)
+        return UElement._of(alg, out)
 
     def __matmul__(self, inner: "UMap") -> "UMap":
         """The composite self∘inner: letter images self(inner(letter)),
@@ -452,7 +462,7 @@ class UEmbedding:
     def apply(self, x: UElement) -> UElement:
         if x.algebra is not self.source:
             raise ValueError("element does not live in the source algebra")
-        return UElement(self.target, self.substitute(x.coords))
+        return UElement._of(self.target, self.substitute(x.coords))
 
     def image(self, t: Triple) -> dict[Triple, QVScalar]:
         """Coordinates of the image of the source triple t, memoized."""
@@ -898,8 +908,8 @@ class BraidOperator(UMap):
                           _sign_power(tw, r) * fac)
                 _add_into(raw_f, ((), y0, (p,) * b + (q,) + (p,) * a),
                           _sign_power(-tw, r) * fac)
-            e_img[q] = UElement(algebra, algebra.reduce_triples(raw_e))
-            f_img[q] = UElement(algebra, algebra.reduce_triples(raw_f))
+            e_img[q] = UElement._of(algebra, algebra.reduce_triples(raw_e))
+            f_img[q] = UElement._of(algebra, algebra.reduce_triples(raw_f))
         super().__init__(algebra, algebra, lambda q, low: (f_img if low else e_img)[q],
                          lambda mu: algebra.reflect_y(p, mu))
 
@@ -1214,13 +1224,13 @@ def _probe_alphabet(tgt: UAlgebra, pair: ContractiblePair) -> list[tuple[str, UE
             continue
         letters.append((f"E[{j}]", e_gen(tgt, j), 1))
         letters.append((f"F[{j}]", f_gen(tgt, j), 1))
-    letters.append(("E+E-", UElement(tgt, tgt.reduce_triples(
+    letters.append(("E+E-", UElement._of(tgt, tgt.reduce_triples(
         {((pp, pm), y0, ()): QV_ONE})), 2))
-    letters.append(("E-E+", UElement(tgt, tgt.reduce_triples(
+    letters.append(("E-E+", UElement._of(tgt, tgt.reduce_triples(
         {((pm, pp), y0, ()): QV_ONE})), 2))
-    letters.append(("F+F-", UElement(tgt, tgt.reduce_triples(
+    letters.append(("F+F-", UElement._of(tgt, tgt.reduce_triples(
         {((), y0, (pp, pm)): QV_ONE})), 2))
-    letters.append(("F-F+", UElement(tgt, tgt.reduce_triples(
+    letters.append(("F-F+", UElement._of(tgt, tgt.reduce_triples(
         {((), y0, (pm, pp)): QV_ONE})), 2))
     return letters
 
@@ -1396,15 +1406,15 @@ def _quotient_braid_agreement(emb: UEmbedding, ideal_base: list[dict]) -> dict:
         src, emb.merged,
         lambda sym: tgt.cartan.dot(sym, pair.minus if primed else pair.plus) == 0)
         for primed in (True, False)}
-    gens = _named_generators(src)
+    gens = [(name, g, emb.apply(g)) for name, g in _named_generators(src)]
     ids = _Identities()
     ambiguous = []
     for primed in (True, False):
         for e in (1, -1):
             tilde = tilde_braid_i0(tgt, pair, e, primed)
             own = braid_basic(src, emb.merged, e, primed)
-            for name, g in gens:
-                y = tilde.apply(emb.apply(g))
+            for name, g, image in gens:
+                y = tilde.apply(image)
                 sol = _solve_mod_ideal(emb, y, ideal_base)
                 kind = "primed" if primed else "doubleprime"
                 label = f"{kind} (e={e}) on {name}"

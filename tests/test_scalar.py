@@ -390,7 +390,8 @@ def test_fast_paths_match_the_constructor_hypothesis():
     nonzero = rat.filter(bool)
     poly = st.dictionaries(st.integers(-3, 3), rat, max_size=4).map(LaurentPoly)
     monomial = st.builds(lambda e, c: LaurentPoly({e: c}), st.integers(-3, 3), nonzero)
-    fraction = st.tuples(poly, poly.filter(lambda p: len(p.coeffs) > 1))
+    nonmonomial = poly.filter(lambda p: len(p.coeffs) > 1)
+    fraction = st.tuples(poly, nonmonomial)
     scalars = st.one_of(
         st.just(QVScalar(LaurentPoly())),
         monomial.map(QVScalar),
@@ -398,8 +399,18 @@ def test_fast_paths_match_the_constructor_hypothesis():
         fraction.map(lambda nd: QVScalar(*nd)))
 
     @hyp.settings(max_examples=400, deadline=None, derandomize=True)
-    @hyp.given(scalars, scalars, scalars, rat, st.integers(-3, 3))
-    def check(a, b, z, c, e):
+    @hyp.given(scalars, scalars, scalars, rat, st.integers(-3, 3),
+               poly, nonmonomial, poly)
+    def check(a, b, z, c, e, q, d, r):
+        # q·d / d divides exactly; r/d + (q·d - r)/d cancels to q
+        qd = _naive_mul(q, d)
+        _assert_same_form(QVScalar(qd) / QVScalar(d), QVScalar(qd, d))
+        _assert_same_form(QVScalar(qd) / QVScalar(d), QVScalar(q))
+        s, t = QVScalar(r, d), QVScalar(_naive_add(qd, -r), d)
+        _assert_same_form(s + t, QVScalar(
+            _naive_add(_naive_mul(s.num, t.den), _naive_mul(t.num, s.den)),
+            _naive_mul(s.den, t.den)))
+        _assert_same_form(s + t, QVScalar(q))
         for x, y in ((a, b), (b, a)):
             if y:
                 # key 1 is filled in, key 2 cancels, key 3 is not in the row

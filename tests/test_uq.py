@@ -10,7 +10,7 @@ from dense_reference import dense, dense_rank
 from qcontract.cartan import (
     CartanDatum, ContractiblePair, simply_connected_datum, simply_laced_cartan,
 )
-from qcontract import uq
+from qcontract import scalar, uq
 from qcontract._linalg import rank
 from qcontract.falg import FAlgebra, FElement, _pbw_data, coproduct_r, theta
 from qcontract.scalar import (
@@ -881,6 +881,19 @@ def test_subquotient_probe_builds_no_component_past_max_total():
     assert subquotient_phi_probe(target, PAIR12, 3)["holds"]
     built = sorted(target.f._components)
     assert built and max(sum(nu) for nu in built) <= 3, built
+
+
+def test_cold_a2_probe_takes_few_gcds(monkeypatch):
+    # a work count, not a timing: sums over a shared denominator that cancel
+    # to a Laurent value, and quotients that divide exactly, need no gcd; 20
+    # heuristic gcds ran when they went through the constructor
+    calls = []
+    plain = scalar._heu_gcd
+    monkeypatch.setattr(scalar, "_heu_gcd",
+                        lambda a, b: calls.append(1) or plain(a, b))
+    target = UAlgebra(simply_connected_datum(A2), 8)
+    assert subquotient_phi_probe(target, PAIR12, 3, epsilon=1)["holds"]
+    assert len(calls) <= 4, len(calls)
 
 
 @pytest.mark.parametrize("target, pair, seed",
