@@ -15,6 +15,10 @@ lexicographically least complement of the leading terms.  The bilinear form
 is computed by a cleared recursion that never divides; the (1 - v_i^-2)^-1
 factors are restored at the end.
 
+``chain_words`` (on plain words) and ``chain_sum`` (on elements) write the
+alternating sum sum_r (-v^t)^r p^(a) q p^(b), a + b = n, once: for the Serre
+relators, f', merged divided powers and the braid images in U_q.
+
 Internally letters are generator positions (ints); the public surface speaks
 in the Cartan datum's index symbols.
 """
@@ -34,7 +38,6 @@ from .scalar import (
 
 Degree = tuple[int, ...]       # multiplicity per generator position
 PlainWord = tuple[int, ...]    # letters are generator positions
-FreeWord = tuple[tuple[int, int], ...]   # (position, divided-power exponent)
 
 
 def _add_into(acc: dict, key, c: QVScalar) -> None:
@@ -57,6 +60,35 @@ def _add_outer(acc: dict, c: QVScalar, left: Mapping, right: Mapping) -> None:
         cl = c * cl
         for kr, cr in right.items():
             _add_into(acc, (kl, kr), cl * cr)
+
+
+def sign_power(base_exp: int, n: int) -> QVScalar:
+    """(-v^base_exp)^n for any integer n."""
+    c = v_power(n * base_exp)
+    return -c if n % 2 else c
+
+
+def chain_words(p: int, q: int, n: int, twist: int, r_first: bool,
+                d: int) -> dict[PlainWord, QVScalar]:
+    """sum_(r+s=n) (-v^twist)^r p^a q p^b / ([a]_d! [b]_d!) on plain words,
+    p != q, (a, b) = (r, s) when r_first and (s, r) otherwise (Lusztig,
+    Introduction to Quantum Groups, 1.4.1 and 37.1.3)."""
+    facs = [quantum_factorial(k, d) for k in range(n + 1)]
+    out = {}
+    for r in range(n + 1):
+        a, b = (r, n - r) if r_first else (n - r, r)
+        out[(p,) * a + (q,) + (p,) * b] = sign_power(twist, r) / (facs[a] * facs[b])
+    return out
+
+
+def chain_sum(power, gen, n: int, twist: int, r_first: bool):
+    """sum_(r+s=n) (-v^twist)^r power(a) gen power(b), (a, b) as in
+    ``chain_words``, on any ``LinearCombination`` with ``*``, ``+``, ``scale``."""
+    acc = gen._like({})
+    for r in range(n + 1):
+        a, b = (r, n - r) if r_first else (n - r, r)
+        acc = acc + (power(a) * gen * power(b)).scale(sign_power(twist, r))
+    return acc
 
 
 class LinearCombination:
@@ -198,32 +230,15 @@ class FAlgebra:
         return [(p,) + w for p in range(self.rank) if nu[p]
                 for w in self.plain_words(nu[:p] + (nu[p] - 1,) + nu[p + 1:])]
 
-    # --- free-word expansion -------------------------------------------
-    def expand_free(self, coords: Mapping[FreeWord, QVScalar]) -> dict[PlainWord, QVScalar]:
-        """Divided powers become ordinary letters with factorial denominators."""
-        out: dict[PlainWord, QVScalar] = {}
-        for fw, c in coords.items():
-            letters: list[int] = []
-            for p, n in fw:
-                if n < 1:
-                    raise ValueError("divided-power exponents must be positive")
-                c = c / quantum_factorial(n, self._d[p])
-                letters.extend([p] * n)
-            _add_into(out, tuple(letters), c)
-        return out
-
     # --- the Serre ideal and graded components -------------------------
-    def serre_relator_free(self, i, j) -> dict[FreeWord, QVScalar]:
+    def serre_relator_words(self, i, j) -> dict[PlainWord, QVScalar]:
+        """The relator sum_r (-1)^r i^(m-r) j i^r / ([m-r]_i! [r]_i!),
+        m = 1 - a_ij, on plain words."""
         pi, pj = self._pos[i], self._pos[j]
         if pi == pj:
             raise ValueError("the relator needs two distinct generators")
-        m = 1 - self.cartan.cartan_entry(i, j)
-        out: dict[FreeWord, QVScalar] = {}
-        for r in range(m + 1):
-            s = m - r
-            fw = tuple(t for t in ((pi, s), (pj, 1), (pi, r)) if t[1] > 0)
-            _add_into(out, fw, qv(-1) ** r)
-        return out
+        return chain_words(pi, pj, 1 - self.cartan.cartan_entry(i, j), 0, False,
+                           self._d[pi])
 
     @cached_property
     def _serre_relators(self) -> list[tuple[dict[PlainWord, QVScalar], Degree]]:
@@ -395,8 +410,7 @@ def theta(algebra: FAlgebra, i, n: int = 1) -> FElement:
 
 def serre_relator(algebra: FAlgebra, i, j) -> FElement:
     """The defining relator; reducing it must give zero."""
-    free = algebra.serre_relator_free(i, j)
-    plain = algebra.expand_free(free)
+    plain = algebra.serre_relator_words(i, j)
     nu = algebra.word_degree(next(iter(plain)))
     return felement(algebra, nu, plain)
 
@@ -473,11 +487,13 @@ def tensor(x: FElement, y: FElement) -> TensorElement:
 
 
 def coproduct_r(x: FElement) -> TensorElement:
-    """The algebra map with r(theta_i) = theta_i (x) 1 + 1 (x) theta_i."""
+    """The algebra map with r(theta_i) = theta_i (x) 1 + 1 (x) theta_i.  A
+    word w splits 2^|w| ways, charged to the budget before they are made."""
     alg = x.algebra
     out: dict[tuple[PlainWord, PlainWord], QVScalar] = {}
     for w, c in x.coords.items():
         n = len(w)
+        _budget.charge(1 << n)
         for mask in range(1 << n):
             twist = 0
             left: list[int] = []
@@ -541,14 +557,8 @@ def f_prime(algebra: FAlgebra, i, j, m: int) -> FElement:
     pi, pj = algebra.position(i), algebra.position(j)
     if pi == pj:
         raise ValueError("two distinct generators required")
-    dot_ij = algebra._dot[pi][pj]
     di = algebra._d[pi]
-    free: dict[FreeWord, QVScalar] = {}
-    for r in range(m + 1):
-        s = m - r
-        fw = tuple(t for t in ((pi, s), (pj, 1), (pi, r)) if t[1] > 0)
-        _add_into(free, fw, (qv(-1) ** r) * v_power(r * dot_ij + di * r * (m - 1)))
-    plain = algebra.expand_free(free)
+    plain = chain_words(pi, pj, m, algebra._dot[pi][pj] + di * (m - 1), False, di)
     nu = algebra.word_degree(next(iter(plain)))
     return felement(algebra, nu, plain)
 
@@ -722,8 +732,7 @@ def relator_image_is_zero(emb: FEmbedding, i, j) -> bool:
     src = serre_relator(emb.source, i, j)
     if src:
         raise AssertionError("relator fails to reduce to zero at the source")
-    free = emb.source.serre_relator_free(i, j)
-    plain = emb.source.expand_free(free)
+    plain = emb.source.serre_relator_words(i, j)
     image = emb.apply_plain(plain)
     nu = emb.degree_map(emb.source.word_degree(next(iter(plain))))
     if sum(nu) <= emb.target.degree_bound:
@@ -775,18 +784,11 @@ def theta_merged_power_identity(emb: FEmbedding, n: int) -> bool:
     """The divided power of the merged generator expands into an alternating
     sum of divided-power words of the two contracted generators."""
     alg, tgt = emb.source, emb.target
-    lhs = emb.apply(theta(alg, emb.merged, n))
     pp, pm = emb.pair.plus, emb.pair.minus
-    sign = -1 if emb.dagger else 1
-    a, b = (pm, pp) if not emb.dagger else (pp, pm)
-    total: dict[PlainWord, QVScalar] = {}
-    for l in range(n + 1):
-        term = theta(tgt, a, l) * theta(tgt, b, n) * theta(tgt, a, n - l)
-        c = (qv(-1) ** l) * v_power(-sign * emb.epsilon * l * emb._d0)
-        for w, cw in term.coords.items():
-            _add_into(total, w, c * cw)
-    rhs = FElement(tgt, lhs.nu, total)
-    return lhs == rhs
+    a, b, sign = (pp, pm, 1) if emb.dagger else (pm, pp, -1)
+    return emb.apply(theta(alg, emb.merged, n)) == chain_sum(
+        lambda k: theta(tgt, a, k), theta(tgt, b, n), n,
+        sign * emb.epsilon * emb._d0, True)
 
 
 def p_bar_check(emb: FEmbedding, x: FElement) -> bool:

@@ -17,10 +17,11 @@ the algebra holds one cache of its maps (braid operators, their composites,
 ω and ρ).  The dicts they return are shared and only read.
 
 The module also provides the contraction embedding on the whole algebra, the
-coproduct and its bidegree blocks, the modified (idempotented) form, braid
-operators together with their contraction compatibilities, a rank probe for
-the subquotient presentation, highest-weight and tensor modules, and the
-factorization of contraction embeddings along linear chains of vertices.
+coproduct Δ (in closed form from f's r, so no product is normal-ordered) and
+its bidegree blocks, the modified (idempotented) form, braid operators with
+their contraction compatibilities, a rank probe for the subquotient
+presentation, highest-weight and tensor modules, and the factorization of
+contraction embeddings along linear chains of vertices.
 """
 from __future__ import annotations
 
@@ -32,8 +33,9 @@ from ._linalg import echelon_insert, rank, rref, residue, solve
 from .cartan import (CartanDatum, ContractiblePair, RootDatum,
                      contract_root_datum)
 from .falg import (FAlgebra, FElement, LinearCombination, _add_into,
-                   _add_outer, _degrees_up_to, canonical_basis, felement, merged_expansion,
-                   psi_dagger_epsilon, psi_epsilon, theta)
+                   _add_outer, _degrees_up_to, canonical_basis, chain_sum, chain_words,
+                   coproduct_r, felement, merged_expansion, psi_dagger_epsilon,
+                   psi_epsilon, sign_power, theta)
 from .scalar import (QV_ONE, QVScalar, bar as scalar_bar, qv,
                      quantum_factorial, quantum_integer, render_scalar,
                      v_power)
@@ -55,12 +57,6 @@ def _vadd(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 
 def _vsub(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple(map(sub, a, b))
-
-
-def _sign_power(base_exp: int, n: int) -> QVScalar:
-    """(-v^base_exp)^n for any integer n."""
-    c = v_power(n * base_exp)
-    return -c if n % 2 else c
 
 
 class UAlgebra:
@@ -668,45 +664,31 @@ def tensor_of(x: UElement, y: UElement) -> UTensor:
     return UTensor(x.algebra, out)
 
 
-def _tensor_mul(t1: UTensor, t2: UTensor) -> UTensor:
-    alg = t1.algebra
-    out: dict[tuple[Triple, Triple], QVScalar] = {}
-    for (s1, s2), c in t1.coords.items():
-        for (u1, u2), d in t2.coords.items():
-            charge()
-            left = u_multiply(UElement(alg, {s1: QV_ONE}),
-                              UElement(alg, {u1: QV_ONE}))
-            right = u_multiply(UElement(alg, {s2: QV_ONE}),
-                               UElement(alg, {u2: QV_ONE}))
-            _add_outer(out, c * d, left.coords, right.coords)
-    return UTensor(alg, out)
-
-
 def delta(x: UElement) -> UTensor:
-    """Coproduct, computed letterwise from the generator rules."""
+    """Coproduct in closed form from f's r (Lusztig, Introduction to Quantum
+    Groups, 3.1.5): with r(θ_e) = Σ a ⊗ b and r̄(θ_f) = bar r(θ_f) = Σ c ⊗ d,
+    Δ(E_e K_μ F_f) = Σ E_a K_(μ + K̃_|b|) F_c ⊗ E_b K_(μ - K̃_|c|) F_d.  The
+    words of r are reduced, so every factor is in normal order already and
+    nothing crosses; each pair of terms is charged before it is added."""
     alg = x.algebra
-    y0 = alg.y_zero
-    unit_triple = ((), y0, ())
+    f = alg.f
+
+    def r_of(w: PlainWord, conjugate: bool):
+        t = coproduct_r(FElement(f, f.word_degree(w), {w: QV_ONE}))
+        return (t.bar() if conjugate else t).coords.items()
+
+    def k_tilde(w: PlainWord) -> YVec:
+        return tuple(map(sum, zip(alg.y_zero, *(alg._kt[p] for p in w))))
+
     total: dict[tuple[Triple, Triple], QVScalar] = {}
     for (ew, mu, fw), c in x.coords.items():
-        acc = UTensor(alg, {(unit_triple, unit_triple): QV_ONE})
-        for p in ew:
-            step = UTensor(alg, {
-                (((p,), y0, ()), unit_triple): QV_ONE,
-                (((), alg._kt[p], ()), ((p,), y0, ())): QV_ONE})
-            acc = _tensor_mul(acc, step)
-        if any(mu):
-            step = UTensor(alg, {(((), mu, ()), ((), mu, ())): QV_ONE})
-            acc = _tensor_mul(acc, step)
-        for p in fw:
-            step = UTensor(alg, {
-                (((), y0, (p,)), ((), _neg(alg._kt[p]), ())): QV_ONE,
-                (unit_triple, ((), y0, (p,))): QV_ONE})
-            acc = _tensor_mul(acc, step)
-        total_acc = acc.scale(c)
-        for t, cc in total_acc.coords.items():
-            _add_into(total, t, cc)
-    return UTensor(alg, total)
+        lows = [(cw, _vsub(mu, k_tilde(cw)), d, cf) for (cw, d), cf in r_of(fw, True)]
+        for (a, b), ce in r_of(ew, False):
+            left_mu, ce = _vadd(mu, k_tilde(b)), c * ce
+            for cw, right_mu, d, cf in lows:
+                charge()
+                _add_into(total, ((a, left_mu, cw), (b, right_mu, d)), ce * cf)
+    return UTensor._of(alg, total)
 
 
 def _triple_norm(alg: UAlgebra, t: Triple) -> Degree:
@@ -727,8 +709,7 @@ def tensor_psi(emb: UEmbedding, t: UTensor) -> UTensor:
     """Apply the embedding to both tensor factors."""
     out: dict[tuple[Triple, Triple], QVScalar] = {}
     for (s1, s2), c in t.coords.items():
-        _add_outer(out, c, emb.apply(UElement(emb.source, {s1: QV_ONE})).coords,
-                   emb.apply(UElement(emb.source, {s2: QV_ONE})).coords)
+        _add_outer(out, c, emb.image(s1), emb.image(s2))
     return UTensor(emb.target, out)
 
 
@@ -898,18 +879,11 @@ class BraidOperator(UMap):
             if q == p:
                 continue
             n = -algebra.cartan.cartan_entry(i, sym)
-            raw_e: dict[Triple, QVScalar] = {}
-            raw_f: dict[Triple, QVScalar] = {}
-            for r in range(n + 1):
-                s = n - r
-                a, b = (r, s) if primed else (s, r)
-                fac = QV_ONE / (quantum_factorial(r, d) * quantum_factorial(s, d))
-                _add_into(raw_e, ((p,) * a + (q,) + (p,) * b, y0, ()),
-                          _sign_power(tw, r) * fac)
-                _add_into(raw_f, ((), y0, (p,) * b + (q,) + (p,) * a),
-                          _sign_power(-tw, r) * fac)
-            e_img[q] = UElement._of(algebra, algebra.reduce_triples(raw_e))
-            f_img[q] = UElement._of(algebra, algebra.reduce_triples(raw_f))
+            e_img[q] = UElement._of(algebra, algebra.reduce_triples(
+                {(w, y0, ()): c for w, c in chain_words(p, q, n, tw, primed, d).items()}))
+            f_img[q] = UElement._of(algebra, algebra.reduce_triples(
+                {((), y0, w): c
+                 for w, c in chain_words(p, q, n, -tw, not primed, d).items()}))
         super().__init__(algebra, algebra, lambda q, low: (f_img if low else e_img)[q],
                          lambda mu: algebra.reflect_y(p, mu))
 
@@ -962,21 +936,7 @@ def braid_formula_gate(algebra: UAlgebra, pair: ContractiblePair) -> dict:
         ids.expect(f"plus sends minus generator to merged(e={e}), lowering",
                    tpe.apply(f_gen(algebra, pair.minus)),
                    f_merged(algebra, pair, e).scale(-v_power(-e * d0)))
-    return {"holds": not ids.failures, "failures": ids.failures}
-
-
-def _chain_sum(power: Callable[[int], UElement], gen: UElement, n: int,
-               twist: int, r_first: bool) -> UElement:
-    """sum over r + s = n of (-v^twist)^r X^(a) gen X^(b), where X^(k) is
-    power(k) and (a, b) is (r, s) when r_first and (s, r) otherwise: the
-    braid symmetry's image of a neighboring generator (Lusztig,
-    Introduction to Quantum Groups, 37.1.3)."""
-    acc = UElement(gen.algebra, {})
-    for r in range(n + 1):
-        a, b = (r, n - r) if r_first else (n - r, r)
-        acc = acc + u_multiply(u_multiply(power(a), gen), power(b)) \
-            .scale(_sign_power(twist, r))
-    return acc
+    return ids.report()
 
 
 def _ensure_gate(algebra: UAlgebra, pair: ContractiblePair) -> None:
@@ -1011,13 +971,6 @@ def braid_assumption_holds(algebra: UAlgebra, pair: ContractiblePair):
                 and algebra.cartan.dot(j, pair.minus) != 0:
             return False, j
     return True, None
-
-
-def _merged_divided(algebra: UAlgebra, pair: ContractiblePair, epsilon: int,
-                    n: int, lowering: bool) -> UElement:
-    base = (f_merged if lowering else e_merged)(algebra, pair, epsilon)
-    d0 = algebra._d[algebra.position(pair.plus)]
-    return divided_power(base, n, d0)
 
 
 def braid_props_check(algebra: UAlgebra, pair: ContractiblePair) -> dict:
@@ -1074,12 +1027,12 @@ def braid_props_check(algebra: UAlgebra, pair: ContractiblePair) -> dict:
                         r_first = primed != lowering
                         twist = e * d0 if r_first else -e * d0
                         gen = (f_gen if lowering else e_gen)(algebra, j)
-                        want = _chain_sum(
-                            lambda k: _merged_divided(algebra, pair, eps, k,
-                                                      lowering),
-                            gen, nj, twist, r_first)
+                        merged = (f_merged if lowering else e_merged)(
+                            algebra, pair, eps)
+                        want = chain_sum(lambda k: divided_power(merged, k, d0),
+                                         gen, nj, twist, r_first)
                         if primed == signed_primed:
-                            want = want.scale(_sign_power(twist, nj))
+                            want = want.scale(sign_power(twist, nj))
                         ids.expect(f"{kind} list {first + lowering} (e={e}, {tag}={j})",
                                    op.apply(gen), want)
     return ids.report(assumption=True)
@@ -1098,10 +1051,10 @@ def _rescale_letters(x: UElement, powers: Mapping[int, int], u: int) -> UElement
     for (ew, mu, fw), c in x.coords.items():
         for p in ew:
             if p in powers:
-                c = c * _sign_power(u, powers[p])
+                c = c * sign_power(u, powers[p])
         for p in fw:
             if p in powers:
-                c = c * _sign_power(-u, powers[p])
+                c = c * sign_power(-u, powers[p])
         out[(ew, mu, fw)] = c
     return UElement(x.algebra, out)
 
@@ -1193,10 +1146,10 @@ def braid_on_V_check(emb: UEmbedding, e: int) -> dict:
                 kind = "primed" if primed else "doubleprime"
                 twist = ee * dj if primed else -ee * dj
                 ids.expect(f"surviving-index formula {kind} E (j={j}, e={ee})",
-                           op.apply(e0), _chain_sum(lambda k: e_gen(tgt, j, k),
+                           op.apply(e0), chain_sum(lambda k: e_gen(tgt, j, k),
                                                     e0, nj, twist, primed))
                 ids.expect(f"surviving-index formula {kind} F (j={j}, e={ee})",
-                           op.apply(f0), _chain_sum(lambda k: f_gen(tgt, j, k),
+                           op.apply(f0), chain_sum(lambda k: f_gen(tgt, j, k),
                                                     f0, nj, -twist, not primed))
                 own = braid_basic(src, j, ee, primed)
                 for name, g in gens:

@@ -9,8 +9,8 @@ from qcontract._linalg import rank
 from qcontract.cartan import CartanDatum, ContractiblePair, simply_laced_cartan
 from qcontract.falg import (
     FAlgebra, FElement, FEmbedding, bar, bar_comp_check, bilinear_form,
-    brace_form, coproduct_r, f_i_membership, f_prime, felement,
-    form_compat_check, graded_basis, injectivity_report,
+    brace_form, chain_sum, chain_words, coproduct_r, f_i_membership, f_prime,
+    felement, form_compat_check, graded_basis, injectivity_report,
     left_f_i_membership, left_pi_i, left_r_i, one, p_bar_check,
     parse_felement, pi_i, psi_dagger_epsilon, psi_epsilon, r_component, r_i,
     relator_image_is_zero, render_felement, restriction_compat_check,
@@ -145,7 +145,7 @@ def ideal_rows(alg, nu):
         for j in alg.cartan.indices:
             if i == j:
                 continue
-            rel = alg.expand_free(alg.serre_relator_free(i, j))
+            rel = alg.serre_relator_words(i, j)
             rest = tuple(n - d for n, d in zip(nu, alg.word_degree(next(iter(rel)))))
             if any(x < 0 for x in rest):
                 continue
@@ -251,10 +251,10 @@ def test_serre_relators_are_the_closed_form(monkeypatch):
                  and (datum.cartan_entry(i, j) or pos(i) < pos(j))]
         assert len(rels) == len(pairs)
         for (rel, deg), (i, j) in zip(rels, pairs):
-            free = alg.expand_free(alg.serre_relator_free(i, j))
-            lead = max(free)
-            assert rel == {w: c / free[lead] for w, c in free.items()}, (i, j)
-            assert list(rel) == list(free) and deg == alg.word_degree(lead)
+            words = alg.serre_relator_words(i, j)
+            lead = max(words)
+            assert rel == {w: c / words[lead] for w, c in words.items()}, (i, j)
+            assert list(rel) == list(words) and deg == alg.word_degree(lead)
             assert all(c.is_laurent() for c in rel.values())
 
 
@@ -329,6 +329,46 @@ def test_coproduct_is_multiplicative():
         x = rng.choice(basis_elements(FA2, nux))
         y = rng.choice(basis_elements(FA2, nuy))
         assert coproduct_r(x * y) == coproduct_r(x) * coproduct_r(y)
+
+
+def test_coproduct_r_charges_its_splits_first():
+    # a degree-6 word splits 2^6 = 64 ways: a smaller budget stops r before
+    # it makes any, and once the lower pieces exist r charges exactly 64
+    alg = FAlgebra(A2)
+    x = FElement(alg, (3, 3), {alg.component((3, 3)).basis[0]: QV_ONE})
+    coproduct_r(x)
+    try:
+        budget = set_budget(63)
+        with pytest.raises(BudgetExceeded):
+            coproduct_r(x)
+        assert budget.used == 0
+        budget = set_budget(64)
+        coproduct_r(x)
+        assert budget.used == 64
+    finally:
+        set_budget(None)
+
+
+@pytest.mark.parametrize("datum", [A2, B2, G2], ids=["A2", "B2", "G2"])
+def test_chain_words_reduce_to_the_chain_sum(datum):
+    # the chain on plain words, reduced in f, is the chain on divided powers
+    alg = FAlgebra(datum)
+    nonzero = 0
+    for i in datum.indices:
+        for j in datum.indices:
+            if i == j:
+                continue
+            p = alg.position(i)
+            for n in range(4):
+                for r_first in (False, True):
+                    for twist in (0, 1, -3):
+                        words = chain_words(p, alg.position(j), n, twist, r_first,
+                                            alg._d[p])
+                        got = felement(alg, alg.word_degree(next(iter(words))), words)
+                        assert got == chain_sum(lambda k: theta(alg, i, k),
+                                                theta(alg, j), n, twist, r_first)
+                        nonzero += bool(got)
+    assert nonzero >= 40
 
 
 def test_form_adjoint_to_coproduct():
@@ -507,7 +547,7 @@ def test_relator_image_past_the_degree_bound():
 def test_rank_one_source_has_no_relators():
     emb = psi_epsilon(FA2, PAIR21, 1)
     with pytest.raises(ValueError):
-        emb.source.serre_relator_free("1+2", "1+2")
+        emb.source.serre_relator_words("1+2", "1+2")
 
 
 def test_theta_merged_power_identity():

@@ -421,25 +421,70 @@ def test_injectivity_report():
 
 # --- comultiplication --------------------------------------------------------
 
+def _tensor_mul(t1, t2):
+    """The product on U ⊗ U, each factor through u_multiply: the oracle the
+    closed-form coproduct is tested against."""
+    alg = t1.algebra
+    out = {}
+    for (s1, s2), c in t1.coords.items():
+        for (u1, u2), d in t2.coords.items():
+            left = u_multiply(UElement(alg, {s1: QV_ONE}),
+                              UElement(alg, {u1: QV_ONE}))
+            right = u_multiply(UElement(alg, {s2: QV_ONE}),
+                               UElement(alg, {u2: QV_ONE}))
+            for a, ca in left.coords.items():
+                for b, cb in right.coords.items():
+                    out[a, b] = out.get((a, b), QV_ZERO) + c * d * ca * cb
+    return UTensor(alg, out)
+
+
+def _delta_e(alg, i):
+    return tensor_of(e_gen(alg, i), u_one(alg)) \
+        + tensor_of(k_tilde_gen(alg, i), e_gen(alg, i))
+
+
+def _delta_f(alg, i):
+    return tensor_of(f_gen(alg, i), k_tilde_gen(alg, i, -1)) \
+        + tensor_of(u_one(alg), f_gen(alg, i))
+
+
 def test_delta_on_generators():
-    one = u_one(U2)
     for i in (1, 2):
-        assert delta(e_gen(U2, i)) == tensor_of(e_gen(U2, i), one) \
-            + tensor_of(k_tilde_gen(U2, i), e_gen(U2, i))
-        assert delta(f_gen(U2, i)) == \
-            tensor_of(f_gen(U2, i), k_tilde_gen(U2, i, -1)) \
-            + tensor_of(one, f_gen(U2, i))
+        assert delta(e_gen(U2, i)) == _delta_e(U2, i)
+        assert delta(f_gen(U2, i)) == _delta_f(U2, i)
     mu = (1, -1)
     assert delta(k_gen(U2, mu)) == tensor_of(k_gen(U2, mu), k_gen(U2, mu))
 
 
 def test_delta_homomorphism_random():
-    from qcontract.uq import _tensor_mul
+    # B2 and G2 have d != 1, where K~ = d * coroot and the bar on r(theta_f)
+    # differ from what A2 alone would pass
     rng = random.Random(6)
-    for _ in range(15):
-        x = rand_element(U2, rng, width=2)
-        y = rand_element(U2, rng, width=2)
-        assert delta(u_multiply(x, y)) == _tensor_mul(delta(x), delta(y))
+    for alg in (U2, UB2, UG2):
+        for _ in range(10):
+            x = rand_element(alg, rng, width=2)
+            y = rand_element(alg, rng, width=2)
+            assert delta(u_multiply(x, y)) == _tensor_mul(delta(x), delta(y))
+
+
+@pytest.mark.parametrize("alg, seed", [(U2, 61), (UB2, 62), (UG2, 63), (U3, 64)],
+                         ids=["A2", "B2", "G2", "A3"])
+def test_delta_is_the_letterwise_product(alg, seed):
+    # the closed form from f's r against the product of the generator
+    # coproducts, one letter at a time
+    syms = alg.cartan.indices
+    rng = random.Random(seed)
+    for _ in range(10):
+        x = rand_element(alg, rng, width=2, letters=3)
+        want = UTensor(alg, {})
+        for (ew, mu, fw), c in x.coords.items():
+            acc = tensor_of(k_gen(alg, mu), k_gen(alg, mu))
+            for p in reversed(ew):
+                acc = _tensor_mul(_delta_e(alg, syms[p]), acc)
+            for p in fw:
+                acc = _tensor_mul(acc, _delta_f(alg, syms[p]))
+            want = want + acc.scale(c)
+        assert delta(x) == want
 
 
 def test_delta_component_slices():
@@ -667,6 +712,7 @@ def test_rank_two_braid_relation():
 def test_braid_gate():
     rep = braid_formula_gate(U2, PAIR12)
     assert rep["holds"], rep["failures"]
+    assert rep["checked"] == 12
 
 
 def test_braid_gate_runs_once_per_algebra(monkeypatch):
