@@ -878,12 +878,12 @@ class BraidOperator(UMap):
         for q, sym in enumerate(algebra.cartan.indices):
             if q == p:
                 continue
-            n = -algebra.cartan.cartan_entry(i, sym)
+            # F's chain is E's, each word reversed and each coefficient barred
+            words = chain_words(p, q, -algebra.cartan.cartan_entry(i, sym), tw, primed, d)
             e_img[q] = UElement._of(algebra, algebra.reduce_triples(
-                {(w, y0, ()): c for w, c in chain_words(p, q, n, tw, primed, d).items()}))
+                {(w, y0, ()): c for w, c in words.items()}))
             f_img[q] = UElement._of(algebra, algebra.reduce_triples(
-                {((), y0, w): c
-                 for w, c in chain_words(p, q, n, -tw, not primed, d).items()}))
+                {((), y0, w[::-1]): scalar_bar(c) for w, c in words.items()}))
         super().__init__(algebra, algebra, lambda q, low: (f_img if low else e_img)[q],
                          lambda mu: algebra.reflect_y(p, mu))
 
