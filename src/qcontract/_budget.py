@@ -1,11 +1,12 @@
 """Coarse work budget shared by the enumeration-heavy operations.
 
 The budget counts coarse steps (orbit elements visited, matrix rows reduced,
-words expanded), not machine instructions.  A charge that would exceed it
-raises BudgetExceeded and counts nothing, so a caller charges a closed-form
-count before it builds anything.  No command line exists yet
-(``qcontract.cli`` is declared in pyproject.toml but not written), so the
-exception propagates to whoever called the check.
+words expanded, finite-field table entries filled), not machine
+instructions.  A charge that would exceed it raises BudgetExceeded and
+counts nothing, so a caller charges a closed-form count before it builds
+anything.  No command line exists yet (``qcontract.cli`` is declared in
+pyproject.toml but not written), so the exception propagates to whoever
+called the check.
 """
 from __future__ import annotations
 

@@ -3,12 +3,15 @@
 An element is an integer 0..q-1 whose base-p digits are the coefficients of
 a residue polynomial modulo a fixed irreducible monic polynomial, chosen as
 the lexicographically least one (deterministic, computed once per field).
-Small fields (q <= 81) get full add/mul tables.
+Every field has full add, mul, neg and inverse tables, built once; each
+q x q table is charged q^2 to the work budget before it is built.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
+
+from . import _budget
 
 Mat = tuple[tuple[int, ...], ...]
 
@@ -45,39 +48,7 @@ def _poly_mul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[in
             out[i] = 0
             for j in range(d):
                 out[i - d + j] = (out[i - d + j] - c * mod[j]) % p
-    out = out[:d]
-    while len(out) < d:
-        out.append(0)
-    return out
-
-
-def _is_irreducible(poly: list[int], p: int) -> bool:
-    """Trial division by all monic polynomials of degree <= deg/2."""
-    d = len(poly) - 1
-    for deg in range(1, d // 2 + 1):
-        for code in range(p ** deg):
-            div = _decode(code, p, deg) + [1]
-            if _poly_rem(poly, div, p) == [0] * (len(div) - 1):
-                return False
-    return True
-
-
-def _poly_rem(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    r = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], -1, p)
-    while len(r) - 1 >= db:
-        c = (r[-1] * inv_lead) % p
-        if c:
-            off = len(r) - 1 - db
-            for j in range(len(b)):
-                r[off + j] = (r[off + j] - c * b[j]) % p
-        r.pop()
-        while len(r) > db and r and r[-1] == 0:
-            r.pop()
-    while len(r) < db:
-        r.append(0)
-    return r[:db]
+    return out[:d]
 
 
 def _decode(code: int, p: int, length: int) -> list[int]:
@@ -99,38 +70,30 @@ class GF:
     """Arithmetic in F_q on int-encoded elements."""
 
     def __init__(self, q: int):
+        """Build the tables.  The modulus is the first candidate, in code
+        order, whose multiplication table gives every nonzero element an
+        inverse: the quotient ring is a field exactly when the candidate is
+        irreducible, so this is the least irreducible monic."""
         p, e = _factor_prime_power(q)
         self.q = q
         self.p = p
         self.e = e
-        if e == 1:
-            self.modulus = None
-        else:
-            mod = None
-            for code in range(q):
-                cand = _decode(code, p, e) + [1]
-                if _is_irreducible(cand, p):
-                    mod = cand
-                    break
-            assert mod is not None
-            self.modulus = mod
-        self._mul_table: list[list[int]] | None = None
-        self._add_table: list[list[int]] | None = None
-        self._inv_table: list[int] | None = None
-        if q <= 81:
-            self._build_tables()
-
-    def _build_tables(self):
-        q = self.q
-        self._add_table = [[self._add_raw(a, b) for b in range(q)] for a in range(q)]
-        self._mul_table = [[self._mul_raw(a, b) for b in range(q)] for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul_table[a][b] == 1:
-                    inv[a] = b
-                    break
-        self._inv_table = inv
+        _budget.charge(q * q)
+        self._add = [[self._add_raw(a, b) for b in range(q)] for a in range(q)]
+        candidates = [None] if e == 1 else (_decode(c, p, e) + [1] for c in range(q))
+        for self.modulus in candidates:
+            _budget.charge(q * q)
+            mul = []
+            for a in range(q):
+                row = [self._mul_raw(a, b) for b in range(q)]
+                if a and 1 not in row:
+                    break  # a has no inverse: try the next candidate
+                mul.append(row)
+            else:
+                break  # every nonzero element has an inverse
+        self._mul = mul
+        self._neg = [row.index(0) for row in self._add]
+        self._inv = [0] + [row.index(1) for row in mul[1:]]
 
     def _add_raw(self, a: int, b: int) -> int:
         p = self.p
@@ -155,29 +118,21 @@ class GF:
 
     # --- public ops ----------------------------------------------------
     def add(self, a: int, b: int) -> int:
-        t = self._add_table
-        return t[a][b] if t is not None else self._add_raw(a, b)
+        return self._add[a][b]
 
     def neg(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
-        p = self.p
-        digits = [(-c) % p for c in _decode(a, p, self.e)]
-        return _encode(digits, p)
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        t = self._mul_table
-        return t[a][b] if t is not None else self._mul_raw(a, b)
+        return self._mul[a][b]
 
     def inv(self, a: int) -> int:
         if not a:
             raise ZeroDivisionError("inverse of zero in a finite field")
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        return self.pow(a, self.q - 2)
+        return self._inv[a]
 
     def pow(self, a: int, n: int) -> int:
         if n < 0:
@@ -205,7 +160,7 @@ class GF:
         if not A or not B:
             return tuple(() for _ in A)
         n, k, m = len(A), len(B), len(B[0])
-        add, mul = self.add, self.mul
+        add, mul = self._add, self._mul
         out = []
         for r in range(n):
             Ar = A[r]
@@ -213,7 +168,7 @@ class GF:
             for c in range(m):
                 s = 0
                 for t in range(k):
-                    s = add(s, mul(Ar[t], B[t][c]))
+                    s = add[s][mul[Ar[t]][B[t][c]]]
                 row.append(s)
             out.append(tuple(row))
         return tuple(out)
@@ -264,11 +219,7 @@ class GF:
         cells = rows * cols
         out = []
         for code in range(self.q ** cells):
-            digits = []
-            c = code
-            for _ in range(cells):
-                digits.append(c % self.q)
-                c //= self.q
+            digits = _decode(code, self.q, cells)
             out.append(tuple(tuple(digits[r * cols + c] for c in range(cols))
                              for r in range(rows)))
         return out

@@ -404,17 +404,13 @@ def mu_contraction(contr: QuiverContraction, dims: Dims, field: GF,
             raise ValueError(f"point is outside the open stratum: "
                              f"component {h.id} is singular")
     idx = {h.id: k for k, h in enumerate(q.edges)}
-    hat_dims = contr.contracted_dims(dims)
+    # one end of a composite or reversed hat edge is a plus vertex, so a pair
+    # at dimension 0 needs no case of its own: the products are empty-shaped
     out = []
-    for hat_edge, org in zip(contr.hat_quiver.edges, contr.edge_origin):
-        rows, cols = hat_dims[hat_edge.target], hat_dims[hat_edge.source]
+    for org in contr.edge_origin:
         if org[0] == "kept":
             out.append(x[idx[org[1].id]])
-            continue
-        if rows == 0 or cols == 0:
-            out.append(zero_mat(rows, cols))
-            continue
-        if org[0] == "comp":
+        elif org[0] == "comp":
             _, h2, h1 = org
             out.append(field.mat_mul(x[idx[h2.id]], x[idx[h1.id]]))
         else:

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from qcontract._gf import gf, gl_order
+from qcontract import _budget
+from qcontract._gf import GF, gf, gl_order
 
 
 def image_rank(F, A):
@@ -54,7 +55,54 @@ def test_general_linear_is_the_invertible_filter_in_order(q):
         assert len(want) == gl_order(n, q)
 
 
-FIELDS = [2, 3, 4, 5, 8, 9]
+def _least_irreducible_monic(p, e):
+    """Trial division: the first monic of degree e over F_p, in the order of
+    its base-p code (low coefficients first), with no monic factor of degree
+    1..e//2."""
+    def digits(code, n):
+        return [code // p ** i % p for i in range(n)]
+
+    def divides(d, f):
+        f = list(f)
+        for i in range(len(f) - 1, len(d) - 2, -1):
+            c = f[i]
+            for j, x in enumerate(d):
+                f[i - len(d) + 1 + j] = (f[i - len(d) + 1 + j] - c * x) % p
+        return not any(f)
+
+    for code in range(p ** e):
+        f = digits(code, e) + [1]
+        if not any(divides(digits(c, k) + [1], f)
+                   for k in range(1, e // 2 + 1) for c in range(p ** k)):
+            return f
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121])
+def test_modulus_is_the_least_irreducible_monic(q):
+    F = gf(q)
+    assert F.modulus == (None if F.e == 1 else _least_irreducible_monic(F.p, F.e))
+
+
+def test_field_tables_are_charged_before_they_are_built(monkeypatch):
+    calls = []
+    for meth in ("_add_raw", "_mul_raw"):
+        orig = getattr(GF, meth)
+        monkeypatch.setattr(GF, meth, lambda self, a, b, _o=orig: calls.append(a) or _o(self, a, b))
+    saved = _budget.active_budget()
+    try:
+        budget = _budget.set_budget(121 * 121 - 1)
+        with pytest.raises(_budget.BudgetExceeded):
+            GF(121)
+        assert calls == [] and budget.used == 0
+        # F_4: the add table, then x^2, x^2 + 1 and x^2 + x fail before x^2 + x + 1
+        budget = _budget.set_budget(10 ** 6)
+        GF(4)
+        assert budget.used == 5 * 16
+    finally:
+        _budget.set_budget(saved.limit)
+
+
+FIELDS = [2, 3, 4, 5, 8, 9, 121]
 
 
 def _power(F, a, n):
@@ -84,6 +132,9 @@ def test_field_axioms_and_frobenius_hypothesis(q):
         assert add(a, F.neg(a)) == 0 and F.sub(add(a, b), b) == a
         if a:
             assert mul(a, F.inv(a)) == 1
+        else:
+            with pytest.raises(ZeroDivisionError):
+                F.inv(a)
         if a and b:
             assert mul(a, b) != 0
         assert _power(F, a, q) == a

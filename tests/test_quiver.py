@@ -203,7 +203,7 @@ ENUMERATIONS = {
 
 @pytest.mark.parametrize("name", sorted(ENUMERATIONS))
 def test_enumerations_charge_before_building(name, monkeypatch):
-    F = gf(3)
+    F, F2 = gf(3), gf(2)  # built, and charged for their tables, before the budgets
     calls = []
     for meth in ("all_matrices", "general_linear"):
         orig = getattr(type(F), meth)
@@ -219,7 +219,7 @@ def test_enumerations_charge_before_building(name, monkeypatch):
         budget = _budget.set_budget(10 ** 6)
         for dims in ({1: 1, 2: 1}, {1: 2, 2: 1}, {1: 0, 2: 2}):
             before = budget.used
-            got = ENUMERATIONS[name](dims, gf(2))
+            got = ENUMERATIONS[name](dims, F2)
             assert budget.used - before == len(got) == len(set(got))
     finally:
         _budget.set_budget(saved.limit)
@@ -299,6 +299,27 @@ def test_mu_refuses_unequal_pair_dimensions():
                             OrbitPair((1,), (2,)))
     with pytest.raises(ValueError, match="unequal dimensions"):
         mu_contraction(contr, {1: 2, 2: 0, 3: 1}, gf(2), ((), ((),)))
+
+
+@pytest.mark.parametrize("edges, dims, empty_parts", [
+    ([("p", "m"), ("m", "t")], {"p": 0, "m": 0, "t": 2}, {"m>t*p>m": ((), ())}),
+    ([("p", "m"), ("z", "m")], {"p": 0, "m": 0, "z": 2}, {"~p>m*z>m": ()}),
+    ([("p", "m"), ("z", "m"), ("m", "t"), ("z", "t")], {"p": 0, "m": 0, "z": 2, "t": 1},
+     {"m>t*p>m": ((),), "~p>m*z>m": ()}),
+], ids=["composite", "reversed", "both"])
+def test_mu_at_a_zero_dimensional_pair(edges, dims, empty_parts):
+    # with the pair at dimension 0, a composite component is t x 0 and a
+    # reversed one 0 x z, each stored as its empty rows; kept ones pass through
+    qv = make_quiver(tuple(dims), edges)
+    contr = contract_quiver(qv, AdmissibleAutomorphism.identity(qv),
+                            OrbitPair(("p",), ("m",)))
+    idx = {h.id: k for k, h in enumerate(qv.edges)}
+    points = rep_points(qv, dims, gf(2))
+    assert len(points) == 2 ** sum(dims[h.source] * dims[h.target] for h in qv.edges)
+    for x in points:
+        want = tuple(empty_parts[h.id] if h.id in empty_parts else x[idx[h.id]]
+                     for h in contr.hat_quiver.edges)
+        assert mu_contraction(contr, dims, gf(2), x) == want
 
 
 def test_mu_equivariance_random():
